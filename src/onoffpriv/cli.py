@@ -253,11 +253,11 @@ def cmd_verify(args) -> int:
     if args.scheme:
         with open(args.scheme, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-        if "multiset" in obj:
-            obj = obj["multiset"]
-        elif "set" in obj:
-            obj = obj["set"]
         try:
+            if "multiset" in obj:
+                obj = obj["multiset"]
+            elif "set" in obj:
+                obj = obj["set"]
             s = SchemeDistribution.from_json_obj(obj)
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"bad scheme file: {exc}") from exc

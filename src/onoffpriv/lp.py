@@ -13,8 +13,9 @@ x outside q are never instantiated. The program has on the order of
 n^3 * 2^n variables, which is why it is only solved for n <= 5; the
 construction in scheme.py exists precisely because this does not scale.
 
-The solver is a self-contained dense two-phase simplex with Bland's rule.
-Problem sizes here are tiny, so robustness wins over speed.
+The program is handed to scipy's HiGHS dual simplex. The returned point is
+not taken on trust: it is re-checked for sign and for the residual of every
+constraint before a value is reported.
 """
 
 from __future__ import annotations
@@ -22,12 +23,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linprog
 
 from onoffpriv.markov import ConditionalTable
 
 MAX_STATES = 5
-FEAS_TOL = 1e-7
+NONNEG_TOL = 1e-10
 RESIDUAL_TOL = 1e-8
+PRIMAL_ZERO_TOL = 1e-12
+# Presolve off and tight tolerances make HiGHS return an exact vertex; with
+# its defaults, postsolve can hand back entries near -1e-7 that the sign
+# check in solve_simplex rejects.
+HIGHS_OPTIONS = {
+    "presolve": False,
+    "primal_feasibility_tolerance": 1e-10,
+    "dual_feasibility_tolerance": 1e-10,
+}
 
 
 class TooLarge(ValueError):
@@ -35,11 +46,11 @@ class TooLarge(ValueError):
 
 
 class IterationLimit(RuntimeError):
-    """The simplex did not converge within the iteration budget."""
+    """The solver stopped at its iteration limit without an optimum."""
 
 
 class Infeasible(RuntimeError):
-    """Phase 1 ended with artificial mass left.
+    """The solver found the equality constraints unsatisfiable.
 
     Downloading everything is always a feasible private scheme, so this can
     only mean the problem matrix was built wrong.
@@ -84,10 +95,10 @@ class LpSolution:
     """Optimal point of an LpProblem.
 
     value is the optimal expected query size (an inverse rate). primal maps
-    the semantic key of every variable above 1e-12 to its value. status is
-    "optimal" whenever the solver returns instead of raising; the other
-    states ("infeasible", "iteration-limit") surface as exceptions and the
-    field exists so serialized records can carry them.
+    the semantic key of every variable above PRIMAL_ZERO_TOL to its value.
+    status is "optimal" whenever the solver returns instead of raising; the
+    other states ("infeasible", "iteration-limit") surface as exceptions and
+    the field exists so serialized records can carry them.
     """
 
     value: float
@@ -187,108 +198,28 @@ def formulate_lp(cond: ConditionalTable) -> LpProblem:
     )
 
 
-def _pivot(T: np.ndarray, basis: np.ndarray, i: int, j: int) -> None:
-    T[i] /= T[i, j]
-    col = T[:, j].copy()
-    col[i] = 0.0
-    T -= np.outer(col, T[i])
-    basis[i] = j
-
-
-def _bland_iterate(
-    T: np.ndarray, basis: np.ndarray, ncols: int, max_iters: int, tol: float
-) -> int:
-    """Run simplex iterations on a tableau until optimal.
-
-    The last tableau row holds reduced costs (objective row), the last
-    column the right-hand side. Only the first ncols columns may enter.
-    Entering rule: lowest column index with a negative reduced cost.
-    Leaving rule: lowest basis index among the ratio-test minimizers.
-    """
-    it = 0
-    while True:
-        red = T[-1, :ncols]
-        candidates = np.nonzero(red < -tol)[0]
-        if candidates.size == 0:
-            return it
-        if it >= max_iters:
-            raise IterationLimit(f"no optimum after {max_iters} iterations")
-        j = int(candidates[0])
-        col = T[:-1, j]
-        pos = np.nonzero(col > tol)[0]
-        if pos.size == 0:
-            # equality-constrained probability masses are bounded, so an
-            # unbounded ray means the tableau itself is corrupted
-            raise ArithmeticError("unbounded direction in a bounded program")
-        ratios = T[:-1, -1][pos] / col[pos]
-        best = ratios.min()
-        tied = pos[ratios <= best + 1e-12]
-        i = int(tied[np.argmin(basis[tied])])
-        _pivot(T, basis, i, j)
-        it += 1
-
-
-def solve_simplex(
-    p: LpProblem, max_iters: int = 200_000, tol: float = 1e-9
-) -> LpSolution:
-    """Two-phase dense simplex with Bland's anti-cycling rule.
+def solve_simplex(p: LpProblem) -> LpSolution:
+    """Solve the LP with scipy's HiGHS dual simplex, then re-check the point.
 
     Raises:
-        Infeasible: phase 1 cannot zero the artificial variables.
-        IterationLimit: either phase exhausts max_iters.
+        Infeasible: the solver proves the constraints unsatisfiable.
+        IterationLimit: the solver stops at its iteration limit.
+        ArithmeticError: any other solver failure, or a returned point that
+            is negative or misses a constraint by more than the tolerances.
     """
-    A = p.A.copy()
-    b = p.b.copy()
-    nrows, nvars = A.shape
+    res = linprog(
+        p.c, A_eq=p.A, b_eq=p.b, bounds=(0, None), method="highs-ds",
+        options=HIGHS_OPTIONS,
+    )
+    if res.status == 2:
+        raise Infeasible(res.message)
+    if res.status == 1:
+        raise IterationLimit(res.message)
+    if res.status != 0:
+        raise ArithmeticError(f"linprog status {res.status}: {res.message}")
 
-    neg = b < 0.0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
-
-    # phase 1: artificial basis, minimize total artificial mass
-    T = np.zeros((nrows + 1, nvars + nrows + 1))
-    T[:-1, :nvars] = A
-    T[:-1, nvars:-1] = np.eye(nrows)
-    T[:-1, -1] = b
-    T[-1, :nvars] = -A.sum(axis=0)
-    T[-1, -1] = -b.sum()
-    basis = np.arange(nvars, nvars + nrows)
-
-    iters = _bland_iterate(T, basis, nvars + nrows, max_iters, tol)
-    phase1 = -T[-1, -1]
-    if phase1 > FEAS_TOL:
-        raise Infeasible(f"artificial mass {phase1:g} remains after phase 1")
-
-    # pivot artificials out of the basis; a row with no real coefficient
-    # left is redundant and is dropped
-    keep = np.ones(nrows, dtype=bool)
-    for i in range(nrows):
-        if basis[i] < nvars:
-            continue
-        row = T[i, :nvars]
-        j = np.nonzero(np.abs(row) > tol)[0]
-        if j.size:
-            _pivot(T, basis, i, int(j[0]))
-        else:
-            keep[i] = False
-    if not keep.all():
-        T = np.vstack([T[:-1][keep], T[-1]])
-        basis = basis[keep]
-    nrows = basis.shape[0]
-
-    # phase 2: real objective over the real columns
-    T2 = np.zeros((nrows + 1, nvars + 1))
-    T2[:-1, :nvars] = T[:-1, :nvars]
-    T2[:-1, -1] = T[:-1, -1]
-    cb = p.c[basis]
-    T2[-1, :nvars] = p.c - cb @ T2[:-1, :nvars]
-    T2[-1, -1] = -float(cb @ T2[:-1, -1])
-
-    iters += _bland_iterate(T2, basis, nvars, max_iters, tol)
-
-    x = np.zeros(nvars)
-    x[basis] = T2[:-1, -1]
-    if x.min() < -1e-10:
+    x = res.x
+    if x.min() < -NONNEG_TOL:
         raise ArithmeticError(f"negative primal value {x.min():g}")
     residual = float(np.abs(p.A @ x - p.b).max())
     if residual > RESIDUAL_TOL:
@@ -296,10 +227,10 @@ def solve_simplex(
 
     value = float(p.c @ x)
     primal = {
-        p.var_keys[k]: float(x[k]) for k in np.nonzero(x > 1e-12)[0]
+        p.var_keys[k]: float(x[k]) for k in np.nonzero(x > PRIMAL_ZERO_TOL)[0]
     }
     return LpSolution(
-        value=value, primal=primal, status="optimal", iterations=iters
+        value=value, primal=primal, status="optimal", iterations=int(res.nit)
     )
 
 

@@ -56,6 +56,8 @@ class TransitionMatrix:
             raise ValueError("transition matrix must be square")
         if entries.shape[0] < 2:
             raise ValueError("need at least 2 states")
+        if not np.isfinite(entries).all():
+            raise ValueError("transition probabilities must be finite")
         if (entries < 0).any():
             raise ValueError("transition probabilities must be nonnegative")
         row_err = np.abs(entries.sum(axis=1) - 1.0).max()
@@ -92,6 +94,8 @@ class ConditionalTable:
         m = self.n * self.n
         if values.shape != (m, self.n):
             raise ValueError(f"values must have shape ({m}, {self.n})")
+        if not np.isfinite(values).all():
+            raise ValueError("likelihoods must be finite")
         if (values < -1e-15).any() or (values > 1 + 1e-12).any():
             raise ValueError("likelihoods must lie in [0, 1]")
         row_err = np.abs(values.sum(axis=1) - 1.0).max()

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from onoffpriv.bounds import ThetaProfile
-from onoffpriv.markov import ConditionalTable, u_pair
+from onoffpriv.markov import ConditionalTable, u_index, u_pair
 
 BOUNDARY_TOL = 1e-12
 TOTALS_TOL = 1e-9
@@ -150,11 +150,22 @@ class SchemeDistribution:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SchemeDistribution":
+        """Load a serialized distribution; inverse of to_json_obj.
+
+        Raises:
+            ValueError: a query member, request or context state lies
+                outside 0..n-1, where it would alias another entry.
+        """
         n = int(obj["n"])
         form = obj["form"]
         entries = {}
         for row in obj["entries"]:
             members = [int(i) for i in row["q"]]
+            x = int(row["x"])
+            if not all(0 <= i < n for i in members + [x]):
+                raise ValueError(f"state out of range for n={n} in entry {row}")
+            xtau, xnext = row["u"]
+            u = u_index(int(xtau), int(xnext), n)
             if form == "multiset":
                 counts = [0] * n
                 for i in members:
@@ -162,9 +173,7 @@ class SchemeDistribution:
                 qkey = tuple(counts)
             else:
                 qkey = tuple(sorted(set(members)))
-            xtau, xnext = row["u"]
-            u = int(xtau) * n + int(xnext)
-            entries[(qkey, int(row["x"]), u)] = float(row["p"])
+            entries[(qkey, x, u)] = float(row["p"])
         return cls(n=n, delta=int(obj["delta"]), form=form, entries=entries)
 
 

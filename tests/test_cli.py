@@ -49,11 +49,13 @@ class TestChainLoading:
         assert "JSON" in err
 
     def test_bad_matrix_is_a_config_error(self, capsys):
-        code, _, _ = run_cli(
-            capsys, "bounds", "--chain", '{"rows": [[0.9, 0.2], [0.5, 0.5]]}',
-            "--delta", "1",
-        )
-        assert code == 2
+        for rows in ("[[0.9, 0.2], [0.5, 0.5]]", "[[NaN, NaN], [0.5, 0.5]]"):
+            code, _, err = run_cli(
+                capsys, "bounds", "--chain", f'{{"rows": {rows}}}',
+                "--delta", "1",
+            )
+            assert code == 2
+            assert err.startswith("error: bad chain spec")
 
 
 class TestBoundsCommand:
@@ -174,6 +176,28 @@ class TestSchemeAndVerifyCommands:
         )
         assert code == 1
         assert json.loads(out)["max_privacy_gap"] > 0.01
+
+
+    def test_malformed_scheme_files_are_config_errors(self, capsys, tmp_path):
+        path = tmp_path / "scheme.json"
+        run_cli(
+            capsys, "scheme", "--n", "3", "--alpha", "0.6",
+            "--delta", "1", "--out", str(path),
+        )
+        aliased = json.loads(path.read_text())
+        row = next(e for e in aliased["multiset"]["entries"] if e["u"] == [2, 2])
+        row["u"] = [3, -1]  # flattens to the same index as (2, 2)
+        out_of_range = json.loads(path.read_text())
+        out_of_range["multiset"]["entries"][0]["x"] = 7
+        for obj in (aliased, out_of_range):
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(obj))
+            code, _, err = run_cli(
+                capsys, "verify", "--n", "3", "--alpha", "0.6", "--delta", "1",
+                "--scheme", str(bad),
+            )
+            assert code == 2
+            assert err.startswith("error: bad scheme file")
 
 
 class TestLpCommand:

@@ -117,7 +117,7 @@ class TestSimplex:
         assert p.c @ x == pytest.approx(sol.value, abs=1e-9)
 
     def test_value_sits_between_the_bounds(self, rng, chain_factory):
-        for n in (2, 3):
+        for n in (2, 3, 4, 5):
             for delta in (1, 2):
                 cond = conditional_table(chain_factory(rng, n), delta)
                 prof = theta_profile(cond)

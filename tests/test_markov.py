@@ -136,6 +136,29 @@ class TestConditionalTable:
             ConditionalTable(n=2, delta=1, values=np.full((4, 2), 0.3))
 
 
+class TestNonFinite:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=5),
+        pos=st.integers(min_value=0),
+        bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+        table=st.booleans(),
+    )
+    def test_any_non_finite_entry_is_rejected(self, n, pos, bad, table):
+        # NaN fails every sign and row-sum comparison, so only an explicit
+        # finiteness check stops it
+        if table:
+            values = conditional_table(symmetric_chain(n, 0.6), 1).values.copy()
+            values.flat[pos % values.size] = bad
+            with pytest.raises(ValueError, match="finite"):
+                ConditionalTable(n=n, delta=1, values=values)
+        else:
+            entries = symmetric_chain(n, 0.6).entries.copy()
+            entries.flat[pos % entries.size] = bad
+            with pytest.raises(ValueError, match="finite"):
+                TransitionMatrix(entries=entries)
+
+
 class TestSymmetricSigmas:
     def test_frozen_values_for_one_step_gap(self):
         # frozen: n=3, alpha=0.6, delta=1 in exact fractions

@@ -2,9 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from onoffpriv.bounds import rate_inner, theta_profile
-from onoffpriv.markov import conditional_table, symmetric_chain, u_index
+from onoffpriv.markov import (
+    TransitionMatrix,
+    conditional_table,
+    symmetric_chain,
+    u_index,
+)
 from onoffpriv.scheme import (
     MismatchedTotals,
     SchemeDistribution,
@@ -147,8 +154,15 @@ class TestDistributionObject:
             assert tot_st[key] == pytest.approx(mass, abs=1e-12)
         assert total_weighted_size(st) <= total_weighted_size(ms) + 1e-12
 
-    def test_json_round_trip_is_exact(self, rng, chain_factory):
-        cond = conditional_table(chain_factory(rng, 3), 2)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=hst.integers(min_value=2, max_value=5),
+        delta=hst.integers(min_value=0, max_value=3),
+        seed=hst.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_json_round_trip_is_exact(self, n, delta, seed):
+        rows = np.random.default_rng(seed).dirichlet(np.full(n, 2.0), size=n)
+        cond = conditional_table(TransitionMatrix(0.9 * rows + 0.1 / n), delta)
         ms = build_scheme(theta_profile(cond), cond)
         for s in (ms, collapse_to_sets(ms)):
             obj = json.loads(json.dumps(s.to_json_obj()))
@@ -156,6 +170,35 @@ class TestDistributionObject:
             assert back.n == s.n and back.delta == s.delta
             assert back.form == s.form
             assert back.entries == s.entries
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=hst.integers(min_value=2, max_value=4),
+        form=hst.sampled_from(["multiset", "set"]),
+        field=hst.sampled_from(["q", "x", "xtau", "xnext", "alias"]),
+        bad=hst.one_of(
+            hst.integers(min_value=-5, max_value=-1),
+            hst.integers(min_value=0, max_value=5),
+        ),
+        pick=hst.integers(min_value=0),
+    )
+    def test_out_of_range_states_are_rejected(self, n, form, field, bad, pick):
+        _, _, ms = built(n, 0.6, 1)
+        obj = (ms if form == "multiset" else collapse_to_sets(ms)).to_json_obj()
+        row = obj["entries"][pick % len(obj["entries"])]
+        if bad >= 0:
+            bad += n
+        if field == "q":
+            row["q"][pick % len(row["q"])] = bad
+        elif field == "x":
+            row["x"] = bad
+        elif field == "alias":
+            # (xtau + 1, xnext - n) flattens to the same row index
+            row["u"] = [row["u"][0] + 1, row["u"][1] - n]
+        else:
+            row["u"][field == "xnext"] = bad
+        with pytest.raises(ValueError, match="out of range"):
+            SchemeDistribution.from_json_obj(obj)
 
     def test_accepts_damaged_entries_for_later_checking(self):
         # the container must be able to hold a bad artifact; judging it
