@@ -50,6 +50,7 @@ from onoffpriv.scheme import (
     collapse_to_sets,
     conditional_query_sampler,
     refine_segments,
+    sample_query_indices,
 )
 from onoffpriv.verify import (
     DimensionMismatch,
@@ -127,6 +128,7 @@ __all__ = [
     "rate_outer",
     "refine_segments",
     "run_simulation",
+    "sample_query_indices",
     "solve_simplex",
     "symmetric_chain",
     "symmetric_sigmas",

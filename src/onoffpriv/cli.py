@@ -59,6 +59,8 @@ log = logging.getLogger("onoffpriv")
 
 SYMMETRY_DETECT_TOL = 1e-12
 DEPENDENCE_GAP_THRESHOLD = 0.05
+# trace CSV rows formatted per string operation; bounds the memory it takes
+CSV_BLOCK_ROWS = 8192
 
 
 class ConfigError(Exception):
@@ -298,20 +300,16 @@ def cmd_lp(args) -> int:
 
 def _trace_csv(trace) -> str:
     header = ["t", "x", "f", "tau", "delta", "q_size", "bytes", "decode_ok"]
-    rows = [
-        [
-            t,
-            int(trace.x[t]),
-            int(trace.flag[t]),
-            int(trace.tau[t]),
-            int(trace.delta[t]),
-            int(trace.q_size[t]),
-            int(trace.bytes_down[t]),
-            int(trace.decode_ok[t]),
-        ]
-        for t in range(trace.horizon)
-    ]
-    return _csv_text(header, rows)
+    columns = (
+        np.arange(trace.horizon), trace.x, trace.flag, trace.tau, trace.delta,
+        trace.q_size, trace.bytes_down, trace.decode_ok,
+    )
+    row_fmt = ",".join(["%d"] * len(header)) + "\n"
+    parts = [_csv_text(header, [])]
+    for lo in range(0, trace.horizon, CSV_BLOCK_ROWS):
+        block = np.column_stack([c[lo : lo + CSV_BLOCK_ROWS] for c in columns])
+        parts.append(row_fmt * len(block) % tuple(block.ravel().tolist()))
+    return "".join(parts)
 
 
 def cmd_simulate(args) -> int:
@@ -349,6 +347,8 @@ def cmd_simulate(args) -> int:
         "msg_len": trace.msg_len,
         "decode_failures": decode_failures,
         "total_bytes": trace.total_bytes(),
+        "schemes_built": trace.schemes_built,
+        "schemes_reused": trace.schemes_reused,
         "rates": average_download_rate(trace),
         "delta_buckets": {
             str(d): {"count": c, "mean_q_size": m}

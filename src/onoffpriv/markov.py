@@ -173,8 +173,11 @@ def symmetric_chain(n: int, alpha: float) -> TransitionMatrix:
 def matrix_power(P: TransitionMatrix, delta: int) -> np.ndarray:
     """P raised to the delta-th power; delta = 0 gives the identity.
 
-    Iterated multiplication is exact enough here: delta stays small in every
-    workload, so squaring tricks would buy nothing.
+    Takes delta products, one after another from the identity. A caller that
+    walks the gaps in order, as the simulator does, should instead carry the
+    power forward with one product per gap: that is the same sequence of
+    products, so it gives the same bits at a fraction of the cost. Squaring
+    would be cheaper for one large delta but would change the rounding.
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
@@ -184,18 +187,26 @@ def matrix_power(P: TransitionMatrix, delta: int) -> np.ndarray:
     return out
 
 
-def conditional_table(P: TransitionMatrix, delta: int) -> ConditionalTable:
+def conditional_table(
+    P: TransitionMatrix, delta: int, power: np.ndarray | None = None
+) -> ConditionalTable:
     """Likelihood table p(x | u) induced by the chain at gap delta.
 
     With u = (xtau, xnext), Bayes gives
         p(x | u) = P[x, xnext] * (P^delta)[xtau, x] / (P^(delta+1))[xtau, xnext].
+
+    Args:
+        P: the chain.
+        delta: the gap.
+        power: P^delta when the caller already holds it, as computed by
+            matrix_power; by default it is computed here.
 
     Raises:
         ZeroContextProbability: some pair (xtau, xnext) cannot occur in
             delta + 1 steps, so conditioning on it is undefined.
     """
     n = P.n
-    pd = matrix_power(P, delta)
+    pd = matrix_power(P, delta) if power is None else power
     pd1 = pd @ P.entries
     if (pd1 <= 0.0).any():
         bad = np.argwhere(pd1 <= 0.0)[0]

@@ -154,7 +154,10 @@ class SchemeDistribution:
 
         Raises:
             ValueError: a query member, request or context state lies
-                outside 0..n-1, where it would alias another entry.
+                outside 0..n-1, where it would alias another entry; a
+                set-form query names a member twice; or two rows share
+                their query, request and context, so one would overwrite
+                the other.
         """
         n = int(obj["n"])
         form = obj["form"]
@@ -173,7 +176,12 @@ class SchemeDistribution:
                 qkey = tuple(counts)
             else:
                 qkey = tuple(sorted(set(members)))
-            entries[(qkey, x, u)] = float(row["p"])
+                if len(qkey) != len(members):
+                    raise ValueError(f"repeated query member in set entry {row}")
+            key = (qkey, x, u)
+            if key in entries:
+                raise ValueError(f"repeated entry {row}")
+            entries[key] = float(row["p"])
         return cls(n=n, delta=int(obj["delta"]), form=form, entries=entries)
 
 
@@ -367,11 +375,14 @@ def collapse_to_sets(s: SchemeDistribution) -> SchemeDistribution:
     return SchemeDistribution(n=s.n, delta=s.delta, form="set", entries=entries)
 
 
-def conditional_query_sampler(s: SchemeDistribution, x: int, u: int, rng) -> tuple:
-    """Draw one query for request x in context u.
+def sample_query_indices(
+    s: SchemeDistribution, x: int, u: int, draws: np.ndarray
+) -> np.ndarray:
+    """Positions in s.mass_by_context(x, u)[0] of the queries that the
+    uniform draws in [0, 1) select, one per draw.
 
-    The draw follows w(q | x, u) = g(q, x, u) / p(x | u). Deterministic
-    given the generator state.
+    A draw r selects the first query whose cumulative mass exceeds
+    r * p(x | u), so each query follows w(q | x, u) = g(q, x, u) / p(x | u).
 
     Raises:
         ZeroLikelihoodContext: no mass is recorded for this (x, u) pair.
@@ -382,8 +393,17 @@ def conditional_query_sampler(s: SchemeDistribution, x: int, u: int, rng) -> tup
         raise ZeroLikelihoodContext(
             f"no query mass for request {x} in context {u}"
         )
-    r = rng.random() * total
-    j = int(np.searchsorted(cum, r, side="right"))
-    if j >= len(keys):
-        j = len(keys) - 1
-    return keys[j]
+    j = np.searchsorted(cum, draws * total, side="right")
+    return np.minimum(j, len(keys) - 1)
+
+
+def conditional_query_sampler(s: SchemeDistribution, x: int, u: int, rng) -> tuple:
+    """Draw one query for request x in context u from one rng.random() draw.
+
+    Deterministic given the generator state.
+
+    Raises:
+        ZeroLikelihoodContext: no mass is recorded for this (x, u) pair.
+    """
+    keys, _ = s.mass_by_context(x, u)
+    return keys[int(sample_query_indices(s, x, u, rng.random(1))[0])]

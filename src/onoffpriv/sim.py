@@ -17,17 +17,18 @@ chi-square contingency statistic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import stats as _scipy_stats
 
 from onoffpriv.bounds import theta_profile
-from onoffpriv.markov import TransitionMatrix, conditional_table
+from onoffpriv.markov import ConditionalTable, TransitionMatrix, conditional_table
 from onoffpriv.scheme import (
     SchemeDistribution,
     build_scheme,
     collapse_to_sets,
-    conditional_query_sampler,
+    sample_query_indices,
 )
 
 MIN_BUCKET_SAMPLES = 1000
@@ -157,9 +158,13 @@ class SimConfig:
 class SimTrace:
     """Per-step protocol record plus per-gap aggregates.
 
-    Arrays are indexed by step. queries holds the sampled subset per step
-    as a sorted member tuple. delta_buckets maps each observed gap to
-    (sample count, mean query size).
+    Arrays are indexed by step. query_keys holds the queries of the run's
+    schemes, sorted, each a sorted member tuple, and query_ids[t] indexes
+    the query of step t in it; queries lists those keys step by step.
+    delta_buckets maps each observed gap to (sample count, mean query
+    size). schemes_built counts the per-gap schemes constructed;
+    schemes_reused counts the gaps that took the previous gap's scheme
+    because their likelihood tables are equal.
     """
 
     n: int
@@ -172,12 +177,21 @@ class SimTrace:
     q_size: np.ndarray
     bytes_down: np.ndarray
     decode_ok: np.ndarray
-    queries: list
+    query_ids: np.ndarray
+    query_keys: list
     delta_buckets: dict = field(default_factory=dict)
+    schemes_built: int = 0
+    schemes_reused: int = 0
 
     @property
     def horizon(self) -> int:
         return self.x.shape[0]
+
+    @cached_property
+    def queries(self) -> list:
+        """The sampled query of every step, as its member tuple."""
+        keys = self.query_keys
+        return [keys[i] for i in self.query_ids.tolist()]
 
     def total_bytes(self) -> int:
         return int(self.bytes_down.sum())
@@ -187,22 +201,104 @@ def _sample_path(P: TransitionMatrix, length: int, initial, rng) -> np.ndarray:
     n = P.n
     if initial is None:
         initial = np.full(n, 1.0 / n)
-    cum0 = np.cumsum(initial)
-    cum = np.cumsum(P.entries, axis=1)
     draws = rng.random(length)
-    path = np.empty(length, dtype=np.int64)
-    path[0] = np.searchsorted(cum0, draws[0], side="right")
+
+    def pick(cum, draw):
+        return np.minimum(np.searchsorted(cum, draw, side="right"), n - 1)
+
+    # successor[i][t]: the state after state i when step t draws draws[t],
+    # in the smallest integer type that holds a state
+    small = np.min_scalar_type(n - 1)
+    successor = [
+        memoryview(pick(row, draws).astype(small))
+        for row in np.cumsum(P.entries, axis=1)
+    ]
+    state = int(pick(np.cumsum(initial), draws[0]))
+    path = [state]
     for t in range(1, length):
-        path[t] = np.searchsorted(cum[path[t - 1]], draws[t], side="right")
-    np.clip(path, 0, n - 1, out=path)
-    return path
+        state = successor[state][t]
+        path.append(state)
+    return np.array(path, dtype=np.int64)
 
 
-def build_scheme_for_gap(P: TransitionMatrix, delta: int) -> SchemeDistribution:
-    """Set-form query distribution for one gap, built from scratch."""
-    cond = conditional_table(P, delta)
+def build_scheme_for_gap(
+    P: TransitionMatrix, delta: int, cond: ConditionalTable | None = None
+) -> SchemeDistribution:
+    """Set-form query distribution for one gap, built from scratch.
+
+    cond is the gap's likelihood table when the caller already holds it.
+    """
+    if cond is None:
+        cond = conditional_table(P, delta)
     profile = theta_profile(cond)
     return collapse_to_sets(build_scheme(profile, cond))
+
+
+def _gap_schemes(P: TransitionMatrix, max_delta: int, overrides: dict):
+    """The scheme of every gap 0..max_delta.
+
+    Returns (schemes, index, built, reused), where index[delta] is the
+    position in schemes of the scheme for that gap.
+
+    The gaps are walked in order, carrying P^delta forward with one product
+    per gap: the products matrix_power would take, so the same bits. The
+    construction reads nothing of the chain but the likelihood table, so a
+    gap whose table is bitwise equal to the previous gap's takes the
+    previous gap's scheme. Once P^delta stops changing, the table stops
+    too, and it is not recomputed. An override gap passes its scheme on to
+    no other gap.
+    """
+    schemes: list = []
+    index = np.empty(max_delta + 1, dtype=np.int64)
+    built = reused = 0
+    power = np.eye(P.n)
+    stable = False  # P^delta is bitwise equal to P^(delta-1)
+    prev = None  # the previous gap's table; None after an override gap
+    for delta in range(max_delta + 1):
+        if delta and not stable:
+            nxt = power @ P.entries
+            stable = np.array_equal(nxt, power)
+            power = nxt
+        if delta in overrides:
+            schemes.append(overrides[delta])
+            prev = None
+        elif stable and prev is not None:
+            reused += 1
+        else:
+            cond = conditional_table(P, delta, power=power)
+            if prev is not None and np.array_equal(cond.values, prev):
+                reused += 1
+            else:
+                schemes.append(build_scheme_for_gap(P, delta, cond))
+                built += 1
+            prev = cond.values
+        index[delta] = len(schemes) - 1
+    return schemes, index, built, reused
+
+
+def _draw_queries(schemes: list, scheme_of_step, x, u, n: int, draws):
+    """Query of every step, where step t has the uniform draw draws[t].
+
+    Steps are grouped by (scheme, request, context), and each group is
+    drawn with one searchsorted. Returns (ids, keys): keys are the queries
+    of all the schemes, sorted, and ids[t] indexes the query of step t.
+    """
+    keys = sorted({q for s in schemes for q, _, _ in s.entries})
+    key_ids = {q: i for i, q in enumerate(keys)}
+    m = n * n
+    group = (scheme_of_step * n + x) * m + u
+    order = np.argsort(group)
+    group = group[order]
+    cuts = (np.flatnonzero(np.diff(group)) + 1).tolist()
+    ids = np.empty(len(group), dtype=np.int64)
+    for lo, hi in zip([0] + cuts, cuts + [len(group)]):
+        sid, rest = divmod(int(group[lo]), n * m)
+        xx, uu = divmod(rest, m)
+        steps = order[lo:hi]
+        scheme = schemes[sid]
+        local = np.array([key_ids[q] for q in scheme.mass_by_context(xx, uu)[0]])
+        ids[steps] = local[sample_query_indices(scheme, xx, uu, draws[steps])]
+    return ids, keys
 
 
 def run_simulation(cfg: SimConfig, scheme_overrides: dict | None = None) -> SimTrace:
@@ -217,7 +313,10 @@ def run_simulation(cfg: SimConfig, scheme_overrides: dict | None = None) -> SimT
     The run is deterministic in (cfg.chain, cfg.schedule, cfg.horizon,
     cfg.msg_len, cfg.seed): three independent child generators drive the
     request path, the schedule and the query draws, so the request path
-    depends on the chain and seed only.
+    depends on the chain and seed only. Each generator gives one block of
+    draws, the same stream as one draw per step, so the trace of a seed is
+    the one the step-by-step protocol would produce. The cost is linear in
+    the horizon.
     """
     P = cfg.chain
     if not P.is_strictly_positive():
@@ -233,60 +332,44 @@ def run_simulation(cfg: SimConfig, scheme_overrides: dict | None = None) -> SimT
     x = _sample_path(P, T + 1, cfg.initial, path_rng)
     flags = cfg.schedule.realize(T, flag_rng)
 
-    schemes: dict[int, SchemeDistribution] = {}
-    overrides = scheme_overrides or {}
+    steps = np.arange(T)
+    tau = np.maximum.accumulate(np.where(flags, steps, 0))
+    delta = steps - tau
+    u = x[tau] * n + x[1:]
+    schemes, scheme_of_gap, built, reused = _gap_schemes(
+        P, int(delta.max()), scheme_overrides or {}
+    )
+    query_ids, query_keys = _draw_queries(
+        schemes, scheme_of_gap[delta], x[:T], u, n, query_rng.random(T)
+    )
+    q_size = np.array([len(q) for q in query_keys], dtype=np.int64)[query_ids]
+    # the server answers exactly the queried messages, so the client
+    # decodes its wanted message iff the query names it
+    names = np.array([[s in q for s in range(n)] for q in query_keys], dtype=bool)
+    decode_ok = names[query_ids, x[:T]]
 
-    tau_arr = np.empty(T, dtype=np.int64)
-    delta_arr = np.empty(T, dtype=np.int64)
-    u_arr = np.empty(T, dtype=np.int64)
-    q_size = np.empty(T, dtype=np.int64)
-    decode_ok = np.empty(T, dtype=bool)
-    queries: list = []
-    buckets: dict[int, list] = {}
-
-    tau = 0
-    for t in range(T):
-        if flags[t]:
-            tau = t
-        delta = t - tau
-        u = int(x[tau]) * n + int(x[t + 1])
-        sch = schemes.get(delta)
-        if sch is None:
-            sch = overrides.get(delta)
-            if sch is None:
-                sch = build_scheme_for_gap(P, delta)
-            schemes[delta] = sch
-        q = conditional_query_sampler(sch, int(x[t]), u, query_rng)
-        # the server answers exactly the queried messages, so the client
-        # decodes its wanted message iff the query names it
-        ok = int(x[t]) in q
-
-        tau_arr[t] = tau
-        delta_arr[t] = delta
-        u_arr[t] = u
-        q_size[t] = len(q)
-        decode_ok[t] = ok
-        queries.append(q)
-        agg = buckets.setdefault(delta, [0, 0])
-        agg[0] += 1
-        agg[1] += len(q)
-
+    counts = np.bincount(delta).tolist()
+    size_sums = np.bincount(delta, weights=q_size).tolist()
     delta_buckets = {
-        d: (count, size_sum / count) for d, (count, size_sum) in buckets.items()
+        d: (count, size_sum / count)
+        for d, (count, size_sum) in enumerate(zip(counts, size_sums))
     }
     return SimTrace(
         n=n,
         msg_len=cfg.msg_len,
         x=x[:T],
         flag=flags,
-        tau=tau_arr,
-        delta=delta_arr,
-        u=u_arr,
+        tau=tau,
+        delta=delta,
+        u=u,
         q_size=q_size,
         bytes_down=q_size * cfg.msg_len,
         decode_ok=decode_ok,
-        queries=queries,
+        query_ids=query_ids,
+        query_keys=query_keys,
         delta_buckets=delta_buckets,
+        schemes_built=built,
+        schemes_reused=reused,
     )
 
 
@@ -348,17 +431,10 @@ def empirical_privacy_test(trace: SimTrace, delta: int) -> EmpiricalStats:
         raise InsufficientSamples(
             f"gap {delta} has {n_samples} samples, need {MIN_BUCKET_SAMPLES}"
         )
-    joint: dict = {}
-    for idx in np.nonzero(mask)[0]:
-        key = (trace.queries[idx], int(trace.u[idx]))
-        joint[key] = joint.get(key, 0) + 1
-    query_keys = sorted({qk for qk, _ in joint})
-    context_ids = sorted({u for _, u in joint})
-    counts = np.zeros((len(query_keys), len(context_ids)))
-    qpos = {qk: r for r, qk in enumerate(query_keys)}
-    upos = {u: cl for cl, u in enumerate(context_ids)}
-    for (qk, u), c in joint.items():
-        counts[qpos[qk], upos[u]] = c
+    # query ids follow the sorted query keys, so rows come out in key order
+    qids, contexts, counts = _contingency(trace.query_ids[mask], trace.u[mask])
+    query_keys = [trace.query_keys[i] for i in qids.tolist()]
+    context_ids = contexts.tolist()
 
     col_tot = counts.sum(axis=0)
     cond_freq = counts / col_tot[None, :]
@@ -398,36 +474,39 @@ def empirical_composed_history(trace: SimTrace) -> dict:
     across the on-step request values. Informational only; callers do not
     gate on it.
     """
-    runs: dict[int, list] = {}
-    horizon = trace.horizon
-    starts = np.nonzero(trace.flag)[0]
-    for k, start in enumerate(starts):
-        stop = starts[k + 1] if k + 1 < len(starts) else horizon
-        if k + 1 == len(starts):
-            continue  # the final run may be truncated by the horizon
-        length = int(stop - start)
-        composed = tuple(trace.queries[start:stop])
-        runs.setdefault(length, []).append((int(trace.x[start]), composed))
+    starts = np.flatnonzero(trace.flag)
+    # the final run may be truncated by the horizon, so it is left out
+    lengths = np.diff(starts)
+    starts = starts[:-1]
     out = {}
-    for length, samples in runs.items():
-        if len(samples) < MIN_BUCKET_SAMPLES:
+    for length in np.unique(lengths).tolist():
+        first = starts[lengths == length]
+        if len(first) < MIN_BUCKET_SAMPLES:
             continue
-        joint: dict = {}
-        for x0, composed in samples:
-            joint[(composed, x0)] = joint.get((composed, x0), 0) + 1
-        tuples = sorted({c for c, _ in joint})
-        x_vals = sorted({x0 for _, x0 in joint})
-        counts = np.zeros((len(tuples), len(x_vals)))
-        tpos = {c: r for r, c in enumerate(tuples)}
-        xpos = {x0: cl for cl, x0 in enumerate(x_vals)}
-        for (c, x0), cnt in joint.items():
-            counts[tpos[c], xpos[x0]] = cnt
+        # number the distinct composed tuples one position at a time
+        tuple_ids = np.zeros(len(first), dtype=np.int64)
+        for j in range(length):
+            step_ids = trace.query_ids[first + j]
+            _, tuple_ids = np.unique(
+                tuple_ids * len(trace.query_keys) + step_ids, return_inverse=True
+            )
+        _, _, counts = _contingency(tuple_ids, trace.x[first])
         freq = counts / counts.sum(axis=0)[None, :]
         out[length] = {
-            "n_runs": len(samples),
+            "n_runs": len(first),
             "max_gap": float((freq.max(axis=1) - freq.min(axis=1)).max()),
         }
     return out
+
+
+def _contingency(rows: np.ndarray, cols: np.ndarray):
+    """Distinct row and column labels, each sorted, and the table that
+    counts every (row, column) label pair in that order."""
+    row_vals, r = np.unique(rows, return_inverse=True)
+    col_vals, c = np.unique(cols, return_inverse=True)
+    shape = (len(row_vals), len(col_vals))
+    flat = np.bincount(r * shape[1] + c, minlength=shape[0] * shape[1])
+    return row_vals, col_vals, flat.reshape(shape).astype(float)
 
 
 def average_download_rate(trace: SimTrace) -> dict:

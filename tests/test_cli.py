@@ -189,7 +189,9 @@ class TestSchemeAndVerifyCommands:
         row["u"] = [3, -1]  # flattens to the same index as (2, 2)
         out_of_range = json.loads(path.read_text())
         out_of_range["multiset"]["entries"][0]["x"] = 7
-        for obj in (aliased, out_of_range):
+        repeated = json.loads(path.read_text())
+        repeated["multiset"]["entries"].append(repeated["multiset"]["entries"][0])
+        for obj in (aliased, out_of_range, repeated):
             bad = tmp_path / "bad.json"
             bad.write_text(json.dumps(obj))
             code, _, err = run_cli(
@@ -232,11 +234,22 @@ class TestSimulateCommand:
         stats = json.loads(out)
         assert stats["decode_failures"] == 0
         assert stats["pass"] is True
+        assert (stats["schemes_built"], stats["schemes_reused"]) == (2, 0)
         rows = parse_csv(trace_path.read_text())
         assert len(rows) == 4000
         assert rows[0]["f"] == "1" and rows[0]["delta"] == "0"
         sizes = {int(r["q_size"]) for r in rows}
         assert sizes <= {1, 2, 3}
+
+    def test_scheme_counters_cover_every_gap(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "simulate", "--n", "3", "--alpha", "0.6",
+            "--schedule", "periodic:500", "--horizon", "1000",
+        )
+        stats = json.loads(out)
+        assert code == 0
+        assert stats["schemes_built"] + stats["schemes_reused"] == 500
+        assert stats["schemes_built"] == 43  # the tables settle after gap 42
 
     def test_deterministic_given_seed(self, capsys):
         args = (

@@ -20,6 +20,7 @@ from onoffpriv.scheme import (
     collapse_to_sets,
     conditional_query_sampler,
     refine_segments,
+    sample_query_indices,
 )
 
 
@@ -200,6 +201,38 @@ class TestDistributionObject:
         with pytest.raises(ValueError, match="out of range"):
             SchemeDistribution.from_json_obj(obj)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=hst.integers(min_value=2, max_value=4),
+        delta=hst.integers(min_value=0, max_value=3),
+        form=hst.sampled_from(["multiset", "set"]),
+        pick=hst.integers(min_value=0),
+        shuffle_seed=hst.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_repeated_rows_are_rejected(self, n, delta, form, pick, shuffle_seed):
+        _, _, ms = built(n, 0.6, delta)
+        obj = (ms if form == "multiset" else collapse_to_sets(ms)).to_json_obj()
+        row = obj["entries"][pick % len(obj["entries"])]
+        # the same query, request and context, members listed in another order
+        twin = json.loads(json.dumps(row))
+        np.random.default_rng(shuffle_seed).shuffle(twin["q"])
+        obj["entries"].append(twin)
+        with pytest.raises(ValueError, match="repeated entry"):
+            SchemeDistribution.from_json_obj(obj)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=hst.integers(min_value=2, max_value=4),
+        pick=hst.integers(min_value=0),
+    )
+    def test_repeated_set_members_are_rejected(self, n, pick):
+        _, _, ms = built(n, 0.6, 1)
+        obj = collapse_to_sets(ms).to_json_obj()
+        row = obj["entries"][pick % len(obj["entries"])]
+        row["q"].append(row["q"][pick % len(row["q"])])
+        with pytest.raises(ValueError, match="repeated query member"):
+            SchemeDistribution.from_json_obj(obj)
+
     def test_accepts_damaged_entries_for_later_checking(self):
         # the container must be able to hold a bad artifact; judging it
         # is the checker's job, not the constructor's
@@ -236,6 +269,16 @@ class TestSampler:
         for k, p in zip(keys, probs):
             se = (p * (1 - p) / draws) ** 0.5
             assert abs(counts[k] / draws - p) <= 4 * se + 1e-9
+
+    def test_batched_draws_match_one_at_a_time(self):
+        _, _, ms = built(3, 0.6, 2)
+        s = collapse_to_sets(ms)
+        for x, u in ((0, 0), (2, 5), (1, 7)):
+            keys, _ = s.mass_by_context(x, u)
+            picks = sample_query_indices(s, x, u, np.random.default_rng(3).random(500))
+            rng = np.random.default_rng(3)
+            one_by_one = [conditional_query_sampler(s, x, u, rng) for _ in range(500)]
+            assert [keys[j] for j in picks] == one_by_one
 
     def test_deterministic_under_seed(self):
         _, _, ms = built(3, 0.25, 2)

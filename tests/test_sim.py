@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from onoffpriv.markov import symmetric_chain
+from onoffpriv.scheme import SchemeDistribution
 from onoffpriv.sim import (
     InsufficientSamples,
     PrivacySchedule,
@@ -13,6 +16,46 @@ from onoffpriv.sim import (
     empirical_privacy_test,
     run_simulation,
 )
+
+TRACE_ARRAYS = ("x", "flag", "tau", "delta", "u", "q_size", "bytes_down", "decode_ok")
+
+
+def reference_run(cfg, scheme_overrides=None):
+    """The protocol one step at a time, with a fresh scheme per gap: the
+    seed contract that run_simulation must reproduce bit for bit."""
+    P, n, T = cfg.chain, cfg.chain.n, cfg.horizon
+    path_ss, flag_ss, query_ss = np.random.SeedSequence(cfg.seed).spawn(3)
+    path_rng = np.random.default_rng(path_ss)
+    flag_rng = np.random.default_rng(flag_ss)
+    query_rng = np.random.default_rng(query_ss)
+    initial = np.full(n, 1.0 / n) if cfg.initial is None else cfg.initial
+    cum = np.cumsum(P.entries, axis=1)
+    draws = path_rng.random(T + 1)
+    x = [int(np.searchsorted(np.cumsum(initial), draws[0], side="right"))]
+    for t in range(1, T + 1):
+        x.append(int(np.searchsorted(cum[x[-1]], draws[t], side="right")))
+    flags = cfg.schedule.realize(T, flag_rng)
+    schemes = dict(scheme_overrides or {})
+    tau, rows, queries, buckets = 0, [], [], {}
+    for t in range(T):
+        if flags[t]:
+            tau = t
+        delta = t - tau
+        u = x[tau] * n + x[t + 1]
+        if delta not in schemes:
+            schemes[delta] = build_scheme_for_gap(P, delta)
+        keys, cum = schemes[delta].mass_by_context(x[t], u)
+        j = int(np.searchsorted(cum, query_rng.random() * cum[-1], side="right"))
+        q = keys[min(j, len(keys) - 1)]
+        rows.append((x[t], tau, delta, u, len(q), len(q) * cfg.msg_len, x[t] in q))
+        queries.append(q)
+        agg = buckets.setdefault(delta, [0, 0])
+        agg[0] += 1
+        agg[1] += len(q)
+    cols = np.array(rows, dtype=np.int64).reshape(T, 7).T
+    arrays = dict(zip(("x", "tau", "delta", "u", "q_size", "bytes_down"), cols))
+    arrays.update(flag=flags, decode_ok=cols[6].astype(bool))
+    return arrays, queries, {d: (c, s / c) for d, (c, s) in buckets.items()}
 
 
 def run(n=3, alpha=0.6, schedule="periodic:2", horizon=4000, seed=5, **kw):
@@ -155,6 +198,76 @@ class TestRunSimulation:
                 horizon=5,
                 initial=np.array([0.5, 0.5]),
             )
+
+
+class TestSeedContract:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=hst.integers(min_value=2, max_value=5),
+        alpha=hst.floats(min_value=0.02, max_value=0.98),
+        schedule=hst.one_of(
+            hst.sampled_from(["always-on", "off-after-0"]),
+            hst.integers(min_value=1, max_value=12).map(lambda k: f"periodic:{k}"),
+            hst.floats(min_value=0.0, max_value=1.0).map(lambda p: f"bernoulli:{p}"),
+            hst.lists(hst.booleans(), min_size=150, max_size=150).map(
+                lambda f: "explicit:1," + ",".join("1" if b else "0" for b in f)
+            ),
+        ),
+        horizon=hst.integers(min_value=1, max_value=150),
+        seed=hst.integers(min_value=0, max_value=2**32 - 1),
+        overrides=hst.dictionaries(
+            hst.integers(min_value=1, max_value=8),
+            hst.integers(min_value=1, max_value=8),
+            max_size=2,
+        ),
+        uniform_start=hst.booleans(),
+    )
+    def test_matches_the_step_by_step_reference(
+        self, n, alpha, schedule, horizon, seed, overrides, uniform_start
+    ):
+        P = symmetric_chain(n, alpha)
+        initial = None
+        if not uniform_start:
+            initial = np.random.default_rng(seed).dirichlet(np.ones(n))
+        cfg = SimConfig(
+            chain=P, schedule=PrivacySchedule.parse(schedule), horizon=horizon,
+            msg_len=8, seed=seed, initial=initial,
+        )
+        # each override gap gets the honest scheme of another gap
+        swapped = {d: build_scheme_for_gap(P, other) for d, other in overrides.items()}
+        trace = run_simulation(cfg, scheme_overrides=swapped)
+        arrays, queries, buckets = reference_run(cfg, scheme_overrides=swapped)
+        for name in TRACE_ARRAYS:
+            got = getattr(trace, name)
+            assert got.dtype == arrays[name].dtype, name
+            assert np.array_equal(got, arrays[name]), name
+        assert trace.queries == queries
+        assert list(trace.delta_buckets.items()) == list(buckets.items())
+
+    def test_long_off_runs_build_a_bounded_number_of_schemes(self):
+        # one gap per step: the likelihood table settles bit for bit after a
+        # few dozen gaps, and every later gap reuses the last scheme
+        trace = run(n=4, alpha=0.3, schedule="off-after-0", horizon=20000)
+        assert trace.schemes_built <= 200
+        assert trace.schemes_built + trace.schemes_reused == 20000
+
+    def test_an_override_is_not_reused_by_later_gaps(self):
+        # at n = 3, alpha = 0.6 the tables of gaps 43 and up are equal, so
+        # honest gaps after the override would reuse a scheme if allowed to
+        P = symmetric_chain(3, 0.6)
+        honest = build_scheme_for_gap(P, 50)
+        entries = {k: v for k, v in honest.entries.items() if k[1:] != (0, 0)}
+        entries[((1,), 0, 0)] = sum(
+            v for k, v in honest.entries.items() if k[1:] == (0, 0)
+        )
+        bad = SchemeDistribution(n=3, delta=50, form="set", entries=entries)
+        cfg = SimConfig(
+            chain=P, schedule=PrivacySchedule.periodic(60), horizon=30000, seed=1
+        )
+        trace = run_simulation(cfg, scheme_overrides={50: bad})
+        hit = (trace.delta == 50) & (trace.x == 0) & (trace.u == 0)
+        assert hit.sum() > 0
+        assert np.array_equal(~trace.decode_ok, hit)
 
 
 class TestEmpiricalStats:
