@@ -23,6 +23,7 @@ import csv
 import io
 import json
 import logging
+import math
 import os
 import sys
 
@@ -53,7 +54,7 @@ from onoffpriv.sim import (
     empirical_privacy_test,
     run_simulation,
 )
-from onoffpriv.verify import check_scheme, expected_cost
+from onoffpriv.verify import VERIFY_TOL, check_scheme, expected_cost
 
 log = logging.getLogger("onoffpriv")
 
@@ -146,6 +147,8 @@ def _json_text(obj) -> str:
 def _delta_range(args) -> list:
     if args.delta is None and args.delta_max is None:
         raise ConfigError("provide --delta and/or --delta-max")
+    if args.delta_max is not None and args.delta_max < 0:
+        raise ConfigError(f"--delta-max must be non-negative, got {args.delta_max}")
     if args.delta is not None and args.delta_max is not None:
         if args.delta > args.delta_max:
             raise ConfigError("--delta must not exceed --delta-max")
@@ -247,6 +250,8 @@ def cmd_scheme(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ConfigError(f"--tol must be finite and positive, got {args.tol}")
     P = _load_chain(args)
     if args.delta is None:
         raise ConfigError("verify requires --delta")
@@ -406,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a query distribution")
     add_common(p)
     p.add_argument("--delta", type=int, help="gap since the flag was on")
-    p.add_argument("--tol", type=float, default=1e-9, help="pass threshold")
+    p.add_argument("--tol", type=float, default=VERIFY_TOL, help="pass threshold")
     p.add_argument("--scheme", help="scheme JSON to check instead of a fresh build")
     p.set_defaults(func=cmd_verify)
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from onoffpriv.markov import ConditionalTable
 
@@ -207,6 +206,9 @@ def solve_simplex(p: LpProblem) -> LpSolution:
         ArithmeticError: any other solver failure, or a returned point that
             is negative or misses a constraint by more than the tolerances.
     """
+    # imported here, so that only a caller that solves pays for loading it
+    from scipy.optimize import linprog
+
     res = linprog(
         p.c, A_eq=p.A, b_eq=p.b, bounds=(0, None), method="highs-ds",
         options=HIGHS_OPTIONS,

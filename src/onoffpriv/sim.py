@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from onoffpriv.bounds import theta_profile
 from onoffpriv.markov import ConditionalTable, TransitionMatrix, conditional_table
@@ -448,7 +447,11 @@ def empirical_privacy_test(trace: SimTrace, delta: int) -> EmpiricalStats:
     chi2_stat = float(cells.sum())
     chi2_dof = (len(query_keys) - 1) * (len(context_ids) - 1)
     if chi2_dof > 0:
-        chi2_pvalue = float(_scipy_stats.chi2.sf(chi2_stat, chi2_dof))
+        # the survival function scipy.stats.chi2.sf evaluates; imported here,
+        # so that importing onoffpriv loads no scipy module
+        from scipy.special import chdtrc
+
+        chi2_pvalue = float(chdtrc(chi2_dof, chi2_stat))
     else:
         chi2_pvalue = 1.0
 

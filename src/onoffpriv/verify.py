@@ -16,7 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from onoffpriv.bounds import ThetaProfile
-from onoffpriv.markov import ConditionalTable
+from onoffpriv.markov import ConditionalTable, u_pair
+
+# default pass threshold of check_scheme and of `onoffpriv verify --tol`
+VERIFY_TOL = 1e-9
 
 
 class DimensionMismatch(ValueError):
@@ -40,6 +43,12 @@ class VerificationReport:
         expected_cost: expected query size under a uniform context prior.
         cost_slack: achievable bound minus expected_cost.
         entry_count: number of stored (q, x, u) masses.
+        worst_privacy: the query with the largest privacy gap, as
+            {"q": members, "u_max": pair, "u_min": pair}: its members as a
+            scheme file lists them, and the [xtau, xnext] contexts that give
+            it its largest and smallest mass; None when there are no entries.
+        worst_marginal: {"x": x, "u": pair} of the largest marginal error;
+            None when there are no entries.
         tol: threshold the report was requested at; passes() uses it when
             no explicit tolerance is given.
     """
@@ -51,7 +60,9 @@ class VerificationReport:
     expected_cost: float
     cost_slack: float
     entry_count: int
-    tol: float = 1e-9
+    worst_privacy: dict | None = None
+    worst_marginal: dict | None = None
+    tol: float = VERIFY_TOL
 
     @property
     def max_marginal_error(self) -> float:
@@ -96,6 +107,8 @@ class VerificationReport:
             "expected_cost": self.expected_cost,
             "cost_slack": self.cost_slack,
             "entry_count": self.entry_count,
+            "worst_privacy": self.worst_privacy,
+            "worst_marginal": self.worst_marginal,
         }
 
 
@@ -111,11 +124,17 @@ def _entry_support(qkey: tuple, form: str) -> tuple:
     return qkey
 
 
+def _entry_members(qkey: tuple, form: str) -> list:
+    if form == "multiset":
+        return [i for i, c in enumerate(qkey) for _ in range(c)]
+    return list(qkey)
+
+
 def check_scheme(
     s,
     cond: ConditionalTable,
     profile: ThetaProfile,
-    tol: float = 1e-9,
+    tol: float = VERIFY_TOL,
 ) -> VerificationReport:
     """Recompute every property of a query distribution from its entries.
 
@@ -149,13 +168,22 @@ def check_scheme(
         row[u] += mass
         marginals[u, x] += mass
 
+    marginal_errors = np.abs(marginals - cond.values)
+
+    worst_privacy = worst_marginal = None
+    privacy_gap = 0.0
     if query_mass:
         per_query = np.stack(list(query_mass.values()))
-        privacy_gap = float((per_query.max(axis=1) - per_query.min(axis=1)).max())
-    else:
-        privacy_gap = 0.0
-
-    marginal_errors = np.abs(marginals - cond.values)
+        gaps = per_query.max(axis=1) - per_query.min(axis=1)
+        k = int(gaps.argmax())
+        privacy_gap = float(gaps[k])
+        worst_privacy = {
+            "q": _entry_members(list(query_mass)[k], s.form),
+            "u_max": list(u_pair(int(per_query[k].argmax()), n)),
+            "u_min": list(u_pair(int(per_query[k].argmin()), n)),
+        }
+        u, x = np.unravel_index(int(marginal_errors.argmax()), marginal_errors.shape)
+        worst_marginal = {"x": int(x), "u": list(u_pair(int(u), n))}
 
     size_law_errors = None
     if s.form == "multiset":
@@ -177,6 +205,8 @@ def check_scheme(
         expected_cost=cost,
         cost_slack=inner - cost,
         entry_count=len(s.entries),
+        worst_privacy=worst_privacy,
+        worst_marginal=worst_marginal,
         tol=tol,
     )
 

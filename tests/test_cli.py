@@ -1,9 +1,16 @@
 import csv
 import io
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from onoffpriv.cli import main
 from onoffpriv.scheme import SchemeDistribution
@@ -70,6 +77,15 @@ class TestBoundsCommand:
         # display columns are rounded; raw columns carry full precision
         assert rows[0]["r_outer"] == "0.777778"
         assert float(rows[0]["raw_r_outer"]) == pytest.approx(7 / 9, abs=1e-15)
+
+    def test_negative_gap_bounds_are_config_errors(self, capsys):
+        for flags in (("--delta-max", "-3"), ("--delta", "-2", "--delta-max", "1")):
+            code, out, err = run_cli(
+                capsys, "bounds", "--n", "3", "--alpha", "0.6", *flags
+            )
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:")
 
     def test_closed_form_columns_for_symmetric_chains(self, capsys):
         code, out, _ = run_cli(
@@ -177,6 +193,40 @@ class TestSchemeAndVerifyCommands:
         assert code == 1
         assert json.loads(out)["max_privacy_gap"] > 0.01
 
+    def test_verify_names_the_failing_entry(self, capsys, tmp_path):
+        path = tmp_path / "scheme.json"
+        run_cli(
+            capsys, "scheme", "--n", "3", "--alpha", "0.6",
+            "--delta", "1", "--out", str(path),
+        )
+        obj = json.loads(path.read_text())
+        entries = obj["multiset"]["entries"]
+        corrupted = entries[len(entries) // 2]
+        corrupted["p"] += 0.1
+        bad = tmp_path / "corrupted.json"
+        bad.write_text(json.dumps(obj))
+        code, out, _ = run_cli(
+            capsys, "verify", "--n", "3", "--alpha", "0.6", "--delta", "1",
+            "--scheme", str(bad),
+        )
+        assert code == 1
+        report = json.loads(out)
+        assert report["worst_marginal"] == {"x": corrupted["x"], "u": corrupted["u"]}
+        assert report["worst_privacy"]["q"] == corrupted["q"]
+        assert report["worst_privacy"]["u_max"] == corrupted["u"]
+        assert report["worst_privacy"]["u_min"] != corrupted["u"]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        tol=hst.one_of(
+            hst.sampled_from([math.nan, math.inf]), hst.floats(max_value=0.0)
+        )
+    )
+    def test_verify_rejects_a_bad_tolerance(self, tol):
+        # --tol=VALUE keeps argparse from reading "-inf" as an option
+        code = main(["verify", "--n", "3", "--alpha", "0.6", "--delta", "1",
+                     f"--tol={tol!r}"])
+        assert code == 2
 
     def test_malformed_scheme_files_are_config_errors(self, capsys, tmp_path):
         path = tmp_path / "scheme.json"
@@ -270,6 +320,51 @@ class TestSimulateCommand:
     def test_requires_horizon(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--n", "3", "--alpha", "0.6")
         assert code == 2
+
+
+IMPORT_PROBE = '''
+import json, sys
+import onoffpriv, onoffpriv.cli
+from onoffpriv.cli import main
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+
+loaded = {"import": scipy_modules()}
+chain = ["--n", "3", "--alpha", "0.6", "--delta", "1"]
+scheme, out = sys.argv[1], sys.argv[2]
+codes = [main(["scheme", *chain, "--out", scheme])]
+codes.append(main(["verify", *chain, "--scheme", scheme, "--out", out]))
+loaded["scheme+verify"] = scipy_modules()
+codes.append(main(["lp", *chain, "--out", out]))
+loaded["lp"] = scipy_modules()
+print(json.dumps({"codes": codes, "loaded": loaded}))
+'''
+
+
+class TestImportCost:
+    def test_only_the_commands_that_need_scipy_load_it(self, tmp_path):
+        # in a fresh interpreter: this test process has scipy loaded already
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE,
+             str(tmp_path / "s.json"), str(tmp_path / "out.json")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert result["codes"] == [0, 0, 0]
+        loaded = result["loaded"]
+        assert loaded["import"] == []
+        assert loaded["scheme+verify"] == []
+        assert "scipy.optimize" in loaded["lp"]
+        assert "scipy.stats" not in loaded["lp"]
 
 
 class TestTopLevel:

@@ -1,11 +1,15 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.stats
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 from onoffpriv.markov import symmetric_chain
 from onoffpriv.scheme import SchemeDistribution
 from onoffpriv.sim import (
+    MIN_BUCKET_SAMPLES,
     InsufficientSamples,
     PrivacySchedule,
     SimConfig,
@@ -308,6 +312,37 @@ class TestEmpiricalStats:
         stats = empirical_privacy_test(trace, 0)
         assert stats.max_tv_gap == 0.0
         assert stats.chi2_dof == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        counts=hst.integers(2, 6).flatmap(
+            lambda r: hst.integers(2, 6).flatmap(
+                lambda c: hst.lists(
+                    hst.lists(hst.integers(0, 3000), min_size=c, max_size=c),
+                    min_size=r,
+                    max_size=r,
+                )
+            )
+        )
+    )
+    def test_pvalue_is_the_chi2_survival_function(self, counts):
+        # the package avoids importing scipy.stats; its p-value must still be
+        # exactly what scipy.stats.chi2.sf gives
+        counts = np.array(counts)
+        assume((counts.sum(axis=0) > 0).all() and (counts.sum(axis=1) > 0).all())
+        assume(counts.sum() >= MIN_BUCKET_SAMPLES)
+        qids, us = np.nonzero(counts)
+        reps = counts[qids, us]
+        trace = SimpleNamespace(
+            delta=np.zeros(reps.sum(), dtype=np.int64),
+            query_ids=np.repeat(qids, reps),
+            u=np.repeat(us, reps),
+            query_keys=[(i,) for i in range(counts.shape[0])],
+        )
+        stats = empirical_privacy_test(trace, 0)
+        assert stats.chi2_dof == (counts.shape[0] - 1) * (counts.shape[1] - 1)
+        expected = float(scipy.stats.chi2.sf(stats.chi2_stat, stats.chi2_dof))
+        assert stats.chi2_pvalue == expected
 
     def test_stats_json_is_plain_data(self):
         import json
