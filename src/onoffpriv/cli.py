@@ -42,6 +42,7 @@ from onoffpriv.markov import (
     ZeroContextProbability,
     chain_from_dict,
     conditional_table,
+    matrix_power,
     symmetric_chain,
 )
 from onoffpriv.scheme import SchemeDistribution, build_scheme, collapse_to_sets
@@ -168,8 +169,14 @@ def cmd_bounds(args) -> int:
     raw_cols = [h for h in header if h != "delta"]
     header = header + ["raw_" + h for h in raw_cols]
     rows = []
-    for delta in _delta_range(args):
-        cond = conditional_table(P, delta)
+    deltas = _delta_range(args)
+    # P^delta carried forward with one product per gap: the products
+    # matrix_power takes, so the same bits at a cost linear in the range
+    power = matrix_power(P, deltas[0])
+    for delta in deltas:
+        if delta > deltas[0]:
+            power = power @ P.entries
+        cond = conditional_table(P, delta, power=power)
         profile = theta_profile(cond)
         inv_i = rate_inner(profile)
         inv_o = rate_outer(profile)

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 ROW_SUM_TOL = 1e-9
-SIGMA_MATCH_TOL = 1e-12
+# how far rounding may carry a likelihood below 0 or above 1
+LIKELIHOOD_BELOW_ZERO_TOL = 1e-15
+LIKELIHOOD_ABOVE_ONE_TOL = 1e-12
 
 
 class ZeroContextProbability(ValueError):
@@ -96,7 +98,9 @@ class ConditionalTable:
             raise ValueError(f"values must have shape ({m}, {self.n})")
         if not np.isfinite(values).all():
             raise ValueError("likelihoods must be finite")
-        if (values < -1e-15).any() or (values > 1 + 1e-12).any():
+        if (values < -LIKELIHOOD_BELOW_ZERO_TOL).any() or (
+            values > 1 + LIKELIHOOD_ABOVE_ONE_TOL
+        ).any():
             raise ValueError("likelihoods must lie in [0, 1]")
         row_err = np.abs(values.sum(axis=1) - 1.0).max()
         if row_err > ROW_SUM_TOL:
@@ -223,12 +227,13 @@ def conditional_table(
 def symmetric_sigmas(n: int, alpha: float, delta: int) -> SymmetricSigmas:
     """Closed-form likelihood values for a symmetric chain at gap delta >= 1.
 
-    Writing b = (n-1)^delta and g = (n*alpha - 1)^delta, the common
-    denominators are
-        d_plus  = b + g * (n*alpha - 1)        (contexts with xtau = xnext)
-        d_minus = (n-1) * b - g * (n*alpha - 1) (contexts with xtau != xnext)
+    Writing r = ((n*alpha - 1) / (n-1))^delta, which lies in [-1, 1], the
+    common denominators, divided by (n-1)^delta, are
+        d_plus  = 1 + r * (n*alpha - 1)        (contexts with xtau = xnext)
+        d_minus = (n-1) - r * (n*alpha - 1)     (contexts with xtau != xnext)
     and the five values follow by evaluating the delta-step and single-step
-    transition probabilities case by case.
+    transition probabilities case by case, each divided by (n-1)^delta, so
+    that no term overflows at a large gap.
     """
     if n < 2:
         raise ValueError("need at least 2 states")
@@ -236,20 +241,19 @@ def symmetric_sigmas(n: int, alpha: float, delta: int) -> SymmetricSigmas:
         raise ValueError("alpha must lie in [0, 1]")
     if delta < 1:
         raise ValueError("delta must be at least 1")
-    b = float(n - 1) ** delta
-    g = (n * alpha - 1.0) ** delta
-    d_plus = b + g * (n * alpha - 1.0)
-    d_minus = (n - 1.0) * b - g * (n * alpha - 1.0)
+    r = ((n * alpha - 1.0) / (n - 1.0)) ** delta
+    d_plus = 1.0 + r * (n * alpha - 1.0)
+    d_minus = (n - 1.0) - r * (n * alpha - 1.0)
     if d_plus <= 0.0 or d_minus <= 0.0:
         raise ZeroContextProbability(
             f"symmetric chain with n={n}, alpha={alpha} has an unreachable "
             f"context at delta={delta}"
         )
-    sigma1 = alpha * (b + g * (n - 1.0)) / d_plus
-    sigma2 = (1.0 - alpha) * (b + g * (n - 1.0)) / d_minus
-    sigma3 = alpha * ((n - 1.0) * b - g * (n - 1.0)) / d_minus
-    sigma4 = (1.0 - alpha) * (b - g) / (d_plus * (n - 1.0))
-    sigma5 = (1.0 - alpha) * (b - g) / d_minus
+    sigma1 = alpha * (1.0 + r * (n - 1.0)) / d_plus
+    sigma2 = (1.0 - alpha) * (1.0 + r * (n - 1.0)) / d_minus
+    sigma3 = alpha * (n - 1.0) * (1.0 - r) / d_minus
+    sigma4 = (1.0 - alpha) * (1.0 - r) / (d_plus * (n - 1.0))
+    sigma5 = (1.0 - alpha) * (1.0 - r) / d_minus
     return SymmetricSigmas(
         n=n,
         alpha=alpha,

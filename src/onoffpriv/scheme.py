@@ -80,9 +80,12 @@ class SchemeDistribution:
     Attributes:
         n: number of states.
         delta: the gap this distribution was built for.
-        form: "multiset" (keys are length-n multiplicity tuples) or "set"
-            (keys are sorted tuples of member states).
-        entries: dict mapping (query key, x, u) to probability mass. The
+        form: "multiset" (a query may name a state more than once, and the
+            sizes of its queries follow the theta increments) or "set" (no
+            query names a state twice).
+        entries: dict mapping (query key, x, u) to probability mass, where
+            the key of a query is the sorted tuple of its members, repeats
+            kept, so its length is the number of messages it downloads. The
             construction only stores positive masses, but the container
             accepts anything so a damaged artifact can still be loaded and
             handed to the checker for a verdict.
@@ -107,18 +110,6 @@ class SchemeDistribution:
             index[xu] = (keys, cum)
         object.__setattr__(self, "_by_xu", index)
 
-    def query_size(self, qkey: tuple) -> int:
-        """Number of messages downloaded by the query with this key."""
-        if self.form == "multiset":
-            return int(sum(qkey))
-        return len(qkey)
-
-    def support_of(self, qkey: tuple) -> tuple:
-        """Distinct states named by the query with this key."""
-        if self.form == "multiset":
-            return tuple(i for i, c in enumerate(qkey) if c > 0)
-        return qkey
-
     @property
     def entry_count(self) -> int:
         return len(self.entries)
@@ -136,11 +127,9 @@ class SchemeDistribution:
         """Serialize to plain data; inverse of from_json_obj."""
         rows = []
         for (qkey, x, u), mass in sorted(self.entries.items()):
-            if self.form == "multiset":
-                q = [i for i, c in enumerate(qkey) for _ in range(c)]
-            else:
-                q = list(qkey)
-            rows.append({"q": q, "x": x, "u": list(u_pair(u, self.n)), "p": mass})
+            rows.append(
+                {"q": list(qkey), "x": x, "u": list(u_pair(u, self.n)), "p": mass}
+            )
         return {
             "n": self.n,
             "delta": self.delta,
@@ -155,9 +144,10 @@ class SchemeDistribution:
         Raises:
             ValueError: a query member, request or context state lies
                 outside 0..n-1, where it would alias another entry; a
-                set-form query names a member twice; or two rows share
+                set-form query names a member twice; two rows share
                 their query, request and context, so one would overwrite
-                the other.
+                the other; or a mass is NaN or infinite. A negative mass
+                loads, so that the checker can judge it.
         """
         n = int(obj["n"])
         form = obj["form"]
@@ -169,19 +159,15 @@ class SchemeDistribution:
                 raise ValueError(f"state out of range for n={n} in entry {row}")
             xtau, xnext = row["u"]
             u = u_index(int(xtau), int(xnext), n)
-            if form == "multiset":
-                counts = [0] * n
-                for i in members:
-                    counts[i] += 1
-                qkey = tuple(counts)
-            else:
-                qkey = tuple(sorted(set(members)))
-                if len(qkey) != len(members):
-                    raise ValueError(f"repeated query member in set entry {row}")
-            key = (qkey, x, u)
+            if form == "set" and len(set(members)) != len(members):
+                raise ValueError(f"repeated query member in set entry {row}")
+            mass = float(row["p"])
+            if not math.isfinite(mass):
+                raise ValueError(f"mass is not finite in entry {row}")
+            key = (tuple(sorted(members)), x, u)
             if key in entries:
                 raise ValueError(f"repeated entry {row}")
-            entries[key] = float(row["p"])
+            entries[key] = mass
         return cls(n=n, delta=int(obj["delta"]), form=form, entries=entries)
 
 
@@ -321,11 +307,7 @@ def build_scheme(
             for zeta, nu in segs:
                 if nu <= 0.0:
                     continue
-                counts = [0] * n
-                counts[x] += 1
-                for col in zeta:
-                    counts[col] += 1
-                zkey = tuple(counts)
+                zkey = tuple(sorted((x, *zeta)))
                 for u in plus_contexts:
                     key = (zkey, x, int(u))
                     g[key] = g.get(key, 0.0) + nu
@@ -334,7 +316,7 @@ def build_scheme(
                     g[key] = g.get(key, 0.0) + nu
 
     # whatever is left in M rides on the full query; row sums equal theta_n
-    full_key = (1,) * n
+    full_key = tuple(range(n))
     for u in range(m):
         for x in range(n):
             if M[u, x] > 0.0:
@@ -369,8 +351,7 @@ def collapse_to_sets(s: SchemeDistribution) -> SchemeDistribution:
         raise ValueError("can only collapse a multiset-form distribution")
     entries: dict = {}
     for (zkey, x, u), mass in s.entries.items():
-        skey = tuple(i for i, c in enumerate(zkey) if c > 0)
-        key = (skey, x, u)
+        key = (tuple(sorted(set(zkey))), x, u)
         entries[key] = entries.get(key, 0.0) + mass
     return SchemeDistribution(n=s.n, delta=s.delta, form="set", entries=entries)
 

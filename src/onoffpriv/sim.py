@@ -31,6 +31,8 @@ from onoffpriv.scheme import (
 )
 
 MIN_BUCKET_SAMPLES = 1000
+# how far a start distribution's total may stray from 1
+INITIAL_SUM_TOL = 1e-9
 
 
 class InsufficientSamples(ValueError):
@@ -148,7 +150,7 @@ class SimConfig:
             init = np.asarray(self.initial, dtype=float)
             if init.shape != (self.chain.n,):
                 raise ValueError("initial distribution has wrong length")
-            if (init < 0).any() or abs(init.sum() - 1.0) > 1e-9:
+            if (init < 0).any() or abs(init.sum() - 1.0) > INITIAL_SUM_TOL:
                 raise ValueError("initial distribution must be a distribution")
             object.__setattr__(self, "initial", init)
 

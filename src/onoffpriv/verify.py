@@ -20,6 +20,8 @@ from onoffpriv.markov import ConditionalTable, u_pair
 
 # default pass threshold of check_scheme and of `onoffpriv verify --tol`
 VERIFY_TOL = 1e-9
+# how far a context prior's total may stray from 1
+PRIOR_SUM_TOL = 1e-9
 
 
 class DimensionMismatch(ValueError):
@@ -33,7 +35,8 @@ class VerificationReport:
     Attributes:
         decodability_violations: entries whose query does not contain the
             request (or whose stored mass is not positive), as
-            (query key, x, u) triples.
+            (members, x, (xtau, xnext)) triples, named as a scheme file
+            names them.
         max_privacy_gap: largest |p(q | u) - p(q | u')| over queries and
             context pairs.
         marginal_errors: m x n array, |sum_q g(q, x, u) - p(x | u)|.
@@ -93,7 +96,7 @@ class VerificationReport:
     def to_json_obj(self) -> dict:
         return {
             "decodability_violations": [
-                {"q": list(q), "x": x, "u": u}
+                {"q": list(q), "x": x, "u": list(u)}
                 for q, x, u in self.decodability_violations
             ],
             "max_privacy_gap": self.max_privacy_gap,
@@ -110,24 +113,6 @@ class VerificationReport:
             "worst_privacy": self.worst_privacy,
             "worst_marginal": self.worst_marginal,
         }
-
-
-def _entry_size(qkey: tuple, form: str) -> int:
-    if form == "multiset":
-        return int(sum(qkey))
-    return len(qkey)
-
-
-def _entry_support(qkey: tuple, form: str) -> tuple:
-    if form == "multiset":
-        return tuple(i for i, c in enumerate(qkey) if c > 0)
-    return qkey
-
-
-def _entry_members(qkey: tuple, form: str) -> list:
-    if form == "multiset":
-        return [i for i, c in enumerate(qkey) for _ in range(c)]
-    return list(qkey)
 
 
 def check_scheme(
@@ -157,10 +142,10 @@ def check_scheme(
     marginals = np.zeros((m, n))
     for (qkey, x, u), mass in s.entries.items():
         if mass <= 0.0:
-            violations.append((qkey, x, u))
+            violations.append((qkey, x, u_pair(u, n)))
             continue
-        if x not in _entry_support(qkey, s.form):
-            violations.append((qkey, x, u))
+        if x not in qkey:
+            violations.append((qkey, x, u_pair(u, n)))
         row = query_mass.get(qkey)
         if row is None:
             row = np.zeros(m)
@@ -178,7 +163,7 @@ def check_scheme(
         k = int(gaps.argmax())
         privacy_gap = float(gaps[k])
         worst_privacy = {
-            "q": _entry_members(list(query_mass)[k], s.form),
+            "q": list(list(query_mass)[k]),
             "u_max": list(u_pair(int(per_query[k].argmax()), n)),
             "u_min": list(u_pair(int(per_query[k].argmin()), n)),
         }
@@ -189,7 +174,7 @@ def check_scheme(
     if s.form == "multiset":
         by_size = np.zeros((n + 1, m))
         for qkey, row in query_mass.items():
-            by_size[_entry_size(qkey, s.form)] += row
+            by_size[len(qkey)] += row
         size_law_errors = np.abs(
             by_size[1:] - profile.theta[:, None]
         ).max(axis=1)
@@ -220,9 +205,9 @@ def expected_cost(s, cond: ConditionalTable, u_prior: np.ndarray) -> float:
     u_prior = np.asarray(u_prior, dtype=float)
     if u_prior.shape != (cond.m,):
         raise DimensionMismatch(f"prior must have length {cond.m}")
-    if abs(float(u_prior.sum()) - 1.0) > 1e-9:
+    if abs(float(u_prior.sum()) - 1.0) > PRIOR_SUM_TOL:
         raise ValueError("prior must sum to 1")
     total = 0.0
     for (qkey, _x, u), mass in s.entries.items():
-        total += _entry_size(qkey, s.form) * u_prior[u] * mass
+        total += len(qkey) * u_prior[u] * mass
     return float(total)

@@ -87,6 +87,51 @@ class TestBoundsCommand:
             assert out == ""
             assert err.startswith("error:")
 
+    def test_gap_range_takes_one_power_and_matches_each_gap(
+        self, capsys, monkeypatch
+    ):
+        import onoffpriv.cli
+        import onoffpriv.markov
+        from onoffpriv.bounds import rate_inner, rate_outer, theta_profile
+        from onoffpriv.markov import chain_from_dict, conditional_table
+
+        spec = '{"rows": [[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.25, 0.25, 0.5]]}'
+        first, last = 3, 60
+        P = chain_from_dict(json.loads(spec))
+        reference = []
+        for delta in range(first, last + 1):
+            prof = theta_profile(conditional_table(P, delta))
+            inv_i, inv_o = rate_inner(prof), rate_outer(prof)
+            reference.append([repr(v) for v in (inv_i, inv_o, 1 / inv_i, 1 / inv_o)])
+        seen = []
+        original = onoffpriv.markov.matrix_power
+
+        def counted(P, delta):
+            seen.append(delta)
+            return original(P, delta)
+
+        monkeypatch.setattr(onoffpriv.markov, "matrix_power", counted)
+        monkeypatch.setattr(onoffpriv.cli, "matrix_power", counted)
+        code, out, _ = run_cli(
+            capsys, "bounds", "--chain", spec,
+            "--delta", str(first), "--delta-max", str(last),
+        )
+        assert code == 0
+        raw = ["raw_inv_r_inner", "raw_inv_r_outer", "raw_r_inner", "raw_r_outer"]
+        assert [[r[c] for c in raw] for r in parse_csv(out)] == reference
+        assert sum(seen) <= last
+
+    def test_large_gaps_do_not_overflow_the_closed_forms(self, capsys):
+        for n, delta in (("10", "400"), ("3", "1024")):
+            code, out, err = run_cli(
+                capsys, "bounds", "--n", n, "--alpha", "0.5", "--delta", delta
+            )
+            assert code == 0, err
+            row = parse_csv(out)[0]
+            assert float(row["raw_cf_r_inner"]) == pytest.approx(
+                float(row["raw_r_inner"]), abs=1e-9
+            )
+
     def test_closed_form_columns_for_symmetric_chains(self, capsys):
         code, out, _ = run_cli(
             capsys, "bounds", "--n", "3", "--alpha", "0.6", "--delta", "1"
@@ -216,6 +261,30 @@ class TestSchemeAndVerifyCommands:
         assert report["worst_privacy"]["u_max"] == corrupted["u"]
         assert report["worst_privacy"]["u_min"] != corrupted["u"]
 
+    def test_verify_names_a_decodability_violation_as_the_file_does(
+        self, capsys, tmp_path
+    ):
+        path = tmp_path / "scheme.json"
+        run_cli(
+            capsys, "scheme", "--n", "3", "--alpha", "0.6",
+            "--delta", "1", "--out", str(path),
+        )
+        obj = json.loads(path.read_text())
+        row = next(
+            e for e in obj["multiset"]["entries"]
+            if e["q"] == [2] and e["x"] == 2 and e["u"] == [1, 2]
+        )
+        row["p"] = -0.01
+        bad = tmp_path / "negative.json"
+        bad.write_text(json.dumps(obj))
+        code, out, _ = run_cli(
+            capsys, "verify", "--n", "3", "--alpha", "0.6", "--delta", "1",
+            "--scheme", str(bad),
+        )
+        assert code == 1
+        report = json.loads(out)
+        assert report["decodability_violations"] == [{"q": [2], "x": 2, "u": [1, 2]}]
+
     @settings(max_examples=30, deadline=None)
     @given(
         tol=hst.one_of(
@@ -241,7 +310,12 @@ class TestSchemeAndVerifyCommands:
         out_of_range["multiset"]["entries"][0]["x"] = 7
         repeated = json.loads(path.read_text())
         repeated["multiset"]["entries"].append(repeated["multiset"]["entries"][0])
-        for obj in (aliased, out_of_range, repeated):
+        non_finite = []
+        for mass in (math.nan, math.inf, -math.inf):
+            obj = json.loads(path.read_text())
+            obj["multiset"]["entries"][0]["p"] = mass  # written as NaN, Infinity
+            non_finite.append(obj)
+        for obj in (aliased, out_of_range, repeated, *non_finite):
             bad = tmp_path / "bad.json"
             bad.write_text(json.dumps(obj))
             code, _, err = run_cli(

@@ -173,7 +173,7 @@ class TestSymmetricSigmas:
     @given(
         n=st.integers(min_value=2, max_value=6),
         alpha_frac=st.floats(min_value=0.01, max_value=0.99),
-        delta=st.integers(min_value=1, max_value=8),
+        delta=st.integers(min_value=1, max_value=1100),
     )
     def test_pattern_matches_general_table(self, n, alpha_frac, delta):
         # the five-case pattern must agree with the general computation

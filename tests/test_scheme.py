@@ -31,18 +31,18 @@ def built(n, alpha, delta):
 
 
 def total_weighted_size(s):
-    return sum(s.query_size(qkey) * mass for (qkey, _, _), mass in s.entries.items())
+    return sum(len(qkey) * mass for (qkey, _, _), mass in s.entries.items())
 
 
 class TestConstruction:
     def test_uniform_chain_sends_singletons(self):
         _, _, s = built(3, 1 / 3, 2)
-        assert all(sum(z) == 1 for (z, _, _) in s.entries)
+        assert all(len(z) == 1 for (z, _, _) in s.entries)
 
     def test_zero_gap_sends_everything(self, rng, chain_factory):
         cond = conditional_table(chain_factory(rng, 3), 0)
         s = build_scheme(theta_profile(cond), cond)
-        assert all(z == (1, 1, 1) for (z, _, _) in s.entries)
+        assert all(z == (0, 1, 2) for (z, _, _) in s.entries)
 
     def test_marginals_reconstruct_the_table(self, rng, chain_factory):
         for n in (2, 3, 5):
@@ -67,14 +67,14 @@ class TestConstruction:
             by_size = np.zeros(4)
             for (z, _x, uu), mass in s.entries.items():
                 if uu == u:
-                    by_size[sum(z) - 1] += mass
+                    by_size[len(z) - 1] += mass
             assert np.allclose(by_size, profile.theta, atol=1e-9)
 
     def test_expected_size_attains_inner_bound(self, rng, chain_factory):
         cond = conditional_table(chain_factory(rng, 5), 3)
         profile = theta_profile(cond)
         s = build_scheme(profile, cond)
-        cost = sum(sum(z) * mass for (z, _, u), mass in s.entries.items()) / cond.m
+        cost = sum(len(z) * mass for (z, _, u), mass in s.entries.items()) / cond.m
         assert cost == pytest.approx(rate_inner(profile), abs=1e-9)
 
     def test_entry_budget(self, rng, chain_factory):
@@ -172,6 +172,32 @@ class TestDistributionObject:
             assert back.form == s.form
             assert back.entries == s.entries
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=hst.integers(min_value=2, max_value=5),
+        delta=hst.integers(min_value=0, max_value=3),
+        seed=hst.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_keys_are_sorted_member_tuples(self, n, delta, seed):
+        rows = np.random.default_rng(seed).dirichlet(np.full(n, 2.0), size=n)
+        cond = conditional_table(TransitionMatrix(0.9 * rows + 0.1 / n), delta)
+        ms, ledger = build_scheme(theta_profile(cond), cond, return_ledger=True)
+        # the download size of each query: the cardinality it was carved at
+        size = {tuple(range(n)): n}
+        for (ell, x), segs in ledger.segments.items():
+            for zeta, _ in segs:
+                size[tuple(sorted((x, *zeta)))] = ell
+        for z, _, _ in ms.entries:
+            assert len(z) == size[z]
+        st = collapse_to_sets(ms)
+        assert all(len(set(q)) == len(q) for q, _, _ in st.entries)
+        for s in (ms, st):
+            for q, _, _ in s.entries:
+                assert list(q) == sorted(q) and all(0 <= i < n for i in q)
+            rows = s.to_json_obj()["entries"]
+            keys = [q for q, _, _ in sorted(s.entries)]
+            assert [row["q"] for row in rows] == [list(q) for q in keys]
+
     @settings(max_examples=80, deadline=None)
     @given(
         n=hst.integers(min_value=2, max_value=4),
@@ -240,13 +266,6 @@ class TestDistributionObject:
             n=2, delta=1, form="set", entries={((0,), 0, 0): -0.25}
         )
         assert s.entry_count == 1
-
-    def test_query_size_and_support(self):
-        s = SchemeDistribution(
-            n=3, delta=1, form="multiset", entries={((2, 0, 1), 0, 0): 1.0}
-        )
-        assert s.query_size((2, 0, 1)) == 3
-        assert s.support_of((2, 0, 1)) == (0, 2)
 
     def test_unknown_context_raises(self):
         _, _, s = built(3, 0.6, 0)

@@ -99,7 +99,7 @@ class TestCheckScheme:
         cond = conditional_table(chain_factory(rng, 3), 1)
         profile = theta_profile(cond)
         entries = {
-            ((1, 1, 1), x, u): cond.values[u, x]
+            ((0, 1, 2), x, u): cond.values[u, x]
             for u in range(cond.m)
             for x in range(3)
         }
