@@ -43,13 +43,11 @@ from onoffpriv.bounds import (
 )
 from onoffpriv.scheme import (
     ExtractionInfeasible,
-    MismatchedTotals,
     SchemeDistribution,
     ZeroLikelihoodContext,
     build_scheme,
     collapse_to_sets,
     conditional_query_sampler,
-    refine_segments,
     sample_query_indices,
 )
 from onoffpriv.verify import (
@@ -91,7 +89,6 @@ __all__ = [
     "IterationLimit",
     "LpProblem",
     "LpSolution",
-    "MismatchedTotals",
     "NegativeTheta",
     "OutOfRegime",
     "PrivacySchedule",
@@ -126,7 +123,6 @@ __all__ = [
     "rate_bounds",
     "rate_inner",
     "rate_outer",
-    "refine_segments",
     "run_simulation",
     "sample_query_indices",
     "solve_simplex",

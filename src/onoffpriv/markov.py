@@ -26,6 +26,16 @@ class ZeroContextProbability(ValueError):
     """
 
 
+def as_index(value, name: str) -> int:
+    """A state, count or gap read from JSON, which must be an integer.
+
+    int() would read 1.7 as 1, and True or "2" as states too.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def u_index(xtau: int, xnext: int, n: int) -> int:
     """Flatten a context pair into a row index."""
     if not (0 <= xtau < n and 0 <= xnext < n):
@@ -275,10 +285,10 @@ def chain_from_dict(spec: dict) -> TransitionMatrix:
     """
     if "symmetric" in spec:
         sym = spec["symmetric"]
-        return symmetric_chain(int(sym["n"]), float(sym["alpha"]))
+        return symmetric_chain(as_index(sym["n"], "n"), float(sym["alpha"]))
     if "rows" in spec:
         rows = np.asarray(spec["rows"], dtype=float)
-        if "n" in spec and int(spec["n"]) != rows.shape[0]:
+        if "n" in spec and as_index(spec["n"], "n") != rows.shape[0]:
             raise ValueError("declared n does not match row count")
         return TransitionMatrix(rows)
     raise ValueError("chain spec needs either 'rows' or 'symmetric'")

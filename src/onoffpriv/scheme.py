@@ -10,27 +10,32 @@ such that
     3. the probability of downloading ell messages is exactly theta_ell,
        so the expected query size meets the achievable bound.
 
-The cardinality-ell mass for request x is carved out of a residual matrix M
-in increments lambda_xi[x][ell-1] - lambda_xi[x][ell-2]. Each increment is
-pulled from the rows of the ell-1 smallest-likelihood contexts of x, then the
-ell-1 per-row extraction lists are cut into common segments; every segment
-becomes one multiset query combining x with its obfuscating companions.
-Collapsing repeated elements afterwards gives ordinary subset queries whose
-expected size can only shrink.
+Each context u owns a residual row: for every state c, the part of p(c | u)
+above the (n-1)-th smallest likelihood of c. The cardinality-ell mass for
+request x is the increment lambda_xi[x][ell-1] - lambda_xi[x][ell-2]. Every
+context except the ell-1 where p(x | u) is smallest sends it as mass of x
+itself; those ell-1 contexts must send the same queries, so each supplies
+the same amount from its residual row. A row always gives up its states
+left to right, so its state is one number, how much of its cumulative sum
+is used up, and each supply is an interval of that sum. Cutting the
+increment at every row boundary inside it gives segments on which each
+supplying row names one state; every segment becomes one multiset query of
+x and those ell-1 companions. What is left of the rows rides on the full
+query. Collapsing repeated elements afterwards gives ordinary subset
+queries whose expected size can only shrink.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from onoffpriv.bounds import ThetaProfile
-from onoffpriv.markov import ConditionalTable, u_index, u_pair
+from onoffpriv.markov import ConditionalTable, as_index, u_index, u_pair
 
 BOUNDARY_TOL = 1e-12
-TOTALS_TOL = 1e-9
 EXTRACTION_TOL = 1e-12
 NEGLIGIBLE_INCREMENT = 1e-13
 MASS_DROP_LIMIT = 1e-15
@@ -38,16 +43,12 @@ MASS_DROP_BUDGET = 1e-10
 
 
 class ExtractionInfeasible(ArithmeticError):
-    """A row of the residual matrix ran out of mass mid-extraction.
+    """A residual row had less mass left than an increment needs.
 
     The row-budget identity guarantees this never happens on a valid
     likelihood table, so it firing signals an implementation bug or a
     tolerance failure, not bad input.
     """
-
-
-class MismatchedTotals(ValueError):
-    """Extraction lists that must share a total differ beyond tolerance."""
 
 
 class ZeroLikelihoodContext(ValueError):
@@ -62,15 +63,12 @@ class ExtractionLedger:
         m_initial: residual matrix before any extraction.
         m_final: residual matrix after all cardinalities below n are done;
             row sums at this point all equal theta_n.
-        extractions: (ell, x, i) -> list of (column, value) taken from the
-            row of the i-th smallest-likelihood context of x.
         segments: (ell, x) -> list of (companion tuple, width).
     """
 
     m_initial: np.ndarray
     m_final: np.ndarray
-    extractions: dict = field(default_factory=dict)
-    segments: dict = field(default_factory=dict)
+    segments: dict
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,25 +140,29 @@ class SchemeDistribution:
         """Load a serialized distribution; inverse of to_json_obj.
 
         Raises:
-            ValueError: a query member, request or context state lies
-                outside 0..n-1, where it would alias another entry; a
-                set-form query names a member twice; two rows share
-                their query, request and context, so one would overwrite
-                the other; or a mass is NaN or infinite. A negative mass
-                loads, so that the checker can judge it.
+            ValueError: n, delta or a state is not an integer; a state lies
+                outside 0..n-1, where it would alias another entry; a query
+                has more than n members, which the construction never
+                makes; a set-form query names a member twice; two rows
+                share their query, request and context, so one would
+                overwrite the other; or a mass is NaN or infinite. A
+                negative mass loads, so that the checker can judge it.
         """
-        n = int(obj["n"])
+        n = as_index(obj["n"], "n")
+        delta = as_index(obj["delta"], "delta")
         form = obj["form"]
         entries = {}
         for row in obj["entries"]:
-            members = [int(i) for i in row["q"]]
-            x = int(row["x"])
+            members = [as_index(i, "query member") for i in row["q"]]
+            x = as_index(row["x"], "request")
             if not all(0 <= i < n for i in members + [x]):
                 raise ValueError(f"state out of range for n={n} in entry {row}")
             xtau, xnext = row["u"]
-            u = u_index(int(xtau), int(xnext), n)
+            u = u_index(as_index(xtau, "xtau"), as_index(xnext, "xnext"), n)
             if form == "set" and len(set(members)) != len(members):
                 raise ValueError(f"repeated query member in set entry {row}")
+            if len(members) > n:
+                raise ValueError(f"query longer than n={n} in entry {row}")
             mass = float(row["p"])
             if not math.isfinite(mass):
                 raise ValueError(f"mass is not finite in entry {row}")
@@ -168,83 +170,7 @@ class SchemeDistribution:
             if key in entries:
                 raise ValueError(f"repeated entry {row}")
             entries[key] = mass
-        return cls(n=n, delta=int(obj["delta"]), form=form, entries=entries)
-
-
-def _extract_from_row(row: np.ndarray, need: float) -> list[tuple[int, float]]:
-    """Take `need` total mass from a nonnegative row, ascending column order.
-
-    Consumes each column up to its content before moving right, so the
-    returned columns are distinct and the row never goes negative.
-    """
-    taken = []
-    remaining = need
-    for col in range(row.shape[0]):
-        if remaining <= 0.0:
-            break
-        avail = row[col]
-        if avail <= 0.0:
-            continue
-        take = avail if avail < remaining else remaining
-        row[col] = avail - take
-        taken.append((col, take))
-        remaining -= take
-    if remaining > EXTRACTION_TOL:
-        raise ExtractionInfeasible(
-            f"row budget short by {remaining:g} (needed {need:g})"
-        )
-    return taken
-
-
-def refine_segments(
-    lists: list[list[tuple[int, float]]]
-) -> list[tuple[tuple, float]]:
-    """Cut several extraction lists of equal total into common segments.
-
-    Each input list partitions the same interval [0, total] into blocks
-    labeled by a column index. The output is the common refinement: one
-    segment per run between consecutive block boundaries, labeled with the
-    tuple of active columns, one from every list.
-
-    Raises:
-        MismatchedTotals: the list totals differ by more than 1e-9.
-    """
-    if not lists:
-        raise ValueError("need at least one extraction list")
-    totals = [math.fsum(v for _, v in lst) for lst in lists]
-    if max(totals) - min(totals) > TOTALS_TOL:
-        raise MismatchedTotals(
-            f"list totals differ: min {min(totals):g}, max {max(totals):g}"
-        )
-    if any(not lst for lst in lists):
-        # a completely empty list can only represent a negligible total
-        if max(totals) > EXTRACTION_TOL:
-            raise MismatchedTotals("empty extraction list with nonzero total")
-        return []
-    r = len(lists)
-    end = min(totals)
-    idx = [0] * r
-    # block end positions recomputed as prefix sums of the stored values,
-    # so boundary comparisons never accumulate drift
-    prefix = [lists[i][0][1] for i in range(r)]
-    segments = []
-    cur = 0.0
-    max_steps = sum(len(lst) for lst in lists) + r + 1
-    for _ in range(max_steps):
-        if cur >= end - BOUNDARY_TOL:
-            break
-        active = tuple(lists[i][idx[i]][0] for i in range(r))
-        cut = min(min(prefix), end)
-        if cut - cur > 0.0:
-            segments.append((active, cut - cur))
-        for i in range(r):
-            while idx[i] < len(lists[i]) - 1 and prefix[i] <= cut + BOUNDARY_TOL:
-                idx[i] += 1
-                prefix[i] += lists[i][idx[i]][1]
-        cur = cut
-    else:
-        raise AssertionError("segment sweep failed to terminate")
-    return segments
+        return cls(n=n, delta=delta, form=form, entries=entries)
 
 
 def build_scheme(
@@ -277,51 +203,66 @@ def build_scheme(
 
     order = profile.order
     lambda_xi = profile.lambda_xi
+    # increments[x, ell - 1]: the cardinality-ell mass of request x
+    increments = np.diff(lambda_xi[:, : n - 1], axis=1, prepend=0.0)
 
-    # residual mass above the (n-1)-th smallest likelihood of each column
-    M = np.maximum(values - lambda_xi[:, n - 2][None, :], 0.0)
-    m_initial = M.copy()
+    # residual mass above the (n-1)-th smallest likelihood of each column;
+    # rows are used up left to right, so a row's state is one offset into
+    # its cumulative sum
+    m_initial = np.maximum(values - lambda_xi[:, n - 2][None, :], 0.0)
+    ends = np.cumsum(m_initial, axis=1)
+    used = np.zeros(m)
 
-    extractions: dict = {}
     segments_log: dict = {}
     g: dict = {}
 
     for ell in range(1, n):
         for x in range(n):
-            lo = lambda_xi[x, ell - 2] if ell >= 2 else 0.0
-            need = lambda_xi[x, ell - 1] - lo
+            need = increments[x, ell - 1]
             if need <= NEGLIGIBLE_INCREMENT:
                 continue
-            if ell == 1:
-                segs = [((), need)]
-            else:
-                lists = []
-                for i in range(ell - 1):
-                    u = int(order[x, i])
-                    taken = _extract_from_row(M[u], need)
-                    extractions[(ell, x, i)] = taken
-                    lists.append(taken)
-                segs = refine_segments(lists)
+            rows = order[x, : ell - 1]
+            # the state boundaries of each supplying row, past its used part
+            rel = ends[rows] - used[rows, None]
+            short = need - rel[:, -1]
+            if (short > EXTRACTION_TOL).any():
+                raise ExtractionInfeasible(
+                    f"row budget short by {short.max():g} (needed {need:g})"
+                )
+            used[rows] += need
+            # every boundary inside (0, need) cuts the increment; one within
+            # BOUNDARY_TOL above a kept cut, or below need, merges into it
+            cuts = np.sort(rel[(rel > 0.0) & (rel < need - BOUNDARY_TOL)])
+            cuts = cuts[np.diff(cuts, prepend=-np.inf) > BOUNDARY_TOL]
+            edges = np.concatenate(([0.0], cuts, [need]))
+            # each row names the state whose interval holds a segment's
+            # middle; a row short by up to EXTRACTION_TOL names its last
+            mids = 0.5 * (edges[:-1] + edges[1:])
+            cols = np.empty((ell - 1, mids.size), dtype=np.int64)
+            for i, r in enumerate(rel):
+                cols[i] = np.searchsorted(r, mids, side="right")
+            segs = list(zip(
+                map(tuple, np.minimum(cols, n - 1).T.tolist()),
+                np.diff(edges).tolist(),
+            ))
             segments_log[(ell, x)] = segs
-            plus_contexts = order[x, ell - 1 :]
+            plus_contexts = order[x, ell - 1 :].tolist()
+            minus_contexts = rows.tolist()
             for zeta, nu in segs:
-                if nu <= 0.0:
-                    continue
                 zkey = tuple(sorted((x, *zeta)))
                 for u in plus_contexts:
-                    key = (zkey, x, int(u))
+                    key = (zkey, x, u)
                     g[key] = g.get(key, 0.0) + nu
-                for i, col in enumerate(zeta):
-                    key = (zkey, int(col), int(order[x, i]))
+                for col, u in zip(zeta, minus_contexts):
+                    key = (zkey, col, u)
                     g[key] = g.get(key, 0.0) + nu
 
-    # whatever is left in M rides on the full query; row sums equal theta_n
+    # whatever is left of each row rides on the full query; row sums equal
+    # theta_n
+    m_final = np.clip(ends - used[:, None], 0.0, m_initial)
     full_key = tuple(range(n))
-    for u in range(m):
-        for x in range(n):
-            if M[u, x] > 0.0:
-                key = (full_key, x, u)
-                g[key] = g.get(key, 0.0) + M[u, x]
+    for u, x in np.argwhere(m_final > 0.0).tolist():
+        g[(full_key, x, u)] = m_final[u, x]
 
     dropped = 0.0
     for key in [k for k, v in g.items() if v < MASS_DROP_LIMIT]:
@@ -332,10 +273,7 @@ def build_scheme(
     dist = SchemeDistribution(n=n, delta=cond.delta, form="multiset", entries=g)
     if return_ledger:
         ledger = ExtractionLedger(
-            m_initial=m_initial,
-            m_final=M,
-            extractions=extractions,
-            segments=segments_log,
+            m_initial=m_initial, m_final=m_final, segments=segments_log
         )
         return dist, ledger
     return dist

@@ -1,10 +1,13 @@
+import contextlib
 import csv
+import functools
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from onoffpriv.cli import main
+from onoffpriv.markov import chain_to_dict, symmetric_chain
 from onoffpriv.scheme import SchemeDistribution
 
 
@@ -20,6 +24,16 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@functools.cache
+def saved_scheme_text():
+    """The scheme file of the symmetric 3-state chain at gap 1."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scheme.json"
+        argv = ["scheme", "--n", "3", "--alpha", "0.6", "--delta", "1"]
+        assert main([*argv, "--out", str(path)]) == 0
+        return path.read_text()
 
 
 def parse_csv(text):
@@ -315,7 +329,9 @@ class TestSchemeAndVerifyCommands:
             obj = json.loads(path.read_text())
             obj["multiset"]["entries"][0]["p"] = mass  # written as NaN, Infinity
             non_finite.append(obj)
-        for obj in (aliased, out_of_range, repeated, *non_finite):
+        over_long = json.loads(path.read_text())
+        over_long["multiset"]["entries"][0]["q"] = [0, 0, 1, 2]  # n = 3
+        for obj in (aliased, out_of_range, repeated, *non_finite, over_long):
             bad = tmp_path / "bad.json"
             bad.write_text(json.dumps(obj))
             code, _, err = run_cli(
@@ -324,6 +340,45 @@ class TestSchemeAndVerifyCommands:
             )
             assert code == 2
             assert err.startswith("error: bad scheme file")
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        field=hst.sampled_from(
+            ["q", "x", "xtau", "xnext", "n", "delta", "chain n", "symmetric n"]
+        ),
+        bad=hst.one_of(hst.floats(), hst.booleans(), hst.text(max_size=4)),
+        pick=hst.integers(min_value=0),
+    )
+    def test_non_integral_indices_are_config_errors(self, field, bad, pick):
+        # int() used to read 1.7 as 1, and True or "2" as states
+        obj = json.loads(saved_scheme_text())
+        form = obj["multiset"]
+        row = form["entries"][pick % len(form["entries"])]
+        chain = {"symmetric": {"n": 3, "alpha": 0.6}}
+        if field == "q":
+            row["q"][pick % len(row["q"])] = bad
+        elif field in ("x", "n", "delta"):
+            (row if field == "x" else form)[field] = bad
+        elif field in ("xtau", "xnext"):
+            row["u"][field == "xnext"] = bad
+        elif field == "chain n":
+            chain = chain_to_dict(symmetric_chain(3, 0.6))
+            chain["n"] = bad
+        else:
+            chain["symmetric"]["n"] = bad
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scheme.json"
+            path.write_text(json.dumps(obj))
+            with contextlib.redirect_stdout(io.StringIO()):
+                with contextlib.redirect_stderr(err):
+                    code = main([
+                        "verify", "--chain", json.dumps(chain), "--delta", "1",
+                        "--scheme", str(path),
+                    ])
+        assert code == 2
+        what = "chain spec" if field.endswith(" n") else "scheme file"
+        assert err.getvalue().startswith(f"error: bad {what}: ")
 
 
 class TestLpCommand:

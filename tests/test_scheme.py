@@ -2,26 +2,27 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 from onoffpriv.bounds import rate_inner, theta_profile
 from onoffpriv.markov import (
+    ConditionalTable,
     TransitionMatrix,
+    ZeroContextProbability,
     conditional_table,
     symmetric_chain,
     u_index,
 )
 from onoffpriv.scheme import (
-    MismatchedTotals,
     SchemeDistribution,
     ZeroLikelihoodContext,
     build_scheme,
     collapse_to_sets,
     conditional_query_sampler,
-    refine_segments,
     sample_query_indices,
 )
+from onoffpriv.verify import check_scheme
 
 
 def built(n, alpha, delta):
@@ -92,52 +93,25 @@ class TestConstruction:
         )
         assert ledger.m_initial.min() >= 0.0
 
+    def test_tiny_increment_keeps_its_mass(self):
+        # p(0 | u) is 0.2 in context 0 and 5e-13 more in context 1, so the
+        # cardinality-2 increment of request 0 lies in (1e-13, 1e-12]
+        col0 = np.array([0.2, 0.2 + 5e-13, 0.25, 0.3, 0.35, 0.4, 0.45, 0.3, 0.25])
+        col1 = np.array([0.5, 0.3, 0.4, 0.2, 0.45, 0.3, 0.25, 0.35, 0.5])
+        cond = ConditionalTable(
+            n=3, delta=1, values=np.column_stack([col0, col1, 1 - col0 - col1])
+        )
+        profile = theta_profile(cond)
+        increment = profile.lambda_xi[0, 1] - profile.lambda_xi[0, 0]
+        assert 1e-13 < increment <= 1e-12
+        report = check_scheme(build_scheme(profile, cond), cond, profile)
+        assert report.max_marginal_error < 1e-15
+
     def test_profile_table_mismatch_is_rejected(self, rng, chain_factory):
         cond_a = conditional_table(chain_factory(rng, 3), 1)
         cond_b = conditional_table(chain_factory(rng, 3), 1)
         with pytest.raises(ValueError):
             build_scheme(theta_profile(cond_a), cond_b)
-
-
-class TestRefineSegments:
-    def test_single_list_passes_through(self):
-        segs = refine_segments([[(4, 0.3), (1, 0.2)]])
-        assert segs == [((4,), 0.3), ((1,), 0.2)]
-
-    def test_common_refinement_boundaries(self):
-        segs = refine_segments([[(0, 0.5), (1, 0.5)], [(2, 0.25), (3, 0.75)]])
-        assert segs == [
-            ((0, 2), 0.25),
-            ((0, 3), 0.25),
-            ((1, 3), 0.5),
-        ]
-
-    def test_widths_reconstruct_each_input(self, rng):
-        lists = []
-        total = 1.0
-        for _ in range(4):
-            cuts = np.sort(rng.random(5)) * total
-            widths = np.diff(np.concatenate([[0.0], cuts, [total]]))
-            cols = rng.integers(0, 10, size=widths.size)
-            lists.append([(int(c), float(w)) for c, w in zip(cols, widths)])
-        segs = refine_segments(lists)
-        for i, lst in enumerate(lists):
-            got = {}
-            for label, width in segs:
-                got[label[i]] = got.get(label[i], 0.0) + width
-            want = {}
-            for col, width in lst:
-                want[col] = want.get(col, 0.0) + width
-            for col, w in want.items():
-                assert got.get(col, 0.0) == pytest.approx(w, abs=1e-12)
-
-    def test_mismatched_totals_raise(self):
-        with pytest.raises(MismatchedTotals):
-            refine_segments([[(0, 0.5)], [(1, 0.7)]])
-
-    def test_empty_list_with_mass_raises(self):
-        with pytest.raises(MismatchedTotals):
-            refine_segments([[], [(1, 0.7)]])
 
 
 class TestDistributionObject:
@@ -172,15 +146,28 @@ class TestDistributionObject:
             assert back.form == s.form
             assert back.entries == s.entries
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         n=hst.integers(min_value=2, max_value=5),
         delta=hst.integers(min_value=0, max_value=3),
+        chain=hst.sampled_from(["dirichlet-2", "dirichlet-0.2", "symmetric-1/n"]),
         seed=hst.integers(min_value=0, max_value=2**32 - 1),
     )
-    def test_keys_are_sorted_member_tuples(self, n, delta, seed):
-        rows = np.random.default_rng(seed).dirichlet(np.full(n, 2.0), size=n)
-        cond = conditional_table(TransitionMatrix(0.9 * rows + 0.1 / n), delta)
+    def test_keys_are_sorted_member_tuples(self, n, delta, chain, seed):
+        # Dirichlet(0.2) rows and the uniform chain make ties and near-zero
+        # residuals common
+        rng = np.random.default_rng(seed)
+        if chain == "dirichlet-2":
+            rows = rng.dirichlet(np.full(n, 2.0), size=n)
+            P = TransitionMatrix(0.9 * rows + 0.1 / n)
+        elif chain == "dirichlet-0.2":
+            P = TransitionMatrix(rng.dirichlet(np.full(n, 0.2), size=n))
+        else:
+            P = symmetric_chain(n, 1 / n)
+        try:
+            cond = conditional_table(P, delta)
+        except ZeroContextProbability:
+            assume(False)
         ms, ledger = build_scheme(theta_profile(cond), cond, return_ledger=True)
         # the download size of each query: the cardinality it was carved at
         size = {tuple(range(n)): n}
