@@ -47,7 +47,6 @@ from onoffpriv.scheme import (
     ZeroLikelihoodContext,
     build_scheme,
     collapse_to_sets,
-    conditional_query_sampler,
     sample_query_indices,
 )
 from onoffpriv.verify import (
@@ -113,7 +112,6 @@ __all__ = [
     "closed_form_symmetric",
     "closed_form_two_states",
     "collapse_to_sets",
-    "conditional_query_sampler",
     "conditional_table",
     "empirical_privacy_test",
     "expected_cost",

@@ -93,7 +93,7 @@ def _load_chain(args) -> TransitionMatrix:
             raise ConfigError(f"--chain is not valid JSON: {exc}") from exc
         try:
             return chain_from_dict(obj)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ConfigError(f"bad chain spec: {exc}") from exc
     if args.n is None or args.alpha is None:
         raise ConfigError("--n and --alpha must be given together")
@@ -225,10 +225,6 @@ def cmd_sweep_alpha(args) -> int:
     return 0
 
 
-def _uniform_prior(m: int) -> np.ndarray:
-    return np.full(m, 1.0 / m)
-
-
 def cmd_scheme(args) -> int:
     P = _load_chain(args)
     if args.delta is None:
@@ -237,7 +233,7 @@ def cmd_scheme(args) -> int:
     profile = theta_profile(cond)
     multiset = build_scheme(profile, cond)
     setform = collapse_to_sets(multiset)
-    prior = _uniform_prior(cond.m)
+    prior = np.full(cond.m, 1.0 / cond.m)
     obj = {
         "n": cond.n,
         "delta": cond.delta,
@@ -265,15 +261,15 @@ def cmd_verify(args) -> int:
     cond = conditional_table(P, args.delta)
     profile = theta_profile(cond)
     if args.scheme:
-        with open(args.scheme, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
         try:
+            with open(args.scheme, "r", encoding="utf-8") as fh:
+                obj = json.load(fh)
             if "multiset" in obj:
                 obj = obj["multiset"]
             elif "set" in obj:
                 obj = obj["set"]
             s = SchemeDistribution.from_json_obj(obj)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OSError, OverflowError) as exc:
             raise ConfigError(f"bad scheme file: {exc}") from exc
     else:
         s = build_scheme(profile, cond)

@@ -36,6 +36,13 @@ def as_index(value, name: str) -> int:
     return int(value)
 
 
+def as_number(value, name: str) -> float:
+    """A probability read from JSON: a JSON number, not "0.6" or true."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def u_index(xtau: int, xnext: int, n: int) -> int:
     """Flatten a context pair into a row index."""
     if not (0 <= xtau < n and 0 <= xnext < n):
@@ -149,23 +156,14 @@ class SymmetricSigmas:
     def as_table(self) -> ConditionalTable:
         """Expand the five case values into a full likelihood table."""
         n = self.n
-        values = np.empty((n * n, n))
-        for xtau in range(n):
-            for xnext in range(n):
-                u = u_index(xtau, xnext, n)
-                for x in range(n):
-                    if xtau == x and x == xnext:
-                        v = self.sigma1
-                    elif xtau == x:
-                        v = self.sigma2
-                    elif x == xnext:
-                        v = self.sigma3
-                    elif xtau == xnext:
-                        v = self.sigma4
-                    else:
-                        v = self.sigma5
-                    values[u, x] = v
-        return ConditionalTable(n=n, delta=self.delta, values=values)
+        # row u = xtau * n + xnext, column x
+        xtau, xnext, x = np.indices((n, n, n)).reshape(3, -1)
+        values = np.select(
+            [(xtau == x) & (x == xnext), xtau == x, x == xnext, xtau == xnext],
+            [self.sigma1, self.sigma2, self.sigma3, self.sigma4],
+            self.sigma5,
+        )
+        return ConditionalTable(n=n, delta=self.delta, values=values.reshape(n * n, n))
 
 
 def symmetric_chain(n: int, alpha: float) -> TransitionMatrix:
@@ -285,9 +283,11 @@ def chain_from_dict(spec: dict) -> TransitionMatrix:
     """
     if "symmetric" in spec:
         sym = spec["symmetric"]
-        return symmetric_chain(as_index(sym["n"], "n"), float(sym["alpha"]))
+        n = as_index(sym["n"], "n")
+        return symmetric_chain(n, as_number(sym["alpha"], "alpha"))
     if "rows" in spec:
-        rows = np.asarray(spec["rows"], dtype=float)
+        rows = spec["rows"]
+        rows = np.array([[as_number(p, "probability") for p in r] for r in rows])
         if "n" in spec and as_index(spec["n"], "n") != rows.shape[0]:
             raise ValueError("declared n does not match row count")
         return TransitionMatrix(rows)

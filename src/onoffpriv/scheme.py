@@ -27,13 +27,12 @@ queries whose expected size can only shrink.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from onoffpriv.bounds import ThetaProfile
-from onoffpriv.markov import ConditionalTable, as_index, u_index, u_pair
+from onoffpriv.markov import ConditionalTable, as_index, as_number, u_index
 
 BOUNDARY_TOL = 1e-12
 EXTRACTION_TOL = 1e-12
@@ -73,7 +72,7 @@ class ExtractionLedger:
 
 @dataclass(frozen=True, eq=False)
 class SchemeDistribution:
-    """Sparse joint query distribution g(q, x, u) = p(q, x | u).
+    """Sparse joint query distribution g(q, x, u) = p(q, x | u), as columns.
 
     Attributes:
         n: number of states.
@@ -81,53 +80,83 @@ class SchemeDistribution:
         form: "multiset" (a query may name a state more than once, and the
             sizes of its queries follow the theta increments) or "set" (no
             query names a state twice).
-        entries: dict mapping (query key, x, u) to probability mass, where
-            the key of a query is the sorted tuple of its members, repeats
-            kept, so its length is the number of messages it downloads. The
-            construction only stores positive masses, but the container
-            accepts anything so a damaged artifact can still be loaded and
-            handed to the checker for a verdict.
+        queries: the distinct queries, sorted, each the sorted tuple of its
+            members, repeats kept; its length is its download size.
+        q, x, u, mass: one row per mass g(queries[q], x, u), sorted by
+            (x, u, q). Any finite mass is accepted, so that a damaged
+            artifact can be loaded and handed to the checker.
+
+    The constructor keeps the named queries, sorts, and merges the rows that
+    share (q, x, u), adding their masses in the order given. It rejects a
+    query with a member outside 0..n-1 or more than n members, a set query
+    that repeats a member, and a mass that is not finite.
     """
 
     n: int
     delta: int
     form: str
-    entries: dict
+    queries: list
+    q: np.ndarray
+    x: np.ndarray
+    u: np.ndarray
+    mass: np.ndarray
 
     def __post_init__(self):
         if self.form not in ("multiset", "set"):
             raise ValueError(f"unknown form {self.form!r}")
-        by_xu: dict = {}
-        for (qkey, x, u), mass in self.entries.items():
-            by_xu.setdefault((x, u), []).append((qkey, mass))
-        index = {}
-        for xu, items in by_xu.items():
-            items.sort(key=lambda it: it[0])
-            keys = [qkey for qkey, _ in items]
-            cum = np.cumsum([mass for _, mass in items])
-            index[xu] = (keys, cum)
-        object.__setattr__(self, "_by_xu", index)
+        q, x, u = (np.asarray(c, dtype=np.int64) for c in (self.q, self.x, self.u))
+        mass = np.asarray(self.mass, dtype=float)
+        if not np.isfinite(mass).all():
+            raise ValueError("a mass is not finite")
+        named = sorted(np.unique(q).tolist(), key=self.queries.__getitem__)
+        queries = [tuple(self.queries[i]) for i in named]
+        for members in queries:
+            if self.form == "set" and len(set(members)) != len(members):
+                raise ValueError(f"repeated query member in set query {members}")
+            if not all(0 <= i < self.n for i in members) or len(members) > self.n:
+                raise ValueError(f"query {members} is out of range for n={self.n}")
+        rank = np.zeros(len(self.queries), dtype=np.int64)
+        rank[named] = np.arange(len(named))
+        # a stable sort keeps the rows of one (q, x, u) in their given order,
+        # so that bincount adds them up from the first to the last
+        order = np.lexsort((rank[q], u, x))
+        q, x, u = rank[q][order], x[order], u[order]
+        first = np.ones(q.size, dtype=bool)
+        first[1:] = (np.diff(q) != 0) | (np.diff(x) != 0) | (np.diff(u) != 0)
+        mass = np.bincount(np.cumsum(first) - 1, weights=mass[order])
+        q, x, u = q[first], x[first], u[first]
+        columns = {"queries": queries, "q": q, "x": x, "u": u, "mass": mass}
+        for name, value in columns.items():
+            object.__setattr__(self, name, value)
 
     @property
     def entry_count(self) -> int:
-        return len(self.entries)
+        return self.mass.size
 
-    def mass_by_context(self, x: int, u: int) -> tuple[list, np.ndarray]:
-        """Query keys and cumulative masses for one (x, u) pair."""
-        try:
-            return self._by_xu[(x, u)]
-        except KeyError:
-            raise ZeroLikelihoodContext(
-                f"no query mass for request {x} in context {u}"
-            ) from None
+    def mass_by_context(self, x: int, u: int) -> tuple[np.ndarray, np.ndarray]:
+        """Indices into queries, ascending, and the cumulative masses of the
+        rows of one (x, u) pair.
+
+        Raises:
+            ZeroLikelihoodContext: the pair has no positive total mass.
+        """
+        lo, hi = np.searchsorted(self.x, (x, x + 1))
+        a, b = lo + np.searchsorted(self.u[lo:hi], (u, u + 1))
+        cum = np.cumsum(self.mass[a:b])
+        if a == b or cum[-1] <= 0.0:
+            raise ZeroLikelihoodContext(f"no mass for request {x} in context {u}")
+        return self.q[a:b], cum
 
     def to_json_obj(self) -> dict:
-        """Serialize to plain data; inverse of from_json_obj."""
-        rows = []
-        for (qkey, x, u), mass in sorted(self.entries.items()):
-            rows.append(
-                {"q": list(qkey), "x": x, "u": list(u_pair(u, self.n)), "p": mass}
-            )
+        """Serialize to plain data, rows sorted by (query, x, u); inverse of
+        from_json_obj."""
+        order = np.lexsort((self.u, self.x, self.q))
+        xtau, xnext = np.divmod(self.u[order], self.n)
+        cols = (self.q[order], self.x[order], xtau, xnext, self.mass[order])
+        rows = [
+            {"q": list(self.queries[k]), "x": x, "u": [a, b], "p": p}
+            for k, x, a, b, p in zip(*(c.tolist() for c in cols))
+        ]
         return {
             "n": self.n,
             "delta": self.delta,
@@ -140,37 +169,29 @@ class SchemeDistribution:
         """Load a serialized distribution; inverse of to_json_obj.
 
         Raises:
-            ValueError: n, delta or a state is not an integer; a state lies
-                outside 0..n-1, where it would alias another entry; a query
-                has more than n members, which the construction never
-                makes; a set-form query names a member twice; two rows
-                share their query, request and context, so one would
-                overwrite the other; or a mass is NaN or infinite. A
+            ValueError: n, delta or a state is not an integer, or a mass is
+                not a number; a state lies outside 0..n-1, where it would
+                alias another entry; or the constructor rejects the rows. A
                 negative mass loads, so that the checker can judge it.
+            OverflowError: a context index does not fit in 64 bits.
         """
         n = as_index(obj["n"], "n")
         delta = as_index(obj["delta"], "delta")
-        form = obj["form"]
-        entries = {}
+        ids: dict = {}
+        q, xs, us, ps = [], [], [], []
         for row in obj["entries"]:
-            members = [as_index(i, "query member") for i in row["q"]]
-            x = as_index(row["x"], "request")
-            if not all(0 <= i < n for i in members + [x]):
+            members = tuple(sorted(as_index(i, "query member") for i in row["q"]))
+            q.append(ids.setdefault(members, len(ids)))
+            xs.append(as_index(row["x"], "request"))
+            if not 0 <= xs[-1] < n:
                 raise ValueError(f"state out of range for n={n} in entry {row}")
             xtau, xnext = row["u"]
-            u = u_index(as_index(xtau, "xtau"), as_index(xnext, "xnext"), n)
-            if form == "set" and len(set(members)) != len(members):
-                raise ValueError(f"repeated query member in set entry {row}")
-            if len(members) > n:
-                raise ValueError(f"query longer than n={n} in entry {row}")
-            mass = float(row["p"])
-            if not math.isfinite(mass):
-                raise ValueError(f"mass is not finite in entry {row}")
-            key = (tuple(sorted(members)), x, u)
-            if key in entries:
-                raise ValueError(f"repeated entry {row}")
-            entries[key] = mass
-        return cls(n=n, delta=delta, form=form, entries=entries)
+            us.append(u_index(as_index(xtau, "xtau"), as_index(xnext, "xnext"), n))
+            ps.append(as_number(row["p"], "mass"))
+        s = cls(n, delta, obj["form"], list(ids), q, xs, us, ps)
+        if s.entry_count != len(ps):
+            raise ValueError("repeated entry: rows share query, request and context")
+        return s
 
 
 def build_scheme(
@@ -214,7 +235,8 @@ def build_scheme(
     used = np.zeros(m)
 
     segments_log: dict = {}
-    g: dict = {}
+    ids: dict = {}  # query -> index, in order of first use
+    blocks = []  # (query, request, context, mass) columns per (ell, x)
 
     for ell in range(1, n):
         for x in range(n):
@@ -235,42 +257,39 @@ def build_scheme(
             cuts = np.sort(rel[(rel > 0.0) & (rel < need - BOUNDARY_TOL)])
             cuts = cuts[np.diff(cuts, prepend=-np.inf) > BOUNDARY_TOL]
             edges = np.concatenate(([0.0], cuts, [need]))
+            widths = np.diff(edges)
             # each row names the state whose interval holds a segment's
             # middle; a row short by up to EXTRACTION_TOL names its last
             mids = 0.5 * (edges[:-1] + edges[1:])
             cols = np.empty((ell - 1, mids.size), dtype=np.int64)
             for i, r in enumerate(rel):
                 cols[i] = np.searchsorted(r, mids, side="right")
-            segs = list(zip(
-                map(tuple, np.minimum(cols, n - 1).T.tolist()),
-                np.diff(edges).tolist(),
-            ))
+            cols = np.minimum(cols, n - 1).T
+            segs = list(zip(map(tuple, cols.tolist()), widths.tolist()))
             segments_log[(ell, x)] = segs
-            plus_contexts = order[x, ell - 1 :].tolist()
-            minus_contexts = rows.tolist()
-            for zeta, nu in segs:
-                zkey = tuple(sorted((x, *zeta)))
-                for u in plus_contexts:
-                    key = (zkey, x, u)
-                    g[key] = g.get(key, 0.0) + nu
-                for col, u in zip(zeta, minus_contexts):
-                    key = (zkey, col, u)
-                    g[key] = g.get(key, 0.0) + nu
+            qids = [ids.setdefault(tuple(sorted((x, *z))), len(ids)) for z, _ in segs]
+            # a segment's rows: request x in every other context, then each
+            # supplying row's named state in that row's context
+            requests = np.hstack((np.full((len(segs), m - ell + 1), x), cols))
+            contexts = np.tile(np.concatenate((order[x, ell - 1 :], rows)), len(segs))
+            blocks.append(
+                (np.repeat(qids, m), requests.ravel(), contexts, np.repeat(widths, m))
+            )
 
     # whatever is left of each row rides on the full query; row sums equal
     # theta_n
     m_final = np.clip(ends - used[:, None], 0.0, m_initial)
-    full_key = tuple(range(n))
-    for u, x in np.argwhere(m_final > 0.0).tolist():
-        g[(full_key, x, u)] = m_final[u, x]
-
-    dropped = 0.0
-    for key in [k for k, v in g.items() if v < MASS_DROP_LIMIT]:
-        dropped += g.pop(key)
-    if dropped > MASS_DROP_BUDGET:
-        raise ArithmeticError(f"dropped {dropped:g} of negligible mass")
-
-    dist = SchemeDistribution(n=n, delta=cond.delta, form="multiset", entries=g)
+    u_left, x_left = np.nonzero(m_final > 0.0)
+    full = np.full(u_left.size, ids.setdefault(tuple(range(n)), len(ids)))
+    blocks.append((full, x_left, u_left, m_final[u_left, x_left]))
+    columns = [np.concatenate(c) for c in zip(*blocks)]
+    dist = SchemeDistribution(n, cond.delta, "multiset", list(ids), *columns)
+    tiny = dist.mass < MASS_DROP_LIMIT
+    if dist.mass[tiny].sum() > MASS_DROP_BUDGET:
+        raise ArithmeticError(f"dropped {dist.mass[tiny].sum():g} of negligible mass")
+    if tiny.any():
+        columns = [c[~tiny] for c in (dist.q, dist.x, dist.u, dist.mass)]
+        dist = SchemeDistribution(n, cond.delta, "multiset", dist.queries, *columns)
     if return_ledger:
         ledger = ExtractionLedger(
             m_initial=m_initial, m_final=m_final, segments=segments_log
@@ -287,42 +306,27 @@ def collapse_to_sets(s: SchemeDistribution) -> SchemeDistribution:
     """
     if s.form != "multiset":
         raise ValueError("can only collapse a multiset-form distribution")
-    entries: dict = {}
-    for (zkey, x, u), mass in s.entries.items():
-        key = (tuple(sorted(set(zkey))), x, u)
-        entries[key] = entries.get(key, 0.0) + mass
-    return SchemeDistribution(n=s.n, delta=s.delta, form="set", entries=entries)
+    supports: dict = {}
+    support_of = [
+        supports.setdefault(tuple(sorted(set(k))), len(supports)) for k in s.queries
+    ]
+    q = np.array(support_of, dtype=np.int64)[s.q]
+    return SchemeDistribution(s.n, s.delta, "set", list(supports), q, s.x, s.u, s.mass)
 
 
 def sample_query_indices(
     s: SchemeDistribution, x: int, u: int, draws: np.ndarray
 ) -> np.ndarray:
-    """Positions in s.mass_by_context(x, u)[0] of the queries that the
-    uniform draws in [0, 1) select, one per draw.
+    """Indices into s.queries of the queries that the uniform draws in
+    [0, 1) select, one per draw.
 
-    A draw r selects the first query whose cumulative mass exceeds
-    r * p(x | u), so each query follows w(q | x, u) = g(q, x, u) / p(x | u).
-
-    Raises:
-        ZeroLikelihoodContext: no mass is recorded for this (x, u) pair.
-    """
-    keys, cum = s.mass_by_context(x, u)
-    total = cum[-1]
-    if total <= 0.0:
-        raise ZeroLikelihoodContext(
-            f"no query mass for request {x} in context {u}"
-        )
-    j = np.searchsorted(cum, draws * total, side="right")
-    return np.minimum(j, len(keys) - 1)
-
-
-def conditional_query_sampler(s: SchemeDistribution, x: int, u: int, rng) -> tuple:
-    """Draw one query for request x in context u from one rng.random() draw.
-
-    Deterministic given the generator state.
+    A draw r selects the first query, in sorted order, whose cumulative
+    mass exceeds r * p(x | u), so each query follows
+    w(q | x, u) = g(q, x, u) / p(x | u).
 
     Raises:
-        ZeroLikelihoodContext: no mass is recorded for this (x, u) pair.
+        ZeroLikelihoodContext: the (x, u) pair has no positive total mass.
     """
-    keys, _ = s.mass_by_context(x, u)
-    return keys[int(sample_query_indices(s, x, u, rng.random(1))[0])]
+    ids, cum = s.mass_by_context(x, u)
+    j = np.searchsorted(cum, draws * cum[-1], side="right")
+    return ids[np.minimum(j, len(ids) - 1)]

@@ -284,8 +284,10 @@ def _draw_queries(schemes: list, scheme_of_step, x, u, n: int, draws):
     drawn with one searchsorted. Returns (ids, keys): keys are the queries
     of all the schemes, sorted, and ids[t] indexes the query of step t.
     """
-    keys = sorted({q for s in schemes for q, _, _ in s.entries})
+    keys = sorted(set().union(*(s.queries for s in schemes)))
     key_ids = {q: i for i, q in enumerate(keys)}
+    # each scheme's query indices as positions in keys
+    to_key = [np.array([key_ids[q] for q in s.queries]) for s in schemes]
     m = n * n
     group = (scheme_of_step * n + x) * m + u
     order = np.argsort(group)
@@ -296,9 +298,8 @@ def _draw_queries(schemes: list, scheme_of_step, x, u, n: int, draws):
         sid, rest = divmod(int(group[lo]), n * m)
         xx, uu = divmod(rest, m)
         steps = order[lo:hi]
-        scheme = schemes[sid]
-        local = np.array([key_ids[q] for q in scheme.mass_by_context(xx, uu)[0]])
-        ids[steps] = local[sample_query_indices(scheme, xx, uu, draws[steps])]
+        picks = sample_query_indices(schemes[sid], xx, uu, draws[steps])
+        ids[steps] = to_key[sid][picks]
     return ids, keys
 
 

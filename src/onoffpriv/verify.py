@@ -1,12 +1,12 @@
 """Independent checks for query distributions.
 
-Everything here recomputes its quantities from the sparse entries alone and
-deliberately shares no code with the construction in scheme.py, so the two
-can vouch for each other. A distribution passes when queries always contain
-the request, the induced query distribution is context-independent, the
-per-(x, u) masses add up to the likelihood table, the query-size law matches
-the theta increments, and the expected size does not exceed the achievable
-bound.
+Everything here recomputes its quantities from the distribution's rows
+alone, as array sums over its columns, and deliberately shares no code with
+the construction in scheme.py, so the two can vouch for each other. A
+distribution passes when queries always contain the request, the induced
+query distribution is context-independent, the per-(x, u) masses add up to
+the likelihood table, the query-size law matches the theta increments, and
+the expected size does not exceed the achievable bound.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ def check_scheme(
     profile: ThetaProfile,
     tol: float = VERIFY_TOL,
 ) -> VerificationReport:
-    """Recompute every property of a query distribution from its entries.
+    """Recompute every property of a query distribution from its rows.
 
     All report fields carry raw maxima; tol is only remembered as the
     default threshold for report.passes().
@@ -137,33 +137,36 @@ def check_scheme(
             f"distribution built for delta={s.delta}, table has {cond.delta}"
         )
 
-    violations = []
-    query_mass: dict = {}
-    marginals = np.zeros((m, n))
-    for (qkey, x, u), mass in s.entries.items():
-        if mass <= 0.0:
-            violations.append((qkey, x, u_pair(u, n)))
-            continue
-        if x not in qkey:
-            violations.append((qkey, x, u_pair(u, n)))
-        row = query_mass.get(qkey)
-        if row is None:
-            row = np.zeros(m)
-            query_mass[qkey] = row
-        row[u] += mass
-        marginals[u, x] += mass
-
+    # how many messages each query downloads, and which states it names
+    size = np.array([len(members) for members in s.queries], dtype=np.int64)
+    names = np.zeros((len(s.queries), n), dtype=bool)
+    query_of_member = np.repeat(np.arange(size.size), size)
+    names[query_of_member, [i for k in s.queries for i in k]] = True
+    positive = s.mass > 0.0
+    bad = ~positive | ~names[s.q, s.x]
+    violations = [
+        (s.queries[k], x, u_pair(u, n))
+        for k, x, u in zip(s.q[bad].tolist(), s.x[bad].tolist(), s.u[bad].tolist())
+    ]
+    q, x, u, mass = (c[positive] for c in (s.q, s.x, s.u, s.mass))
+    marginals = np.bincount(u * n + x, weights=mass, minlength=m * n).reshape(m, n)
     marginal_errors = np.abs(marginals - cond.values)
+
+    # per-query mass in every context, for the queries with positive mass
+    query_mass = np.bincount(
+        q * m + u, weights=mass, minlength=len(s.queries) * m
+    ).reshape(-1, m)
+    live = np.flatnonzero(np.bincount(q, minlength=len(s.queries)))
 
     worst_privacy = worst_marginal = None
     privacy_gap = 0.0
-    if query_mass:
-        per_query = np.stack(list(query_mass.values()))
+    if live.size:
+        per_query = query_mass[live]
         gaps = per_query.max(axis=1) - per_query.min(axis=1)
         k = int(gaps.argmax())
         privacy_gap = float(gaps[k])
         worst_privacy = {
-            "q": list(list(query_mass)[k]),
+            "q": list(s.queries[live[k]]),
             "u_max": list(u_pair(int(per_query[k].argmax()), n)),
             "u_min": list(u_pair(int(per_query[k].argmin()), n)),
         }
@@ -173,8 +176,7 @@ def check_scheme(
     size_law_errors = None
     if s.form == "multiset":
         by_size = np.zeros((n + 1, m))
-        for qkey, row in query_mass.items():
-            by_size[len(qkey)] += row
+        np.add.at(by_size, size, query_mass)
         size_law_errors = np.abs(
             by_size[1:] - profile.theta[:, None]
         ).max(axis=1)
@@ -189,7 +191,7 @@ def check_scheme(
         size_law_errors=size_law_errors,
         expected_cost=cost,
         cost_slack=inner - cost,
-        entry_count=len(s.entries),
+        entry_count=s.entry_count,
         worst_privacy=worst_privacy,
         worst_marginal=worst_marginal,
         tol=tol,
@@ -207,7 +209,5 @@ def expected_cost(s, cond: ConditionalTable, u_prior: np.ndarray) -> float:
         raise DimensionMismatch(f"prior must have length {cond.m}")
     if abs(float(u_prior.sum()) - 1.0) > PRIOR_SUM_TOL:
         raise ValueError("prior must sum to 1")
-    total = 0.0
-    for (qkey, _x, u), mass in s.entries.items():
-        total += len(qkey) * u_prior[u] * mass
-    return float(total)
+    size = np.array([len(members) for members in s.queries], dtype=float)
+    return float(np.dot(size[s.q] * u_prior[s.u], s.mass))

@@ -36,6 +36,19 @@ def saved_scheme_text():
         return path.read_text()
 
 
+def json_slots(node):
+    """Every (container, key) pair of a parsed JSON document, depth first."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        items = []
+    for key, child in items:
+        yield node, key
+        yield from json_slots(child)
+
+
 def parse_csv(text):
     rows = list(csv.DictReader(io.StringIO(text)))
     assert rows, "empty csv"
@@ -331,15 +344,103 @@ class TestSchemeAndVerifyCommands:
             non_finite.append(obj)
         over_long = json.loads(path.read_text())
         over_long["multiset"]["entries"][0]["q"] = [0, 0, 1, 2]  # n = 3
-        for obj in (aliased, out_of_range, repeated, *non_finite, over_long):
-            bad = tmp_path / "bad.json"
-            bad.write_text(json.dumps(obj))
+        texts = [
+            json.dumps(obj)
+            for obj in (aliased, out_of_range, repeated, *non_finite, over_long)
+        ]
+        text = path.read_text()
+        texts.append(text[: len(text) // 2])  # truncated
+        texts.append(json.dumps([json.loads(text)]))  # a top-level list
+        paths = []
+        for i, text in enumerate(texts):
+            paths.append(tmp_path / f"bad{i}.json")
+            paths[-1].write_text(text)
+        paths.append(tmp_path / "missing.json")
+        for bad in paths:
             code, _, err = run_cli(
                 capsys, "verify", "--n", "3", "--alpha", "0.6", "--delta", "1",
                 "--scheme", str(bad),
             )
             assert code == 2
-            assert err.startswith("error: bad scheme file")
+            assert err.startswith("error: bad scheme file: ")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        where=hst.sampled_from(["alpha", "rows", "p"]),
+        kind=hst.sampled_from(["string", "bool", "null"]),
+        pick=hst.integers(min_value=0),
+    )
+    def test_probabilities_must_be_json_numbers(self, where, kind, pick):
+        # float() used to read "0.6" and true as probabilities
+        def spoil(v):
+            return {"string": repr(v), "bool": v >= 0.5, "null": None}[kind]
+
+        argv = ["--delta", "1"]
+        if where == "p":
+            obj = json.loads(saved_scheme_text())
+            row = obj["multiset"]["entries"][pick % len(obj["multiset"]["entries"])]
+            row["p"] = spoil(row["p"])
+            chain, what = {"symmetric": {"n": 3, "alpha": 0.6}}, "scheme file"
+        else:
+            obj = None
+            chain, what = chain_to_dict(symmetric_chain(3, 0.6)), "chain spec"
+            if where == "alpha":
+                chain = {"symmetric": {"n": 3, "alpha": spoil(0.6)}}
+            else:
+                row = chain["rows"][pick % 3]
+                row[pick % 3] = spoil(row[pick % 3])
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            if obj is not None:
+                path = Path(tmp) / "scheme.json"
+                path.write_text(json.dumps(obj))
+                argv += ["--scheme", str(path)]
+            with contextlib.redirect_stdout(io.StringIO()):
+                with contextlib.redirect_stderr(err):
+                    code = main(["verify", "--chain", json.dumps(chain), *argv])
+        assert code == 2
+        assert err.getvalue().startswith(f"error: bad {what}: ")
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        mutation=hst.sampled_from(["delete", "replace", "truncate", "wrap"]),
+        pick=hst.integers(min_value=0),
+        value=hst.recursive(
+            hst.none() | hst.booleans() | hst.integers() | hst.floats()
+            | hst.text(max_size=4),
+            lambda inner: hst.lists(inner, max_size=3)
+            | hst.dictionaries(hst.text(max_size=3), inner, max_size=3),
+            max_leaves=6,
+        ),
+    )
+    def test_verify_survives_any_mutated_scheme_file(self, mutation, pick, value):
+        text = saved_scheme_text()
+        obj = json.loads(text)
+        if mutation == "truncate":
+            text = text[: pick % len(text)]
+        elif mutation == "wrap":
+            text = json.dumps([obj])
+        else:
+            slots = [
+                (node, key) for node, key in json_slots(obj)
+                if mutation == "replace" or isinstance(node, dict)
+            ]
+            node, key = slots[pick % len(slots)]
+            if mutation == "delete":
+                del node[key]
+            else:
+                node[key] = value
+            text = json.dumps(obj)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scheme.json"
+            path.write_text(text)
+            with contextlib.redirect_stdout(io.StringIO()):
+                with contextlib.redirect_stderr(io.StringIO()):
+                    code = main([
+                        "verify", "--n", "3", "--alpha", "0.6", "--delta", "1",
+                        "--scheme", str(path),
+                    ])
+        assert code in (0, 1, 2)
 
     @settings(max_examples=100, deadline=None)
     @given(

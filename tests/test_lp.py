@@ -17,6 +17,8 @@ from onoffpriv.lp import (
 from onoffpriv.markov import conditional_table, symmetric_chain
 from onoffpriv.scheme import build_scheme, collapse_to_sets
 
+from conftest import entries_of
+
 
 def enumerate_vertices_minimum(p: LpProblem) -> float:
     """Independent optimum: scan every basic feasible solution.
@@ -134,11 +136,12 @@ class TestSimplex:
         p = formulate_lp(cond)
         key_pos = {k: i for i, k in enumerate(p.var_keys)}
         x = np.zeros(len(p.var_keys))
-        for (qkey, xx, u), mass in s.entries.items():
+        entries = entries_of(s)
+        for (qkey, xx, u), mass in entries.items():
             x[key_pos[("a", qkey, xx, u)]] = mass
         for qkey in all_subsets(3):
             # tie value taken at context 0; privacy makes every context agree
-            total = sum(s.entries.get((qkey, xx, 0), 0.0) for xx in qkey)
+            total = sum(entries.get((qkey, xx, 0), 0.0) for xx in qkey)
             x[key_pos[("s", qkey)]] = total
         assert np.abs(p.A @ x - p.b).max() < 1e-9
         cost = float(p.c @ x)

@@ -19,10 +19,11 @@ from onoffpriv.scheme import (
     ZeroLikelihoodContext,
     build_scheme,
     collapse_to_sets,
-    conditional_query_sampler,
     sample_query_indices,
 )
 from onoffpriv.verify import check_scheme
+
+from conftest import entries_of, scheme_from_entries
 
 
 def built(n, alpha, delta):
@@ -31,51 +32,55 @@ def built(n, alpha, delta):
     return cond, profile, build_scheme(profile, cond)
 
 
+def sizes(s):
+    """The download size of every row's query."""
+    return np.array([len(members) for members in s.queries])[s.q]
+
+
 def total_weighted_size(s):
-    return sum(len(qkey) * mass for (qkey, _, _), mass in s.entries.items())
+    return float(sizes(s) @ s.mass)
+
+
+def context_totals(s, m):
+    """m x n array of the summed mass of every (x, u) pair."""
+    total = np.zeros((m, s.n))
+    np.add.at(total, (s.u, s.x), s.mass)
+    return total
 
 
 class TestConstruction:
     def test_uniform_chain_sends_singletons(self):
         _, _, s = built(3, 1 / 3, 2)
-        assert all(len(z) == 1 for (z, _, _) in s.entries)
+        assert all(len(z) == 1 for z in s.queries)
 
     def test_zero_gap_sends_everything(self, rng, chain_factory):
         cond = conditional_table(chain_factory(rng, 3), 0)
         s = build_scheme(theta_profile(cond), cond)
-        assert all(z == (0, 1, 2) for (z, _, _) in s.entries)
+        assert s.queries == [(0, 1, 2)]
 
     def test_marginals_reconstruct_the_table(self, rng, chain_factory):
         for n in (2, 3, 5):
             for delta in (1, 2):
                 cond = conditional_table(chain_factory(rng, n), delta)
                 s = build_scheme(theta_profile(cond), cond)
-                total = {}
-                for (_, x, u), mass in s.entries.items():
-                    total[(x, u)] = total.get((x, u), 0.0) + mass
-                for u in range(cond.m):
-                    for x in range(n):
-                        assert total.get((x, u), 0.0) == pytest.approx(
-                            cond.values[u, x], abs=1e-12
-                        )
+                total = context_totals(s, cond.m)
+                assert np.abs(total - cond.values).max() <= 1e-12
 
     def test_query_size_law_per_context(self, rng, chain_factory):
         # P(download size = l | u) equals theta_l for every context
         cond = conditional_table(chain_factory(rng, 4), 2)
         profile = theta_profile(cond)
         s = build_scheme(profile, cond)
+        by_size = np.zeros((cond.m, 4))
+        np.add.at(by_size, (s.u, sizes(s) - 1), s.mass)
         for u in range(cond.m):
-            by_size = np.zeros(4)
-            for (z, _x, uu), mass in s.entries.items():
-                if uu == u:
-                    by_size[len(z) - 1] += mass
-            assert np.allclose(by_size, profile.theta, atol=1e-9)
+            assert np.allclose(by_size[u], profile.theta, atol=1e-9)
 
     def test_expected_size_attains_inner_bound(self, rng, chain_factory):
         cond = conditional_table(chain_factory(rng, 5), 3)
         profile = theta_profile(cond)
         s = build_scheme(profile, cond)
-        cost = sum(len(z) * mass for (z, _, u), mass in s.entries.items()) / cond.m
+        cost = total_weighted_size(s) / cond.m
         assert cost == pytest.approx(rate_inner(profile), abs=1e-9)
 
     def test_entry_budget(self, rng, chain_factory):
@@ -119,14 +124,10 @@ class TestDistributionObject:
         cond = conditional_table(chain_factory(rng, 4), 2)
         ms = build_scheme(theta_profile(cond), cond)
         st = collapse_to_sets(ms)
-        tot_ms, tot_st = {}, {}
-        for (z, x, u), mass in ms.entries.items():
-            tot_ms[(x, u)] = tot_ms.get((x, u), 0.0) + mass
-        for (q, x, u), mass in st.entries.items():
-            tot_st[(x, u)] = tot_st.get((x, u), 0.0) + mass
-            assert x in q
-        for key, mass in tot_ms.items():
-            assert tot_st[key] == pytest.approx(mass, abs=1e-12)
+        for k, x in zip(st.q.tolist(), st.x.tolist()):
+            assert x in st.queries[k]
+        tot_ms, tot_st = context_totals(ms, cond.m), context_totals(st, cond.m)
+        assert np.abs(tot_st - tot_ms).max() <= 1e-12
         assert total_weighted_size(st) <= total_weighted_size(ms) + 1e-12
 
     @settings(max_examples=40, deadline=None)
@@ -144,7 +145,9 @@ class TestDistributionObject:
             back = SchemeDistribution.from_json_obj(obj)
             assert back.n == s.n and back.delta == s.delta
             assert back.form == s.form
-            assert back.entries == s.entries
+            assert back.queries == s.queries
+            for col in ("q", "x", "u", "mass"):
+                assert np.array_equal(getattr(back, col), getattr(s, col))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -174,15 +177,16 @@ class TestDistributionObject:
         for (ell, x), segs in ledger.segments.items():
             for zeta, _ in segs:
                 size[tuple(sorted((x, *zeta)))] = ell
-        for z, _, _ in ms.entries:
+        for z in ms.queries:
             assert len(z) == size[z]
         st = collapse_to_sets(ms)
-        assert all(len(set(q)) == len(q) for q, _, _ in st.entries)
+        assert all(len(set(q)) == len(q) for q in st.queries)
         for s in (ms, st):
-            for q, _, _ in s.entries:
+            assert s.queries == sorted(set(s.queries))
+            for q in s.queries:
                 assert list(q) == sorted(q) and all(0 <= i < n for i in q)
             rows = s.to_json_obj()["entries"]
-            keys = [q for q, _, _ in sorted(s.entries)]
+            keys = [q for q, _, _ in sorted(entries_of(s))]
             assert [row["q"] for row in rows] == [list(q) for q in keys]
 
     @settings(max_examples=80, deadline=None)
@@ -249,10 +253,36 @@ class TestDistributionObject:
     def test_accepts_damaged_entries_for_later_checking(self):
         # the container must be able to hold a bad artifact; judging it
         # is the checker's job, not the constructor's
-        s = SchemeDistribution(
-            n=2, delta=1, form="set", entries={((0,), 0, 0): -0.25}
-        )
+        s = scheme_from_entries(2, 1, "set", {((0,), 0, 0): -0.25})
         assert s.entry_count == 1
+
+    def test_rows_of_a_context_are_one_slice_in_query_order(self):
+        _, _, ms = built(4, 0.3, 2)
+        for s in (ms, collapse_to_sets(ms)):
+            by_xu: dict = {}
+            for (members, x, u), mass in sorted(entries_of(s).items()):
+                by_xu.setdefault((x, u), []).append((members, mass))
+            assert sum(map(len, by_xu.values())) == s.entry_count
+            for (x, u), items in by_xu.items():
+                ids, cum = s.mass_by_context(x, u)
+                assert [s.queries[k] for k in ids] == [k for k, _ in items]
+                assert np.array_equal(cum, np.cumsum([p for _, p in items]))
+
+    def test_container_sorts_merges_and_drops_unnamed_queries(self):
+        # queries given out of order, one named by no row
+        s = SchemeDistribution(
+            2, 1, "set", [(1,), (0, 1), (0,)], [2, 0, 2], [0, 1, 0], [3, 0, 0],
+            [0.25, 0.5, 0.125],
+        )
+        assert s.queries == [(0,), (1,)]
+        assert entries_of(s) == {
+            ((0,), 0, 3): 0.25, ((1,), 1, 0): 0.5, ((0,), 0, 0): 0.125,
+        }
+        # rows that share (q, x, u) merge; a scheme file may not repeat one
+        twice = SchemeDistribution(
+            2, 1, "set", [(0,)], [0, 0], [0, 0], [1, 1], [0.5, 0.25]
+        )
+        assert entries_of(twice) == {((0,), 0, 1): 0.75}
 
     def test_unknown_context_raises(self):
         _, _, s = built(3, 0.6, 0)
@@ -266,13 +296,13 @@ class TestSampler:
         cond, _, ms = built(3, 0.6, 1)
         s = collapse_to_sets(ms)
         x, u = 0, u_index(1, 2, 3)
-        keys, cum = s.mass_by_context(x, u)
+        ids, cum = s.mass_by_context(x, u)
         probs = np.diff(np.concatenate([[0.0], cum])) / cum[-1]
         draws = 20000
-        counts = {k: 0 for k in keys}
-        for _ in range(draws):
-            counts[conditional_query_sampler(s, x, u, rng)] += 1
-        for k, p in zip(keys, probs):
+        picks = sample_query_indices(s, x, u, rng.random(draws))
+        counts = np.bincount(picks, minlength=len(s.queries))
+        assert set(picks.tolist()) <= set(ids.tolist())
+        for k, p in zip(ids, probs):
             se = (p * (1 - p) / draws) ** 0.5
             assert abs(counts[k] / draws - p) <= 4 * se + 1e-9
 
@@ -280,21 +310,17 @@ class TestSampler:
         _, _, ms = built(3, 0.6, 2)
         s = collapse_to_sets(ms)
         for x, u in ((0, 0), (2, 5), (1, 7)):
-            keys, _ = s.mass_by_context(x, u)
             picks = sample_query_indices(s, x, u, np.random.default_rng(3).random(500))
             rng = np.random.default_rng(3)
-            one_by_one = [conditional_query_sampler(s, x, u, rng) for _ in range(500)]
-            assert [keys[j] for j in picks] == one_by_one
+            one_by_one = [
+                int(sample_query_indices(s, x, u, rng.random(1))[0])
+                for _ in range(500)
+            ]
+            assert picks.tolist() == one_by_one
 
     def test_deterministic_under_seed(self):
         _, _, ms = built(3, 0.25, 2)
         s = collapse_to_sets(ms)
-        a = [
-            conditional_query_sampler(s, 1, 4, np.random.default_rng(7))
-            for _ in range(5)
-        ]
-        b = [
-            conditional_query_sampler(s, 1, 4, np.random.default_rng(7))
-            for _ in range(5)
-        ]
-        assert a == b
+        a = sample_query_indices(s, 1, 4, np.random.default_rng(7).random(5))
+        b = sample_query_indices(s, 1, 4, np.random.default_rng(7).random(5))
+        assert a.tolist() == b.tolist()

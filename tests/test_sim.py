@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 from onoffpriv.markov import symmetric_chain
-from onoffpriv.scheme import SchemeDistribution
 from onoffpriv.sim import (
     MIN_BUCKET_SAMPLES,
     InsufficientSamples,
@@ -20,6 +19,8 @@ from onoffpriv.sim import (
     empirical_privacy_test,
     run_simulation,
 )
+
+from conftest import entries_of, scheme_from_entries
 
 TRACE_ARRAYS = ("x", "flag", "tau", "delta", "u", "q_size", "bytes_down", "decode_ok")
 
@@ -48,9 +49,9 @@ def reference_run(cfg, scheme_overrides=None):
         u = x[tau] * n + x[t + 1]
         if delta not in schemes:
             schemes[delta] = build_scheme_for_gap(P, delta)
-        keys, cum = schemes[delta].mass_by_context(x[t], u)
+        ids, cum = schemes[delta].mass_by_context(x[t], u)
         j = int(np.searchsorted(cum, query_rng.random() * cum[-1], side="right"))
-        q = keys[min(j, len(keys) - 1)]
+        q = schemes[delta].queries[ids[min(j, len(ids) - 1)]]
         rows.append((x[t], tau, delta, u, len(q), len(q) * cfg.msg_len, x[t] in q))
         queries.append(q)
         agg = buckets.setdefault(delta, [0, 0])
@@ -168,10 +169,10 @@ class TestRunSimulation:
     def test_injected_decode_fault_is_counted(self):
         # reroute one context's singleton to the wrong message
         honest = build_scheme_for_gap(symmetric_chain(3, 1 / 3), 1)
-        entries = dict(honest.entries)
+        entries = entries_of(honest)
         moved = entries.pop(((0,), 0, 0))
         entries[((1,), 0, 0)] = entries.get(((1,), 0, 0), 0.0) + moved
-        bad = honest.__class__(n=3, delta=1, form="set", entries=entries)
+        bad = scheme_from_entries(3, 1, "set", entries)
         cfg = SimConfig(
             chain=symmetric_chain(3, 1 / 3),
             schedule=PrivacySchedule.periodic(2),
@@ -260,11 +261,11 @@ class TestSeedContract:
         # honest gaps after the override would reuse a scheme if allowed to
         P = symmetric_chain(3, 0.6)
         honest = build_scheme_for_gap(P, 50)
-        entries = {k: v for k, v in honest.entries.items() if k[1:] != (0, 0)}
+        entries = {k: v for k, v in entries_of(honest).items() if k[1:] != (0, 0)}
         entries[((1,), 0, 0)] = sum(
-            v for k, v in honest.entries.items() if k[1:] == (0, 0)
+            v for k, v in entries_of(honest).items() if k[1:] == (0, 0)
         )
-        bad = SchemeDistribution(n=3, delta=50, form="set", entries=entries)
+        bad = scheme_from_entries(3, 50, "set", entries)
         cfg = SimConfig(
             chain=P, schedule=PrivacySchedule.periodic(60), horizon=30000, seed=1
         )
@@ -291,10 +292,10 @@ class TestEmpiricalStats:
     def test_faulty_scheme_is_flagged(self):
         P = symmetric_chain(3, 0.6)
         honest = build_scheme_for_gap(P, 1)
-        entries = dict(honest.entries)
+        entries = entries_of(honest)
         entries[((0, 1, 2), 0, 0)] -= 0.1
         entries[((0,), 0, 0)] = entries.get(((0,), 0, 0), 0.0) + 0.1
-        bad = honest.__class__(n=3, delta=1, form="set", entries=entries)
+        bad = scheme_from_entries(3, 1, "set", entries)
         cfg = SimConfig(
             chain=P,
             schedule=PrivacySchedule.periodic(2),

@@ -1,10 +1,55 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 from onoffpriv.bounds import rate_inner, theta_profile
-from onoffpriv.markov import conditional_table, symmetric_chain
-from onoffpriv.scheme import SchemeDistribution, build_scheme, collapse_to_sets
+from onoffpriv.markov import (
+    TransitionMatrix,
+    ZeroContextProbability,
+    conditional_table,
+    u_pair,
+)
+from onoffpriv.scheme import build_scheme, collapse_to_sets
 from onoffpriv.verify import DimensionMismatch, check_scheme, expected_cost
+
+from conftest import entries_of, scheme_from_entries
+
+
+def reference_check(entries, form, cond, profile):
+    """check_scheme's arithmetic as plain loops over a dict of rows
+    {(query members, x, u): mass}: the per-query masses, marginals, size
+    law, privacy gap and expected cost, for the array checker to match."""
+    n, m = cond.n, cond.m
+    violations = set()
+    query_mass: dict = {}
+    marginals = np.zeros((m, n))
+    for (qkey, x, u), mass in entries.items():
+        if mass <= 0.0:
+            violations.add((qkey, x, u_pair(u, n)))
+            continue
+        if x not in qkey:
+            violations.add((qkey, x, u_pair(u, n)))
+        row = query_mass.setdefault(qkey, np.zeros(m))
+        row[u] += mass
+        marginals[u, x] += mass
+    gaps = {qkey: row.max() - row.min() for qkey, row in query_mass.items()}
+    size_law = None
+    if form == "multiset":
+        by_size = np.zeros((n + 1, m))
+        for qkey, row in query_mass.items():
+            by_size[len(qkey)] += row
+        size_law = np.abs(by_size[1:] - profile.theta[:, None]).max(axis=1)
+    cost = 0.0
+    for (qkey, _x, u), mass in entries.items():
+        cost += len(qkey) * mass / m
+    return {
+        "violations": violations,
+        "marginal_errors": np.abs(marginals - cond.values),
+        "gaps": gaps,
+        "size_law": size_law,
+        "cost": cost,
+    }
 
 
 def fresh(rng, chain_factory, n=3, delta=1):
@@ -36,7 +81,7 @@ class TestCheckScheme:
     def test_moved_mass_breaks_privacy_not_marginals(self, rng, chain_factory):
         cond, profile, ms = fresh(rng, chain_factory)
         s = collapse_to_sets(ms)
-        entries = dict(s.entries)
+        entries = entries_of(s)
         # reroute mass between two queries for one (x, u): marginals hold,
         # the query distribution seen by the server now depends on u
         eps = 1e-5
@@ -48,7 +93,7 @@ class TestCheckScheme:
         entries[donor] -= eps
         key = ((x,), x, u)
         entries[key] = entries.get(key, 0.0) + eps
-        bad = SchemeDistribution(n=3, delta=1, form="set", entries=entries)
+        bad = scheme_from_entries(3, 1, "set", entries)
         report = check_scheme(bad, cond, profile)
         assert not report.passes()
         assert report.max_privacy_gap == pytest.approx(eps, rel=1e-6)
@@ -56,10 +101,10 @@ class TestCheckScheme:
 
     def test_missing_mass_breaks_marginals(self, rng, chain_factory):
         cond, profile, ms = fresh(rng, chain_factory)
-        entries = dict(ms.entries)
+        entries = entries_of(ms)
         key = max(entries, key=entries.get)
         entries[key] -= 1e-5
-        bad = SchemeDistribution(n=3, delta=1, form="multiset", entries=entries)
+        bad = scheme_from_entries(3, 1, "multiset", entries)
         report = check_scheme(bad, cond, profile)
         assert not report.passes()
         assert report.max_marginal_error == pytest.approx(1e-5, rel=1e-6)
@@ -67,12 +112,12 @@ class TestCheckScheme:
     def test_request_outside_query_is_a_violation(self, rng, chain_factory):
         cond, profile, ms = fresh(rng, chain_factory)
         s = collapse_to_sets(ms)
-        entries = dict(s.entries)
+        entries = entries_of(s)
         (qkey, x, u), mass = next(iter(entries.items()))
         del entries[(qkey, x, u)]
         other = next(i for i in range(3) if i != x)
         entries[((other,), x, u)] = entries.get(((other,), x, u), 0.0) + mass
-        bad = SchemeDistribution(n=3, delta=1, form="set", entries=entries)
+        bad = scheme_from_entries(3, 1, "set", entries)
         report = check_scheme(bad, cond, profile)
         assert report.decodability_violations
         assert not report.passes()
@@ -85,7 +130,7 @@ class TestCheckScheme:
             for u in range(cond.m)
             for x in range(3)
         }
-        s = SchemeDistribution(n=3, delta=1, form="set", entries=entries)
+        s = scheme_from_entries(3, 1, "set", entries)
         report = check_scheme(s, cond, profile)
         # decodable and private at any cost; the set form carries no size
         # pledge, so the only trace is the negative slack
@@ -103,7 +148,7 @@ class TestCheckScheme:
             for u in range(cond.m)
             for x in range(3)
         }
-        s = SchemeDistribution(n=3, delta=1, form="multiset", entries=entries)
+        s = scheme_from_entries(3, 1, "multiset", entries)
         report = check_scheme(s, cond, profile)
         assert not report.passes()
         assert report.max_size_law_error > 0.1
@@ -124,6 +169,60 @@ class TestCheckScheme:
         obj = check_scheme(s, cond, profile).to_json_obj()
         text = json.dumps(obj)
         assert json.loads(text) == obj
+
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=hst.integers(min_value=2, max_value=6),
+        delta=hst.integers(min_value=0, max_value=3),
+        concentration=hst.sampled_from([0.2, 1.0, 5.0]),
+        form=hst.sampled_from(["multiset", "set"]),
+        damage=hst.sampled_from(["negate", "move", "outside"]),
+        seed=hst.integers(min_value=0, max_value=2**32 - 1),
+        pick=hst.integers(min_value=0),
+    )
+    def test_agrees_with_the_loop_reference_on_a_damaged_entry(
+        self, n, delta, concentration, form, damage, seed, pick
+    ):
+        rows = np.random.default_rng(seed).dirichlet(np.full(n, concentration), n)
+        try:
+            cond = conditional_table(TransitionMatrix(rows), delta)
+        except ZeroContextProbability:
+            assume(False)
+        profile = theta_profile(cond)
+        ms = build_scheme(profile, cond)
+        entries = entries_of(ms if form == "multiset" else collapse_to_sets(ms))
+        key = list(entries)[pick % len(entries)]
+        qkey, x, u = key
+        if damage == "negate":
+            entries[key] = -entries[key]
+        else:
+            # half the mass moves to a one-member query: the request itself,
+            # or for "outside" another state, which the request is not in
+            member = x if damage == "move" else (x + 1 + pick % (n - 1)) % n
+            target = ((member,), x, u)
+            if target == key:
+                target = (tuple(range(n)), x, u)
+            half = entries[key] / 2
+            entries[key] -= half
+            entries[target] = entries.get(target, 0.0) + half
+        bad = scheme_from_entries(n, delta, form, entries)
+        report = check_scheme(bad, cond, profile)
+        ref = reference_check(entries, form, cond, profile)
+
+        got = {(q, xx, uu) for q, xx, uu in report.decodability_violations}
+        assert got == ref["violations"]
+        assert np.abs(report.marginal_errors - ref["marginal_errors"]).max() <= 1e-12
+        max_gap = max(ref["gaps"].values(), default=0.0)
+        assert abs(report.max_privacy_gap - max_gap) <= 1e-12
+        if ref["gaps"]:
+            worst = tuple(report.worst_privacy["q"])
+            assert abs(ref["gaps"][worst] - max_gap) <= 1e-12
+        if form == "multiset":
+            assert np.abs(report.size_law_errors - ref["size_law"]).max() <= 1e-12
+        else:
+            assert report.size_law_errors is None
+        assert abs(report.expected_cost - ref["cost"]) <= 1e-12
 
 
 class TestExpectedCost:
