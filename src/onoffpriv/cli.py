@@ -234,21 +234,25 @@ def cmd_scheme(args) -> int:
     multiset = build_scheme(profile, cond)
     setform = collapse_to_sets(multiset)
     prior = np.full(cond.m, 1.0 / cond.m)
-    obj = {
-        "n": cond.n,
-        "delta": cond.delta,
-        "theta": profile.theta.tolist(),
-        "multiset": multiset.to_json_obj(),
-        "set": setform.to_json_obj(),
-        "summary": {
-            "multiset_entries": multiset.entry_count,
-            "set_entries": setform.entry_count,
-            "expected_size_multiset": expected_cost(multiset, cond, prior),
-            "expected_size_set": expected_cost(setform, cond, prior),
-            "achievable_cost": rate_inner(profile),
-        },
+    summary = {
+        "multiset_entries": multiset.entry_count,
+        "set_entries": setform.entry_count,
+        "expected_size_multiset": expected_cost(multiset, cond, prior),
+        "expected_size_set": expected_cost(setform, cond, prior),
+        "achievable_cost": rate_inner(profile),
     }
-    _emit(_json_text(obj), args.out)
+    # the sections write their own text, one entry per line; keys sorted,
+    # as _json_text writes them
+    sections = {
+        "delta": json.dumps(cond.delta),
+        "multiset": multiset.to_json_text(),
+        "n": json.dumps(cond.n),
+        "set": setform.to_json_text(),
+        "summary": json.dumps(summary, sort_keys=True),
+        "theta": json.dumps(profile.theta.tolist()),
+    }
+    body = ",\n".join(f'  "{key}": {text}' for key, text in sorted(sections.items()))
+    _emit("{\n" + body + "\n}\n", args.out)
     return 0
 
 
@@ -264,12 +268,10 @@ def cmd_verify(args) -> int:
         try:
             with open(args.scheme, "r", encoding="utf-8") as fh:
                 obj = json.load(fh)
-            if "multiset" in obj:
-                obj = obj["multiset"]
-            elif "set" in obj:
-                obj = obj["set"]
+            if isinstance(obj, dict):
+                obj = obj.get("multiset", obj.get("set", obj))
             s = SchemeDistribution.from_json_obj(obj)
-        except (ValueError, KeyError, TypeError, OSError, OverflowError) as exc:
+        except (ValueError, OSError, OverflowError) as exc:
             raise ConfigError(f"bad scheme file: {exc}") from exc
     else:
         s = build_scheme(profile, cond)

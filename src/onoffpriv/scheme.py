@@ -27,12 +27,14 @@ queries whose expected size can only shrink.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from onoffpriv.bounds import ThetaProfile
-from onoffpriv.markov import ConditionalTable, as_index, as_number, u_index
+from onoffpriv.markov import ConditionalTable, as_index
 
 BOUNDARY_TOL = 1e-12
 EXTRACTION_TOL = 1e-12
@@ -88,8 +90,10 @@ class SchemeDistribution:
 
     The constructor keeps the named queries, sorts, and merges the rows that
     share (q, x, u), adding their masses in the order given. It rejects a
-    query with a member outside 0..n-1 or more than n members, a set query
-    that repeats a member, and a mass that is not finite.
+    row whose query, request or context index is out of range, a query with
+    a member outside 0..n-1 or more than n members, a set query that
+    repeats a member, a mass that is not finite, and an n so large that the
+    row key (x n^2 + u) Q + q over Q queries would not fit in an int64.
     """
 
     n: int
@@ -108,24 +112,37 @@ class SchemeDistribution:
         mass = np.asarray(self.mass, dtype=float)
         if not np.isfinite(mass).all():
             raise ValueError("a mass is not finite")
+        n, nq = self.n, len(self.queries)
+        ranges = (("query", q, nq), ("request", x, n), ("context", u, n * n))
+        for name, col, top in ranges:
+            if col.size and not (0 <= col.min() and col.max() < top):
+                i = np.flatnonzero((col < 0) | (col >= top))[0]
+                raise ValueError(f"row {i}: {name} {col[i]} out of range for n={n}")
         named = sorted(np.unique(q).tolist(), key=self.queries.__getitem__)
         queries = [tuple(self.queries[i]) for i in named]
         for members in queries:
             if self.form == "set" and len(set(members)) != len(members):
                 raise ValueError(f"repeated query member in set query {members}")
-            if not all(0 <= i < self.n for i in members) or len(members) > self.n:
-                raise ValueError(f"query {members} is out of range for n={self.n}")
-        rank = np.zeros(len(self.queries), dtype=np.int64)
+            if not all(0 <= i < n for i in members) or len(members) > n:
+                raise ValueError(f"query {members} is out of range for n={n}")
+        if n**3 * len(queries) >= 2**63:
+            raise ValueError(f"n={n} with {len(queries)} queries overflows the row key")
+        rank = np.zeros(nq, dtype=np.int64)
         rank[named] = np.arange(len(named))
-        # a stable sort keeps the rows of one (q, x, u) in their given order,
-        # so that bincount adds them up from the first to the last
-        order = np.lexsort((rank[q], u, x))
-        q, x, u = rank[q][order], x[order], u[order]
-        first = np.ones(q.size, dtype=bool)
-        first[1:] = (np.diff(q) != 0) | (np.diff(x) != 0) | (np.diff(u) != 0)
+        # one int64 key orders the rows by (x, u, q); a stable sort keeps the
+        # rows of one (q, x, u) in their given order, so that bincount adds
+        # them up from the first to the last
+        key = (x * (n * n) + u) * len(queries) + rank[q]
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.ones(key.size, dtype=bool)
+        first[1:] = key[1:] != key[:-1]
         mass = np.bincount(np.cumsum(first) - 1, weights=mass[order])
-        q, x, u = q[first], x[first], u[first]
-        columns = {"queries": queries, "q": q, "x": x, "u": u, "mass": mass}
+        order = order[first]
+        columns = {
+            "queries": queries, "q": rank[q[order]], "x": x[order], "u": u[order],
+            "mass": mass,
+        }
         for name, value in columns.items():
             object.__setattr__(self, name, value)
 
@@ -147,51 +164,99 @@ class SchemeDistribution:
             raise ZeroLikelihoodContext(f"no mass for request {x} in context {u}")
         return self.q[a:b], cum
 
-    def to_json_obj(self) -> dict:
-        """Serialize to plain data, rows sorted by (query, x, u); inverse of
-        from_json_obj."""
-        order = np.lexsort((self.u, self.x, self.q))
+    def to_json_text(self) -> str:
+        """Serialize as a JSON object with one entry per line, rows sorted by
+        (query, x, u); from_json_obj reads it back.
+
+        %r of a float is the text json writes for it, and the constructor
+        admits no NaN or inf, so each row is one format over the columns.
+        """
+        # the rows are sorted by (x, u, q), so a stable sort on q alone gives
+        # (q, x, u)
+        order = np.argsort(self.q, kind="stable")
         xtau, xnext = np.divmod(self.u[order], self.n)
-        cols = (self.q[order], self.x[order], xtau, xnext, self.mass[order])
-        rows = [
-            {"q": list(self.queries[k]), "x": x, "u": [a, b], "p": p}
-            for k, x, a, b, p in zip(*(c.tolist() for c in cols))
-        ]
-        return {
-            "n": self.n,
-            "delta": self.delta,
-            "form": self.form,
-            "entries": rows,
-        }
+        members = [json.dumps(list(m)) for m in self.queries]
+        cols = (
+            self.mass[order].tolist(),
+            map(members.__getitem__, self.q[order].tolist()),
+            xtau.tolist(), xnext.tolist(), self.x[order].tolist(),
+        )
+        row = '{"p": %r, "q": %s, "u": [%d, %d], "x": %d}'
+        entries = ",\n".join([row % c for c in zip(*cols)])
+        return '{"delta": %d, "entries": [\n%s\n], "form": %s, "n": %d}' % (
+            self.delta, entries, json.dumps(self.form), self.n
+        )
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "SchemeDistribution":
-        """Load a serialized distribution; inverse of to_json_obj.
+    def from_json_obj(cls, obj) -> "SchemeDistribution":
+        """Load a parsed scheme file, one column at a time; inverse of
+        to_json_text.
 
         Raises:
-            ValueError: n, delta or a state is not an integer, or a mass is
-                not a number; a state lies outside 0..n-1, where it would
-                alias another entry; or the constructor rejects the rows. A
-                negative mass loads, so that the checker can judge it.
-            OverflowError: a context index does not fit in 64 bits.
+            ValueError: the document is not an object with keys delta,
+                entries, form and n, or an entry not an object with keys p,
+                q, u and x; n, delta, a query member or a state is not an
+                integer, q is not a list, u is not a pair, or a mass is not a
+                number; a state lies outside 0..n-1, where it would alias
+                another entry; two rows share query, request and context; or
+                the constructor rejects the rows. The message names the first
+                bad entry. A negative mass loads, so that the checker can
+                judge it.
+            OverflowError: a state or a mass does not fit in 64 bits.
         """
+        if not _has_keys(obj, ("delta", "entries", "form", "n")):
+            raise ValueError("a scheme is an object with keys delta, entries, form, n")
         n = as_index(obj["n"], "n")
         delta = as_index(obj["delta"], "delta")
+        rows = obj["entries"]
+        if type(rows) is not list:
+            raise ValueError("entries must be a list")
+        try:
+            qs, xs, us, ps = ([row[k] for row in rows] for k in "qxup")
+        except (KeyError, TypeError):
+            i = next(i for i, row in enumerate(rows) if not _has_keys(row, "pqux"))
+            raise ValueError(f"entry {i}: not an object with keys p, q, u, x") from None
+        _require(qs, {list}, "q must be a list")
+        _require(qs, {int}, "query members must be integers", members=True)
+        _require(xs, {int}, "request must be an integer")
+        _require(us, {list}, "u must be a pair")
+        if set(map(len, us)) - {2}:
+            i = next(i for i, v in enumerate(us) if len(v) != 2)
+            raise ValueError(f"entry {i}: u must be a pair, got {us[i]!r}")
+        _require(us, {int}, "context states must be integers", members=True)
+        _require(ps, {int, float}, "mass must be a number")
+        members = list(map(tuple, qs))
         ids: dict = {}
-        q, xs, us, ps = [], [], [], []
-        for row in obj["entries"]:
-            members = tuple(sorted(as_index(i, "query member") for i in row["q"]))
-            q.append(ids.setdefault(members, len(ids)))
-            xs.append(as_index(row["x"], "request"))
-            if not 0 <= xs[-1] < n:
-                raise ValueError(f"state out of range for n={n} in entry {row}")
-            xtau, xnext = row["u"]
-            us.append(u_index(as_index(xtau, "xtau"), as_index(xnext, "xnext"), n))
-            ps.append(as_number(row["p"], "mass"))
-        s = cls(n, delta, obj["form"], list(ids), q, xs, us, ps)
-        if s.entry_count != len(ps):
+        canonical = {
+            m: ids.setdefault(tuple(sorted(m)), len(ids)) for m in dict.fromkeys(members)
+        }
+        pairs = np.fromiter(chain.from_iterable(us), np.int64, 2 * len(us))
+        pairs = pairs.reshape(len(us), 2)
+        outside = ((pairs < 0) | (pairs >= n)).any(axis=1)
+        if outside.any():
+            i = np.flatnonzero(outside)[0]
+            raise ValueError(f"entry {i}: context {us[i]} out of range for n={n}")
+        q = list(map(canonical.__getitem__, members))
+        u = pairs[:, 0] * n + pairs[:, 1]
+        s = cls(n, delta, obj["form"], list(ids), q, xs, u, np.array(ps, dtype=float))
+        if s.entry_count != len(rows):
             raise ValueError("repeated entry: rows share query, request and context")
         return s
+
+
+def _has_keys(row, keys) -> bool:
+    return type(row) is dict and row.keys() >= set(keys)
+
+
+def _require(column: list, types: set, what: str, members: bool = False):
+    """Raise a ValueError naming the first entry whose value, or with
+    members=True any of its members, has a type outside types."""
+    found = set(map(type, chain.from_iterable(column) if members else column))
+    if found <= types:
+        return
+    for i, v in enumerate(column):
+        if not set(map(type, v if members else [v])) <= types:
+            raise ValueError(f"entry {i}: {what}, got {v!r}")
 
 
 def build_scheme(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from onoffpriv.markov import TransitionMatrix
+from onoffpriv.markov import TransitionMatrix, as_index, as_number, u_index
 from onoffpriv.scheme import SchemeDistribution
 
 
@@ -31,6 +31,64 @@ def scheme_from_entries(n: int, delta: int, form: str, entries: dict):
         [ids[k[0]] for k in keys], [k[1] for k in keys], [k[2] for k in keys],
         list(entries.values()),
     )
+
+
+def json_slots(node):
+    """Every (container, key) pair of a parsed JSON document, depth first."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        items = []
+    for key, child in items:
+        yield node, key
+        yield from json_slots(child)
+
+
+def reference_json_obj(s: SchemeDistribution) -> dict:
+    """The row-dict serializer that SchemeDistribution.to_json_text
+    replaced, kept as a reference: the document a scheme file section must
+    parse to."""
+    order = np.lexsort((s.u, s.x, s.q))
+    xtau, xnext = np.divmod(s.u[order], s.n)
+    cols = (s.q[order], s.x[order], xtau, xnext, s.mass[order])
+    rows = [
+        {"q": list(s.queries[k]), "x": x, "u": [a, b], "p": p}
+        for k, x, a, b, p in zip(*(c.tolist() for c in cols))
+    ]
+    return {"n": s.n, "delta": s.delta, "form": s.form, "entries": rows}
+
+
+def reference_from_json_obj(obj) -> SchemeDistribution:
+    """The per-row loader that the columnar SchemeDistribution.from_json_obj
+    replaced, kept as a reference for what a scheme file may hold.
+
+    It read a string or an object given as `entries` or as `q` as an empty
+    list; the two checks marked below reject those, as the columnar loader
+    does. Any other file loads here exactly when it loads there.
+    """
+    n = as_index(obj["n"], "n")
+    delta = as_index(obj["delta"], "delta")
+    if type(obj["entries"]) is not list:  # added
+        raise ValueError("entries must be a list")
+    ids: dict = {}
+    q, xs, us, ps = [], [], [], []
+    for row in obj["entries"]:
+        if type(row["q"]) is not list:  # added
+            raise ValueError("q must be a list")
+        members = tuple(sorted(as_index(i, "query member") for i in row["q"]))
+        q.append(ids.setdefault(members, len(ids)))
+        xs.append(as_index(row["x"], "request"))
+        if not 0 <= xs[-1] < n:
+            raise ValueError(f"state out of range for n={n} in entry {row}")
+        xtau, xnext = row["u"]
+        us.append(u_index(as_index(xtau, "xtau"), as_index(xnext, "xnext"), n))
+        ps.append(as_number(row["p"], "mass"))
+    s = SchemeDistribution(n, delta, obj["form"], list(ids), q, xs, us, ps)
+    if s.entry_count != len(ps):
+        raise ValueError("repeated entry: rows share query, request and context")
+    return s
 
 
 @pytest.fixture(autouse=True)

@@ -19,6 +19,8 @@ from onoffpriv.cli import main
 from onoffpriv.markov import chain_to_dict, symmetric_chain
 from onoffpriv.scheme import SchemeDistribution
 
+from conftest import json_slots
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -34,19 +36,6 @@ def saved_scheme_text():
         argv = ["scheme", "--n", "3", "--alpha", "0.6", "--delta", "1"]
         assert main([*argv, "--out", str(path)]) == 0
         return path.read_text()
-
-
-def json_slots(node):
-    """Every (container, key) pair of a parsed JSON document, depth first."""
-    if isinstance(node, dict):
-        items = list(node.items())
-    elif isinstance(node, list):
-        items = list(enumerate(node))
-    else:
-        items = []
-    for key, child in items:
-        yield node, key
-        yield from json_slots(child)
 
 
 def parse_csv(text):
@@ -231,7 +220,7 @@ class TestSchemeAndVerifyCommands:
         )
         for form in ("multiset", "set"):
             s = SchemeDistribution.from_json_obj(obj[form])
-            assert s.to_json_obj() == obj[form]
+            assert json.loads(s.to_json_text()) == obj[form]
 
     def test_verify_fresh_build_passes(self, capsys):
         code, out, _ = run_cli(

@@ -23,7 +23,13 @@ from onoffpriv.scheme import (
 )
 from onoffpriv.verify import check_scheme
 
-from conftest import entries_of, scheme_from_entries
+from conftest import (
+    entries_of,
+    json_slots,
+    reference_from_json_obj,
+    reference_json_obj,
+    scheme_from_entries,
+)
 
 
 def built(n, alpha, delta):
@@ -35,6 +41,22 @@ def built(n, alpha, delta):
 def sizes(s):
     """The download size of every row's query."""
     return np.array([len(members) for members in s.queries])[s.q]
+
+
+def parsed(s):
+    """The document a scheme file section of s parses to."""
+    return json.loads(s.to_json_text())
+
+
+def bits(column):
+    """A column's bytes, so that 0.0 and -0.0 differ."""
+    return np.ascontiguousarray(column).tobytes()
+
+
+def assert_same_distribution(a, b):
+    assert (a.n, a.delta, a.form, a.queries) == (b.n, b.delta, b.form, b.queries)
+    for col in ("q", "x", "u", "mass"):
+        assert bits(getattr(a, col)) == bits(getattr(b, col))
 
 
 def total_weighted_size(s):
@@ -130,24 +152,37 @@ class TestDistributionObject:
         assert np.abs(tot_st - tot_ms).max() <= 1e-12
         assert total_weighted_size(st) <= total_weighted_size(ms) + 1e-12
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
-        n=hst.integers(min_value=2, max_value=5),
+        n=hst.integers(min_value=2, max_value=8),
         delta=hst.integers(min_value=0, max_value=3),
+        chain=hst.sampled_from(
+            ["dirichlet-0.2", "dirichlet-1", "dirichlet-5", "symmetric"]
+        ),
         seed=hst.integers(min_value=0, max_value=2**32 - 1),
     )
-    def test_json_round_trip_is_exact(self, n, delta, seed):
-        rows = np.random.default_rng(seed).dirichlet(np.full(n, 2.0), size=n)
-        cond = conditional_table(TransitionMatrix(0.9 * rows + 0.1 / n), delta)
+    def test_json_round_trip_is_exact(self, n, delta, chain, seed):
+        # the text parses to the row-dict serializer's document, and loads
+        # back bit for bit
+        rng = np.random.default_rng(seed)
+        if chain == "symmetric":
+            P = symmetric_chain(n, rng.uniform(0.05, 0.95))
+        else:
+            conc = float(chain.split("-")[1])
+            P = TransitionMatrix(rng.dirichlet(np.full(n, conc), size=n))
+        try:
+            cond = conditional_table(P, delta)
+        except ZeroContextProbability:
+            assume(False)
         ms = build_scheme(theta_profile(cond), cond)
         for s in (ms, collapse_to_sets(ms)):
-            obj = json.loads(json.dumps(s.to_json_obj()))
-            back = SchemeDistribution.from_json_obj(obj)
-            assert back.n == s.n and back.delta == s.delta
-            assert back.form == s.form
-            assert back.queries == s.queries
-            for col in ("q", "x", "u", "mass"):
-                assert np.array_equal(getattr(back, col), getattr(s, col))
+            text = s.to_json_text()
+            # a header line, one line per entry, and a closing line
+            assert len(text.splitlines()) == s.entry_count + 2
+            assert json.loads(text) == reference_json_obj(s)
+            assert_same_distribution(
+                SchemeDistribution.from_json_obj(json.loads(text)), s
+            )
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -185,7 +220,7 @@ class TestDistributionObject:
             assert s.queries == sorted(set(s.queries))
             for q in s.queries:
                 assert list(q) == sorted(q) and all(0 <= i < n for i in q)
-            rows = s.to_json_obj()["entries"]
+            rows = parsed(s)["entries"]
             keys = [q for q, _, _ in sorted(entries_of(s))]
             assert [row["q"] for row in rows] == [list(q) for q in keys]
 
@@ -202,7 +237,7 @@ class TestDistributionObject:
     )
     def test_out_of_range_states_are_rejected(self, n, form, field, bad, pick):
         _, _, ms = built(n, 0.6, 1)
-        obj = (ms if form == "multiset" else collapse_to_sets(ms)).to_json_obj()
+        obj = parsed(ms if form == "multiset" else collapse_to_sets(ms))
         row = obj["entries"][pick % len(obj["entries"])]
         if bad >= 0:
             bad += n
@@ -228,7 +263,7 @@ class TestDistributionObject:
     )
     def test_repeated_rows_are_rejected(self, n, delta, form, pick, shuffle_seed):
         _, _, ms = built(n, 0.6, delta)
-        obj = (ms if form == "multiset" else collapse_to_sets(ms)).to_json_obj()
+        obj = parsed(ms if form == "multiset" else collapse_to_sets(ms))
         row = obj["entries"][pick % len(obj["entries"])]
         # the same query, request and context, members listed in another order
         twin = json.loads(json.dumps(row))
@@ -244,7 +279,7 @@ class TestDistributionObject:
     )
     def test_repeated_set_members_are_rejected(self, n, pick):
         _, _, ms = built(n, 0.6, 1)
-        obj = collapse_to_sets(ms).to_json_obj()
+        obj = parsed(collapse_to_sets(ms))
         row = obj["entries"][pick % len(obj["entries"])]
         row["q"].append(row["q"][pick % len(row["q"])])
         with pytest.raises(ValueError, match="repeated query member"):
@@ -284,11 +319,142 @@ class TestDistributionObject:
         )
         assert entries_of(twice) == {((0,), 0, 1): 0.75}
 
+    def test_repeated_rows_add_up_in_the_order_given(self):
+        # with masses of 1e16 the sum depends on the order, so a sort that
+        # reorders the rows of one (q, x, u) changes the merged bits
+        rng = np.random.default_rng(1)
+        u = rng.integers(0, 4, 200)
+        mass = rng.choice([1e16, 1.0, -1e16, 3.0, -3.0], 200)
+        zeros = np.zeros(200)
+        s = SchemeDistribution(2, 1, "set", [(0,)], zeros, zeros, u, mass)
+        want = {}
+        for k, p in zip(u.tolist(), mass.tolist()):
+            want[k] = want.get(k, 0.0) + p
+        assert s.u.tolist() == sorted(want)
+        assert bits(s.mass) == bits(np.array([want[k] for k in sorted(want)]))
+
+    def test_rows_out_of_range_are_refused(self):
+        # the row key would alias them with rows in range
+        for column in range(3):
+            cols = [[0], [0], [0]]
+            cols[column] = [-1] if column else [1]
+            with pytest.raises(ValueError, match="row 0: .* out of range"):
+                SchemeDistribution(2, 1, "set", [(0,)], *cols, [0.5])
+        with pytest.raises(ValueError, match="row 1: context 4 out of range"):
+            SchemeDistribution(2, 1, "set", [(0,)], [0, 0], [0, 0], [3, 4], [1, 1])
+
+    def test_row_key_overflow_is_refused(self):
+        # (x n^2 + u) Q + q must fit in an int64
+        edge = 2**21 - 1  # edge**3 < 2**63 <= (edge + 1)**3
+        s = SchemeDistribution(edge, 1, "set", [(0,)], [0], [edge - 1], [3], [1.0])
+        assert s.entry_count == 1
+        with pytest.raises(ValueError, match="overflows the row key"):
+            SchemeDistribution(edge + 1, 1, "set", [(0,)], [0], [0], [0], [1.0])
+        with pytest.raises(ValueError, match="overflows the row key"):
+            SchemeDistribution(
+                edge, 1, "set", [(0,), (1,)], [0, 1], [0, 0], [0, 0], [1, 1]
+            )
+
     def test_unknown_context_raises(self):
         _, _, s = built(3, 0.6, 0)
         bad_x = 1  # impossible request when the context says x equals 0
         with pytest.raises(ZeroLikelihoodContext):
             s.mass_by_context(bad_x, u_index(0, 0, 3))
+
+
+JSON_VALUES = hst.recursive(
+    hst.none() | hst.booleans() | hst.integers() | hst.floats()
+    | hst.text(max_size=4),
+    lambda inner: hst.lists(inner, max_size=3)
+    | hst.dictionaries(hst.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+class TestSchemeFile:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        masses=hst.lists(
+            hst.sampled_from([5e-324, 1e-300, -0.0, -5e-324, 1e300, 1 / 3])
+            | hst.floats(allow_nan=False, allow_infinity=False),
+            min_size=1, max_size=18,
+        ),
+        form=hst.sampled_from(["multiset", "set"]),
+    )
+    def test_extreme_masses_round_trip_bit_for_bit(self, masses, form):
+        queries = [(0,), (1,), (0, 1)] + ([(0, 0, 1)] if form == "multiset" else [])
+        keys = [(k, x, u) for k in queries for x in (0, 1) for u in range(4)]
+        s = scheme_from_entries(2, 1, form, dict(zip(keys, masses)))
+        text = s.to_json_text()
+        assert json.loads(text) == reference_json_obj(s)
+        assert_same_distribution(SchemeDistribution.from_json_obj(json.loads(text)), s)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        form=hst.sampled_from(["multiset", "set"]),
+        mutation=hst.sampled_from(["delete", "replace", "wrap", "twin", "swap"]),
+        pick=hst.integers(min_value=0),
+        value=JSON_VALUES | hst.integers(min_value=-1, max_value=3),
+    )
+    def test_loader_agrees_with_the_per_row_reference(
+        self, form, mutation, pick, value
+    ):
+        # a mutated section of the saved n = 3 file loads exactly when the
+        # per-row loader loads it, and gives the same columns
+        _, _, ms = built(3, 0.6, 1)
+        obj = parsed(ms if form == "multiset" else collapse_to_sets(ms))
+        entries = obj["entries"]
+        if mutation == "wrap":
+            entries[pick % len(entries)] = [entries[pick % len(entries)]]
+        elif mutation == "twin":
+            entries.append(json.loads(json.dumps(entries[pick % len(entries)])))
+        elif mutation == "swap":
+            i, j = pick % len(entries), (pick // len(entries)) % len(entries)
+            entries[i], entries[j] = entries[j], entries[i]
+        else:
+            slots = [
+                (node, key) for node, key in json_slots(obj)
+                if mutation == "replace" or isinstance(node, dict)
+            ]
+            node, key = slots[pick % len(slots)]
+            if mutation == "delete":
+                del node[key]
+            else:
+                node[key] = value
+        try:
+            want = reference_from_json_obj(obj)
+        except (ValueError, KeyError, TypeError, OverflowError):
+            want = None
+        try:
+            got = SchemeDistribution.from_json_obj(obj)
+        except (ValueError, OverflowError):
+            got = None
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert_same_distribution(got, want)
+
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (lambda obj: obj["entries"].__setitem__(3, [1, 2]), "entry 3: not an"),
+            (lambda obj: obj["entries"][3].pop("u"), "entry 3: not an"),
+            (lambda obj: obj["entries"][3].__setitem__("q", 5), "entry 3: q must"),
+            (lambda obj: obj["entries"][3].__setitem__("u", [1]), "entry 3: u must"),
+            (lambda obj: obj["entries"][3]["u"].__setitem__(1, 3), "entry 3: context"),
+            (lambda obj: obj["entries"][3].__setitem__("x", 3), "row 3: request"),
+            (lambda obj: obj["entries"][3].__setitem__("p", "0.1"), "entry 3: mass"),
+            (lambda obj: obj.pop("form"), "an object with keys"),
+            (lambda obj: obj.__setitem__("entries", {}), "entries must be a list"),
+        ],
+    )
+    def test_malformed_documents_raise_value_errors(self, spoil, message):
+        _, _, ms = built(3, 0.6, 1)
+        obj = parsed(ms)
+        spoil(obj)
+        with pytest.raises(ValueError, match=message):
+            SchemeDistribution.from_json_obj(obj)
+        with pytest.raises(ValueError, match="an object with keys"):
+            SchemeDistribution.from_json_obj([parsed(ms)])
 
 
 class TestSampler:
