@@ -19,6 +19,7 @@ significant digits next to full-precision raw_* twins.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -61,7 +62,7 @@ log = logging.getLogger("onoffpriv")
 
 SYMMETRY_DETECT_TOL = 1e-12
 DEPENDENCE_GAP_THRESHOLD = 0.05
-# trace CSV rows formatted per string operation; bounds the memory it takes
+# trace CSV rows formatted and written at once; bounds the memory it takes
 CSV_BLOCK_ROWS = 8192
 
 
@@ -125,12 +126,19 @@ def _raw(x: float) -> str:
     return repr(float(x))
 
 
+@contextlib.contextmanager
+def _output(out: str | None):
+    """The text file a command writes to: the --out path, or stdout."""
+    if not out:
+        yield sys.stdout
+        return
+    with open(out, "w", encoding="utf-8", newline="") as fh:
+        yield fh
+
+
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(out) as fh:
+        fh.write(text)
 
 
 def _csv_text(header: list, rows: list) -> str:
@@ -241,18 +249,16 @@ def cmd_scheme(args) -> int:
         "expected_size_set": expected_cost(setform, cond, prior),
         "achievable_cost": rate_inner(profile),
     }
-    # the sections write their own text, one entry per line; keys sorted,
-    # as _json_text writes them
-    sections = {
-        "delta": json.dumps(cond.delta),
-        "multiset": multiset.to_json_text(),
-        "n": json.dumps(cond.n),
-        "set": setform.to_json_text(),
-        "summary": json.dumps(summary, sort_keys=True),
-        "theta": json.dumps(profile.theta.tolist()),
-    }
-    body = ",\n".join(f'  "{key}": {text}' for key, text in sorted(sections.items()))
-    _emit("{\n" + body + "\n}\n", args.out)
+    # keys in sorted order, as _json_text writes them; the two forms write
+    # their own text, one entry per line
+    with _output(args.out) as fh:
+        fh.write('{\n  "delta": %d,\n  "multiset": ' % cond.delta)
+        multiset.write_json(fh)
+        fh.write(',\n  "n": %d,\n  "set": ' % cond.n)
+        setform.write_json(fh)
+        fh.write(',\n  "summary": %s,\n  "theta": %s\n}\n' % (
+            json.dumps(summary, sort_keys=True), json.dumps(profile.theta.tolist())
+        ))
     return 0
 
 
@@ -308,18 +314,45 @@ def cmd_lp(args) -> int:
     return 0
 
 
-def _trace_csv(trace) -> str:
-    header = ["t", "x", "f", "tau", "delta", "q_size", "bytes", "decode_ok"]
+def csv_digits(columns) -> bytes:
+    """CSV rows, one per index, of non-empty equal-length columns of
+    non-negative integers, each row ended by a newline.
+
+    Each column takes as many cells of a uint8 matrix as its largest value
+    has digits. Digit k of a value is value // 10**k % 10; a cell above the
+    value's leading digit (value < 10**k, k >= 1) holds NUL, which the final
+    mask drops.
+    """
+    columns = [np.asarray(c, dtype=np.int64) for c in columns]
+    widths = [len(str(int(c.max()))) for c in columns]
+    mat = np.zeros((columns[0].size, sum(widths) + len(widths)), dtype=np.uint8)
+    end = 0
+    for lead, width in zip(columns, widths):
+        end += width
+        mat[:, end] = ord(",")
+        # lead runs through value // 10**k; one scalar division per digit
+        for k in range(1, width + 1):
+            rest = lead // 10
+            digit = lead - 10 * rest + ord("0")
+            if k > 1:
+                digit[lead == 0] = 0
+            mat[:, end - k] = digit
+            lead = rest
+        end += 1
+    mat[:, -1] = ord("\n")
+    return mat[mat != 0].tobytes()
+
+
+def write_trace_csv(trace, fh) -> None:
+    """Write the per-step trace as CSV to the binary file fh, formatting
+    CSV_BLOCK_ROWS rows at a time, so the whole text is never held."""
+    fh.write(b"t,x,f,tau,delta,q_size,bytes,decode_ok\n")
     columns = (
         np.arange(trace.horizon), trace.x, trace.flag, trace.tau, trace.delta,
         trace.q_size, trace.bytes_down, trace.decode_ok,
     )
-    row_fmt = ",".join(["%d"] * len(header)) + "\n"
-    parts = [_csv_text(header, [])]
     for lo in range(0, trace.horizon, CSV_BLOCK_ROWS):
-        block = np.column_stack([c[lo : lo + CSV_BLOCK_ROWS] for c in columns])
-        parts.append(row_fmt * len(block) % tuple(block.ravel().tolist()))
-    return "".join(parts)
+        fh.write(csv_digits([c[lo : lo + CSV_BLOCK_ROWS] for c in columns]))
 
 
 def cmd_simulate(args) -> int:
@@ -373,7 +406,8 @@ def cmd_simulate(args) -> int:
         "pass": passed,
     }
     if args.out and args.out.endswith(".csv"):
-        _emit(_trace_csv(trace), args.out)
+        with open(args.out, "wb") as fh:
+            write_trace_csv(trace, fh)
         sys.stdout.write(_json_text(stats_obj))
     else:
         _emit(_json_text(stats_obj), args.out)

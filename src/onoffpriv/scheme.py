@@ -41,6 +41,8 @@ EXTRACTION_TOL = 1e-12
 NEGLIGIBLE_INCREMENT = 1e-13
 MASS_DROP_LIMIT = 1e-15
 MASS_DROP_BUDGET = 1e-10
+# scheme file rows formatted and written at once; bounds the memory it takes
+JSON_BLOCK_ROWS = 8192
 
 
 class ExtractionInfeasible(ArithmeticError):
@@ -164,9 +166,10 @@ class SchemeDistribution:
             raise ZeroLikelihoodContext(f"no mass for request {x} in context {u}")
         return self.q[a:b], cum
 
-    def to_json_text(self) -> str:
-        """Serialize as a JSON object with one entry per line, rows sorted by
-        (query, x, u); from_json_obj reads it back.
+    def write_json(self, fh) -> None:
+        """Write the distribution to the text file fh as a JSON object with
+        one entry per line, rows sorted by (query, x, u), formatting
+        JSON_BLOCK_ROWS rows at a time; from_json_obj reads it back.
 
         %r of a float is the text json writes for it, and the constructor
         admits no NaN or inf, so each row is one format over the columns.
@@ -174,23 +177,26 @@ class SchemeDistribution:
         # the rows are sorted by (x, u, q), so a stable sort on q alone gives
         # (q, x, u)
         order = np.argsort(self.q, kind="stable")
-        xtau, xnext = np.divmod(self.u[order], self.n)
         members = [json.dumps(list(m)) for m in self.queries]
-        cols = (
-            self.mass[order].tolist(),
-            map(members.__getitem__, self.q[order].tolist()),
-            xtau.tolist(), xnext.tolist(), self.x[order].tolist(),
-        )
         row = '{"p": %r, "q": %s, "u": [%d, %d], "x": %d}'
-        entries = ",\n".join([row % c for c in zip(*cols)])
-        return '{"delta": %d, "entries": [\n%s\n], "form": %s, "n": %d}' % (
-            self.delta, entries, json.dumps(self.form), self.n
-        )
+        fh.write('{"delta": %d, "entries": [\n' % self.delta)
+        for lo in range(0, order.size, JSON_BLOCK_ROWS):
+            rows = order[lo : lo + JSON_BLOCK_ROWS]
+            xtau, xnext = np.divmod(self.u[rows], self.n)
+            cols = (
+                self.mass[rows].tolist(),
+                map(members.__getitem__, self.q[rows].tolist()),
+                xtau.tolist(), xnext.tolist(), self.x[rows].tolist(),
+            )
+            if lo:
+                fh.write(",\n")
+            fh.write(",\n".join([row % c for c in zip(*cols)]))
+        fh.write('\n], "form": %s, "n": %d}' % (json.dumps(self.form), self.n))
 
     @classmethod
     def from_json_obj(cls, obj) -> "SchemeDistribution":
         """Load a parsed scheme file, one column at a time; inverse of
-        to_json_text.
+        write_json.
 
         Raises:
             ValueError: the document is not an object with keys delta,

@@ -97,7 +97,10 @@ class PrivacySchedule:
         if head == "periodic":
             return cls.periodic(int(arg))
         if head == "explicit":
-            return cls.explicit(int(tok) != 0 for tok in arg.split(","))
+            tokens = [tok.strip() for tok in arg.split(",")]
+            if set(tokens) - {"0", "1"}:
+                raise ValueError(f"explicit flags must each be 0 or 1, got {arg!r}")
+            return cls.explicit(tok == "1" for tok in tokens)
         raise ValueError(f"unknown schedule {text!r}")
 
     def spec_string(self) -> str:
@@ -146,6 +149,13 @@ class SimConfig:
             raise ValueError("horizon must be at least 1")
         if self.msg_len < 1:
             raise ValueError("messages need at least 1 byte")
+        # a step downloads at most n messages, so every per-step byte count
+        # and their sum over the run fit in an int64 below this bound
+        if self.chain.n * self.msg_len * self.horizon >= 2**63:
+            raise ValueError(
+                f"n={self.chain.n} messages of {self.msg_len} bytes over "
+                f"{self.horizon} steps overflow the int64 byte counts"
+            )
         if self.initial is not None:
             init = np.asarray(self.initial, dtype=float)
             if init.shape != (self.chain.n,):

@@ -1,6 +1,9 @@
+import io
+
 import numpy as np
 import pytest
 
+from onoffpriv.cli import CSV_BLOCK_ROWS
 from onoffpriv.markov import TransitionMatrix, as_index, as_number, u_index
 from onoffpriv.scheme import SchemeDistribution
 
@@ -46,8 +49,31 @@ def json_slots(node):
         yield from json_slots(child)
 
 
+def section_text(s: SchemeDistribution) -> str:
+    """The text SchemeDistribution.write_json writes for s."""
+    buf = io.StringIO()
+    s.write_json(buf)
+    return buf.getvalue()
+
+
+def reference_trace_csv(trace) -> str:
+    """The one-string trace CSV formatter that cli.write_trace_csv
+    replaced, kept as a reference: the text a trace file must hold."""
+    header = ["t", "x", "f", "tau", "delta", "q_size", "bytes", "decode_ok"]
+    columns = (
+        np.arange(trace.horizon), trace.x, trace.flag, trace.tau, trace.delta,
+        trace.q_size, trace.bytes_down, trace.decode_ok,
+    )
+    row_fmt = ",".join(["%d"] * len(header)) + "\n"
+    parts = [",".join(header) + "\n"]
+    for lo in range(0, trace.horizon, CSV_BLOCK_ROWS):
+        block = np.column_stack([c[lo : lo + CSV_BLOCK_ROWS] for c in columns])
+        parts.append(row_fmt * len(block) % tuple(block.ravel().tolist()))
+    return "".join(parts)
+
+
 def reference_json_obj(s: SchemeDistribution) -> dict:
-    """The row-dict serializer that SchemeDistribution.to_json_text
+    """The row-dict serializer that SchemeDistribution.write_json
     replaced, kept as a reference: the document a scheme file section must
     parse to."""
     order = np.lexsort((s.u, s.x, s.q))

@@ -15,11 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from onoffpriv.cli import main
+from onoffpriv.cli import CSV_BLOCK_ROWS, csv_digits, main, write_trace_csv
 from onoffpriv.markov import chain_to_dict, symmetric_chain
 from onoffpriv.scheme import SchemeDistribution
+from onoffpriv.sim import PrivacySchedule, SimConfig, run_simulation
 
-from conftest import json_slots
+from conftest import json_slots, reference_trace_csv, section_text
 
 
 def run_cli(capsys, *argv):
@@ -220,7 +221,7 @@ class TestSchemeAndVerifyCommands:
         )
         for form in ("multiset", "set"):
             s = SchemeDistribution.from_json_obj(obj[form])
-            assert json.loads(s.to_json_text()) == obj[form]
+            assert json.loads(section_text(s)) == obj[form]
 
     def test_verify_fresh_build_passes(self, capsys):
         code, out, _ = run_cli(
@@ -539,6 +540,84 @@ class TestSimulateCommand:
     def test_requires_horizon(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--n", "3", "--alpha", "0.6")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            # 3 messages of this length over 5 steps wrap an int64
+            ["--msg-len", "4000000000000000000"],
+            ["--schedule", "explicit:1,0,2,1,1"],
+            ["--schedule", "explicit:1,0,-1,1,1"],
+        ],
+    )
+    def test_unrepresentable_runs_are_config_errors(self, capsys, tmp_path, flags):
+        code, out, err = run_cli(
+            capsys, "simulate", "--n", "3", "--alpha", "0.6", "--horizon", "5",
+            "--out", str(tmp_path / "trace.csv"), *flags,
+        )
+        assert (code, out) == (2, "")
+        assert "error" in err
+        assert not (tmp_path / "trace.csv").exists()
+
+    def test_trace_file_is_the_reference_text(self, capsys, tmp_path):
+        path = tmp_path / "trace.csv"
+        code, _, _ = run_cli(
+            capsys, "simulate", "--n", "3", "--alpha", "0.6",
+            "--schedule", "bernoulli:0.3", "--horizon", "20000", "--seed", "7",
+            "--msg-len", "333333334", "--out", str(path),
+        )
+        assert code == 0
+        trace = run_simulation(SimConfig(
+            chain=symmetric_chain(3, 0.6),
+            schedule=PrivacySchedule.bernoulli(0.3),
+            horizon=20000, msg_len=333333334, seed=7,
+        ))
+        assert path.read_bytes() == reference_trace_csv(trace).encode()
+
+
+class TestTraceCsv:
+    def test_digits_of_hand_picked_columns(self):
+        values = [0, 9, 10, 99, 100, 2**63 - 1]
+        zeros = [0] * len(values)
+        text = csv_digits([np.array(values), np.array(zeros), np.array(values)])
+        assert text == "".join(f"{v},0,{v}\n" for v in values).encode()
+        assert csv_digits([np.zeros(3, dtype=bool)]) == b"0\n0\n0\n"
+        assert csv_digits([np.array([7])]) == b"7\n"
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        schedule=hst.sampled_from(
+            ["periodic:3", "bernoulli:0.3", "explicit", "always-on", "off-after-0"]
+        ),
+        horizon=hst.sampled_from(
+            [1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
+             3 * CSV_BLOCK_ROWS + 5]
+        ),
+        # byte counts q_size * msg_len just below, at and above 10**k; k = 19
+        # is capped at the largest length whose run fits in an int64
+        k=hst.integers(min_value=0, max_value=19),
+        size=hst.integers(min_value=1, max_value=3),
+        offset=hst.integers(min_value=-1, max_value=1),
+        seed=hst.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_file_is_the_reference_text(
+        self, schedule, horizon, k, size, offset, seed
+    ):
+        n = 3
+        msg_len = min(max(1, 10**k // size + offset), (2**63 - 1) // (n * horizon))
+        if schedule == "explicit":
+            flags = np.random.default_rng(seed).random(horizon) < 0.4
+            flags[0] = True
+            schedule += ":" + ",".join(map(str, flags.astype(int).tolist()))
+        trace = run_simulation(SimConfig(
+            chain=symmetric_chain(n, 0.6),
+            schedule=PrivacySchedule.parse(schedule),
+            horizon=horizon, msg_len=msg_len, seed=seed,
+        ))
+        assert trace.total_bytes() == msg_len * sum(trace.q_size.tolist())
+        buf = io.BytesIO()
+        write_trace_csv(trace, buf)
+        assert buf.getvalue() == reference_trace_csv(trace).encode()
 
 
 IMPORT_PROBE = '''

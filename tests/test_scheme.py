@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from onoffpriv.markov import (
     symmetric_chain,
     u_index,
 )
+import onoffpriv.scheme as scheme_module
 from onoffpriv.scheme import (
     SchemeDistribution,
     ZeroLikelihoodContext,
@@ -29,6 +31,7 @@ from conftest import (
     reference_from_json_obj,
     reference_json_obj,
     scheme_from_entries,
+    section_text,
 )
 
 
@@ -45,7 +48,7 @@ def sizes(s):
 
 def parsed(s):
     """The document a scheme file section of s parses to."""
-    return json.loads(s.to_json_text())
+    return json.loads(section_text(s))
 
 
 def bits(column):
@@ -160,10 +163,11 @@ class TestDistributionObject:
             ["dirichlet-0.2", "dirichlet-1", "dirichlet-5", "symmetric"]
         ),
         seed=hst.integers(min_value=0, max_value=2**32 - 1),
+        block=hst.integers(min_value=1, max_value=5),
     )
-    def test_json_round_trip_is_exact(self, n, delta, chain, seed):
-        # the text parses to the row-dict serializer's document, and loads
-        # back bit for bit
+    def test_json_round_trip_is_exact(self, n, delta, chain, seed, block):
+        # the text parses to the row-dict serializer's document, loads back
+        # bit for bit, and does not depend on how many rows go per write
         rng = np.random.default_rng(seed)
         if chain == "symmetric":
             P = symmetric_chain(n, rng.uniform(0.05, 0.95))
@@ -176,13 +180,15 @@ class TestDistributionObject:
             assume(False)
         ms = build_scheme(theta_profile(cond), cond)
         for s in (ms, collapse_to_sets(ms)):
-            text = s.to_json_text()
+            text = section_text(s)
             # a header line, one line per entry, and a closing line
             assert len(text.splitlines()) == s.entry_count + 2
             assert json.loads(text) == reference_json_obj(s)
             assert_same_distribution(
                 SchemeDistribution.from_json_obj(json.loads(text)), s
             )
+            with mock.patch.object(scheme_module, "JSON_BLOCK_ROWS", block):
+                assert section_text(s) == text
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -385,7 +391,7 @@ class TestSchemeFile:
         queries = [(0,), (1,), (0, 1)] + ([(0, 0, 1)] if form == "multiset" else [])
         keys = [(k, x, u) for k in queries for x in (0, 1) for u in range(4)]
         s = scheme_from_entries(2, 1, form, dict(zip(keys, masses)))
-        text = s.to_json_text()
+        text = section_text(s)
         assert json.loads(text) == reference_json_obj(s)
         assert_same_distribution(SchemeDistribution.from_json_obj(json.loads(text)), s)
 

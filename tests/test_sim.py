@@ -86,6 +86,28 @@ class TestPrivacySchedule:
         with pytest.raises(ValueError):
             PrivacySchedule.parse("sometimes")
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        tokens=hst.lists(
+            hst.one_of(
+                hst.sampled_from(["0", "1", " 1", "0 "]),
+                hst.integers(-3, 12).map(str),
+                hst.sampled_from(["", "+1", "01", "1.0", "true", "x", "1_0"]),
+            ),
+            min_size=1, max_size=6,
+        )
+    )
+    def test_explicit_flags_are_zero_or_one(self, tokens):
+        spec = "explicit:" + ",".join(tokens)
+        flags = [tok.strip() for tok in tokens]
+        if set(flags) <= {"0", "1"} and flags[0] == "1":
+            sch = PrivacySchedule.parse(spec)
+            assert sch.flags == tuple(f == "1" for f in flags)
+            assert PrivacySchedule.parse(sch.spec_string()) == sch
+        else:
+            with pytest.raises(ValueError):
+                PrivacySchedule.parse(spec)
+
     def test_spec_string_round_trip(self):
         for text in ("always-on", "off-after-0", "bernoulli:0.25", "periodic:3"):
             sch = PrivacySchedule.parse(text)
@@ -203,6 +225,32 @@ class TestRunSimulation:
                 horizon=5,
                 initial=np.array([0.5, 0.5]),
             )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=hst.integers(min_value=2, max_value=60),
+    msg_len=hst.one_of(
+        hst.integers(min_value=1, max_value=2**64),
+        hst.integers(min_value=0, max_value=64).map(lambda k: 2**k),
+    ),
+    horizon=hst.integers(min_value=1, max_value=10**7),
+    below=hst.booleans(),
+)
+def test_byte_counts_must_fit_in_int64(n, msg_len, horizon, below):
+    # the largest message length whose run still fits, or the given one
+    if below:
+        msg_len = min(msg_len, (2**63 - 1) // (n * horizon))
+        assume(msg_len >= 1)
+    kw = dict(
+        chain=symmetric_chain(n, 0.5), schedule=PrivacySchedule.always_on(),
+        horizon=horizon, msg_len=msg_len,
+    )
+    if n * msg_len * horizon < 2**63:
+        assert SimConfig(**kw).msg_len == msg_len
+    else:
+        with pytest.raises(ValueError, match="int64"):
+            SimConfig(**kw)
 
 
 class TestSeedContract:
