@@ -13,120 +13,55 @@ independently, solves the exact LP for the optimal rate at small n, and
 simulates the full client/server protocol.
 """
 
-from onoffpriv.markov import (
-    ConditionalTable,
-    SymmetricSigmas,
-    TransitionMatrix,
-    ZeroContextProbability,
-    chain_from_dict,
-    chain_to_dict,
-    conditional_table,
-    matrix_power,
-    symmetric_chain,
-    symmetric_sigmas,
-    u_index,
-    u_pair,
-)
-from onoffpriv.bounds import (
-    NegativeTheta,
-    OutOfRegime,
-    RateBounds,
-    ThetaProfile,
-    WrongArity,
-    closed_form_small_alpha,
-    closed_form_symmetric,
-    closed_form_two_states,
-    rate_bounds,
-    rate_inner,
-    rate_outer,
-    theta_profile,
-)
-from onoffpriv.scheme import (
-    ExtractionInfeasible,
-    SchemeDistribution,
-    ZeroLikelihoodContext,
-    build_scheme,
-    collapse_to_sets,
-    sample_query_indices,
-)
-from onoffpriv.verify import (
-    DimensionMismatch,
-    VerificationReport,
-    check_scheme,
-    expected_cost,
-)
-from onoffpriv.lp import (
-    Infeasible,
-    IterationLimit,
-    LpProblem,
-    LpSolution,
-    TooLarge,
-    formulate_lp,
-    optimal_rate,
-    solve_simplex,
-)
-from onoffpriv.sim import (
-    EmpiricalStats,
-    InsufficientSamples,
-    PrivacySchedule,
-    SimConfig,
-    SimTrace,
-    average_download_rate,
-    empirical_privacy_test,
-    run_simulation,
-)
+import importlib
+
+# every exported name, by the module that defines it; a name's module is
+# imported when the name is first read (PEP 562), so that a command loads
+# only the modules it runs
+_EXPORTS = {
+    "markov": (
+        "ConditionalTable", "SymmetricSigmas", "TransitionMatrix",
+        "ZeroContextProbability", "chain_from_dict", "chain_to_dict",
+        "conditional_table", "matrix_power", "symmetric_chain",
+        "symmetric_sigmas", "u_index", "u_pair",
+    ),
+    "bounds": (
+        "NegativeTheta", "OutOfRegime", "RateBounds", "ThetaProfile",
+        "WrongArity", "closed_form_small_alpha", "closed_form_symmetric",
+        "closed_form_two_states", "rate_bounds", "rate_inner", "rate_outer",
+        "theta_profile",
+    ),
+    "scheme": (
+        "ExtractionInfeasible", "SchemeDistribution", "ZeroLikelihoodContext",
+        "build_scheme", "collapse_to_sets", "sample_query_indices",
+    ),
+    "verify": (
+        "DimensionMismatch", "VerificationReport", "check_scheme", "expected_cost",
+    ),
+    "lp": (
+        "Infeasible", "IterationLimit", "LpProblem", "LpSolution", "TooLarge",
+        "formulate_lp", "optimal_rate", "solve_simplex",
+    ),
+    "sim": (
+        "EmpiricalStats", "InsufficientSamples", "PrivacySchedule", "SimConfig",
+        "SimTrace", "average_download_rate", "empirical_privacy_test",
+        "run_simulation",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConditionalTable",
-    "DimensionMismatch",
-    "EmpiricalStats",
-    "ExtractionInfeasible",
-    "Infeasible",
-    "InsufficientSamples",
-    "IterationLimit",
-    "LpProblem",
-    "LpSolution",
-    "NegativeTheta",
-    "OutOfRegime",
-    "PrivacySchedule",
-    "RateBounds",
-    "SchemeDistribution",
-    "SimConfig",
-    "SimTrace",
-    "SymmetricSigmas",
-    "ThetaProfile",
-    "TooLarge",
-    "TransitionMatrix",
-    "VerificationReport",
-    "WrongArity",
-    "ZeroContextProbability",
-    "ZeroLikelihoodContext",
-    "average_download_rate",
-    "build_scheme",
-    "chain_from_dict",
-    "chain_to_dict",
-    "check_scheme",
-    "closed_form_small_alpha",
-    "closed_form_symmetric",
-    "closed_form_two_states",
-    "collapse_to_sets",
-    "conditional_table",
-    "empirical_privacy_test",
-    "expected_cost",
-    "formulate_lp",
-    "matrix_power",
-    "optimal_rate",
-    "rate_bounds",
-    "rate_inner",
-    "rate_outer",
-    "run_simulation",
-    "sample_query_indices",
-    "solve_simplex",
-    "symmetric_chain",
-    "symmetric_sigmas",
-    "theta_profile",
-    "u_index",
-    "u_pair",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"onoffpriv.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -37,7 +37,6 @@ from onoffpriv.bounds import (
     rate_outer,
     theta_profile,
 )
-from onoffpriv.lp import formulate_lp, solve_simplex
 from onoffpriv.markov import (
     TransitionMatrix,
     ZeroContextProbability,
@@ -46,24 +45,15 @@ from onoffpriv.markov import (
     matrix_power,
     symmetric_chain,
 )
-from onoffpriv.scheme import SchemeDistribution, build_scheme, collapse_to_sets
-from onoffpriv.sim import (
-    MIN_BUCKET_SAMPLES,
-    PrivacySchedule,
-    SimConfig,
-    average_download_rate,
-    empirical_composed_history,
-    empirical_privacy_test,
-    run_simulation,
-)
 from onoffpriv.verify import VERIFY_TOL, check_scheme, expected_cost
+
+# scheme, lp and sim are imported by the commands that run them, so that a
+# command compiles only the modules it uses
 
 log = logging.getLogger("onoffpriv")
 
 SYMMETRY_DETECT_TOL = 1e-12
 DEPENDENCE_GAP_THRESHOLD = 0.05
-# trace CSV rows formatted and written at once; bounds the memory it takes
-CSV_BLOCK_ROWS = 8192
 
 
 class ConfigError(Exception):
@@ -234,6 +224,8 @@ def cmd_sweep_alpha(args) -> int:
 
 
 def cmd_scheme(args) -> int:
+    from onoffpriv.scheme import build_scheme, collapse_to_sets
+
     P = _load_chain(args)
     if args.delta is None:
         raise ConfigError("scheme requires --delta")
@@ -250,7 +242,7 @@ def cmd_scheme(args) -> int:
         "achievable_cost": rate_inner(profile),
     }
     # keys in sorted order, as _json_text writes them; the two forms write
-    # their own text, one entry per line
+    # their own text, a column at a time
     with _output(args.out) as fh:
         fh.write('{\n  "delta": %d,\n  "multiset": ' % cond.delta)
         multiset.write_json(fh)
@@ -263,6 +255,8 @@ def cmd_scheme(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from onoffpriv.scheme import SchemeDistribution, build_scheme
+
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ConfigError(f"--tol must be finite and positive, got {args.tol}")
     P = _load_chain(args)
@@ -287,6 +281,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lp(args) -> int:
+    from onoffpriv.lp import formulate_lp, solve_simplex
+
     P = _load_chain(args)
     if args.delta is None:
         raise ConfigError("lp requires --delta")
@@ -314,38 +310,11 @@ def cmd_lp(args) -> int:
     return 0
 
 
-def csv_digits(columns) -> bytes:
-    """CSV rows, one per index, of non-empty equal-length columns of
-    non-negative integers, each row ended by a newline.
-
-    Each column takes as many cells of a uint8 matrix as its largest value
-    has digits. Digit k of a value is value // 10**k % 10; a cell above the
-    value's leading digit (value < 10**k, k >= 1) holds NUL, which the final
-    mask drops.
-    """
-    columns = [np.asarray(c, dtype=np.int64) for c in columns]
-    widths = [len(str(int(c.max()))) for c in columns]
-    mat = np.zeros((columns[0].size, sum(widths) + len(widths)), dtype=np.uint8)
-    end = 0
-    for lead, width in zip(columns, widths):
-        end += width
-        mat[:, end] = ord(",")
-        # lead runs through value // 10**k; one scalar division per digit
-        for k in range(1, width + 1):
-            rest = lead // 10
-            digit = lead - 10 * rest + ord("0")
-            if k > 1:
-                digit[lead == 0] = 0
-            mat[:, end - k] = digit
-            lead = rest
-        end += 1
-    mat[:, -1] = ord("\n")
-    return mat[mat != 0].tobytes()
-
-
 def write_trace_csv(trace, fh) -> None:
     """Write the per-step trace as CSV to the binary file fh, formatting
     CSV_BLOCK_ROWS rows at a time, so the whole text is never held."""
+    from onoffpriv.scheme import CSV_BLOCK_ROWS, csv_digits
+
     fh.write(b"t,x,f,tau,delta,q_size,bytes,decode_ok\n")
     columns = (
         np.arange(trace.horizon), trace.x, trace.flag, trace.tau, trace.delta,
@@ -356,6 +325,16 @@ def write_trace_csv(trace, fh) -> None:
 
 
 def cmd_simulate(args) -> int:
+    from onoffpriv.sim import (
+        MIN_BUCKET_SAMPLES,
+        PrivacySchedule,
+        SimConfig,
+        average_download_rate,
+        empirical_composed_history,
+        empirical_privacy_test,
+        run_simulation,
+    )
+
     P = _load_chain(args)
     if args.horizon is None:
         raise ConfigError("simulate requires --horizon")

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -41,8 +40,13 @@ EXTRACTION_TOL = 1e-12
 NEGLIGIBLE_INCREMENT = 1e-13
 MASS_DROP_LIMIT = 1e-15
 MASS_DROP_BUDGET = 1e-10
-# scheme file rows formatted and written at once; bounds the memory it takes
-JSON_BLOCK_ROWS = 8192
+# rows of a scheme file column or of a trace CSV formatted and written at
+# once; bounds the memory a writer takes
+CSV_BLOCK_ROWS = 8192
+# the scheme file layout that write_json writes and from_json_obj reads
+SCHEMA = 2
+# the int columns of a scheme file section, in the order written
+COLUMNS = ("q", "x", "u0", "u1", "p")
 
 
 class ExtractionInfeasible(ArithmeticError):
@@ -91,7 +95,8 @@ class SchemeDistribution:
             artifact can be loaded and handed to the checker.
 
     The constructor keeps the named queries, sorts, and merges the rows that
-    share (q, x, u), adding their masses in the order given. It rejects a
+    share (q, x, u), adding their masses in the order given; if no rows
+    share, every mass is kept bit for bit, -0.0 included. It rejects a
     row whose query, request or context index is out of range, a query with
     a member outside 0..n-1 or more than n members, a set query that
     repeats a member, a mass that is not finite, and an n so large that the
@@ -120,7 +125,8 @@ class SchemeDistribution:
             if col.size and not (0 <= col.min() and col.max() < top):
                 i = np.flatnonzero((col < 0) | (col >= top))[0]
                 raise ValueError(f"row {i}: {name} {col[i]} out of range for n={n}")
-        named = sorted(np.unique(q).tolist(), key=self.queries.__getitem__)
+        named = np.flatnonzero(np.bincount(q)).tolist()
+        named.sort(key=self.queries.__getitem__)
         queries = [tuple(self.queries[i]) for i in named]
         for members in queries:
             if self.form == "set" and len(set(members)) != len(members):
@@ -139,7 +145,9 @@ class SchemeDistribution:
         key = key[order]
         first = np.ones(key.size, dtype=bool)
         first[1:] = key[1:] != key[:-1]
-        mass = np.bincount(np.cumsum(first) - 1, weights=mass[order])
+        mass = mass[order]
+        if not first.all():
+            mass = np.bincount(np.cumsum(first) - 1, weights=mass)
         order = order[first]
         columns = {
             "queries": queries, "q": rank[q[order]], "x": x[order], "u": u[order],
@@ -167,102 +175,158 @@ class SchemeDistribution:
         return self.q[a:b], cum
 
     def write_json(self, fh) -> None:
-        """Write the distribution to the text file fh as a JSON object with
-        one entry per line, rows sorted by (query, x, u), formatting
-        JSON_BLOCK_ROWS rows at a time; from_json_obj reads it back.
+        """Write the distribution to the text file fh as one JSON object of
+        columns (schema 2); from_json_obj reads it back.
 
-        %r of a float is the text json writes for it, and the constructor
-        admits no NaN or inf, so each row is one format over the columns.
+        The rows keep their (x, u, q) order in the int columns q, x, u0 and
+        u1, with (u0, u1) the (x_tau, x_next) pair of u, and p. The masses
+        go as a palette: `masses` lists the distinct masses in the order of
+        their bit patterns, so that -0.0 and 0.0 stay apart, and p indexes
+        it. json writes a float as its repr, which reads back bit for bit.
+        Each int column is formatted CSV_BLOCK_ROWS rows at a time.
         """
-        # the rows are sorted by (x, u, q), so a stable sort on q alone gives
-        # (q, x, u)
-        order = np.argsort(self.q, kind="stable")
-        members = [json.dumps(list(m)) for m in self.queries]
-        row = '{"p": %r, "q": %s, "u": [%d, %d], "x": %d}'
-        fh.write('{"delta": %d, "entries": [\n' % self.delta)
-        for lo in range(0, order.size, JSON_BLOCK_ROWS):
-            rows = order[lo : lo + JSON_BLOCK_ROWS]
-            xtau, xnext = np.divmod(self.u[rows], self.n)
-            cols = (
-                self.mass[rows].tolist(),
-                map(members.__getitem__, self.q[rows].tolist()),
-                xtau.tolist(), xnext.tolist(), self.x[rows].tolist(),
-            )
-            if lo:
-                fh.write(",\n")
-            fh.write(",\n".join([row % c for c in zip(*cols)]))
-        fh.write('\n], "form": %s, "n": %d}' % (json.dumps(self.form), self.n))
+        palette, p = np.unique(self.mass.view(np.int64), return_inverse=True)
+        xtau, xnext = np.divmod(self.u, self.n)
+        fh.write('{"delta": %d, "form": %s, "n": %d, "schema": %d,\n' % (
+            self.delta, json.dumps(self.form), self.n, SCHEMA
+        ))
+        fh.write('    "queries": %s,\n    "masses": %s' % (
+            json.dumps(self.queries), json.dumps(palette.view(float).tolist())
+        ))
+        for name, col in zip(COLUMNS, (self.q, self.x, xtau, xnext, p)):
+            fh.write(',\n    "%s": [' % name)
+            for lo in range(0, col.size, CSV_BLOCK_ROWS):
+                text = csv_digits([col[lo : lo + CSV_BLOCK_ROWS]], newline=b",")
+                fh.write(("," if lo else "") + text[:-1].decode())
+            fh.write("]")
+        fh.write("}")
 
     @classmethod
     def from_json_obj(cls, obj) -> "SchemeDistribution":
-        """Load a parsed scheme file, one column at a time; inverse of
-        write_json.
+        """Load a parsed scheme file section, one np.asarray per column;
+        inverse of write_json.
 
         Raises:
-            ValueError: the document is not an object with keys delta,
-                entries, form and n, or an entry not an object with keys p,
-                q, u and x; n, delta, a query member or a state is not an
-                integer, q is not a list, u is not a pair, or a mass is not a
-                number; a state lies outside 0..n-1, where it would alias
-                another entry; two rows share query, request and context; or
-                the constructor rejects the rows. The message names the first
-                bad entry. A negative mass loads, so that the checker can
-                judge it.
-            OverflowError: a state or a mass does not fit in 64 bits.
+            ValueError: the section is not an object with schema 2 (a file
+                of an older schema must be written again with `onoffpriv
+                scheme`) and the keys write_json writes; n or delta is not
+                an integer; queries is not an ascending list of distinct
+                ascending lists of integers; a column is not a list of
+                integers (masses: of numbers) that fit in 64 bits; the
+                columns differ in length; a context state or a palette
+                index is out of range; a mass is not finite; two rows share
+                query, request and context; or the constructor rejects the
+                rows. The message names the column and its first bad entry.
+                A negative mass loads, so that the checker can judge it.
+            OverflowError: n does not fit in 64 bits.
         """
-        if not _has_keys(obj, ("delta", "entries", "form", "n")):
-            raise ValueError("a scheme is an object with keys delta, entries, form, n")
+        if type(obj) is not dict or obj.get("schema") != SCHEMA:
+            raise ValueError(
+                f"not a schema-{SCHEMA} scheme section; "
+                "regenerate the file with `onoffpriv scheme`"
+            )
+        keys = ("delta", "form", "n", "queries", "masses", *COLUMNS)
+        if not obj.keys() >= set(keys):
+            raise ValueError(f"a scheme section is an object with keys {keys}")
         n = as_index(obj["n"], "n")
         delta = as_index(obj["delta"], "delta")
-        rows = obj["entries"]
-        if type(rows) is not list:
-            raise ValueError("entries must be a list")
-        try:
-            qs, xs, us, ps = ([row[k] for row in rows] for k in "qxup")
-        except (KeyError, TypeError):
-            i = next(i for i, row in enumerate(rows) if not _has_keys(row, "pqux"))
-            raise ValueError(f"entry {i}: not an object with keys p, q, u, x") from None
-        _require(qs, {list}, "q must be a list")
-        _require(qs, {int}, "query members must be integers", members=True)
-        _require(xs, {int}, "request must be an integer")
-        _require(us, {list}, "u must be a pair")
-        if set(map(len, us)) - {2}:
-            i = next(i for i, v in enumerate(us) if len(v) != 2)
-            raise ValueError(f"entry {i}: u must be a pair, got {us[i]!r}")
-        _require(us, {int}, "context states must be integers", members=True)
-        _require(ps, {int, float}, "mass must be a number")
-        members = list(map(tuple, qs))
-        ids: dict = {}
-        canonical = {
-            m: ids.setdefault(tuple(sorted(m)), len(ids)) for m in dict.fromkeys(members)
-        }
-        pairs = np.fromiter(chain.from_iterable(us), np.int64, 2 * len(us))
-        pairs = pairs.reshape(len(us), 2)
-        outside = ((pairs < 0) | (pairs >= n)).any(axis=1)
-        if outside.any():
-            i = np.flatnonzero(outside)[0]
-            raise ValueError(f"entry {i}: context {us[i]} out of range for n={n}")
-        q = list(map(canonical.__getitem__, members))
-        u = pairs[:, 0] * n + pairs[:, 1]
-        s = cls(n, delta, obj["form"], list(ids), q, xs, u, np.array(ps, dtype=float))
-        if s.entry_count != len(rows):
+        queries = _queries(obj["queries"])
+        masses = _column(obj, "masses", float)
+        if not np.isfinite(masses).all():
+            i = np.flatnonzero(~np.isfinite(masses))[0]
+            raise ValueError(f"entry {i}: masses holds {masses[i]}, not a finite mass")
+        columns = {name: _column(obj, name) for name in COLUMNS}
+        q, x, xtau, xnext, p = columns.values()
+        for name, col in columns.items():
+            if col.size != q.size:
+                raise ValueError(f"{name} has {col.size} entries, q has {q.size}")
+        # a context state outside 0..n-1 would alias another context
+        ranges = (
+            ("context state u0", xtau, n), ("context state u1", xnext, n),
+            ("mass index p", p, masses.size),
+        )
+        for what, col, top in ranges:
+            bad = (col < 0) | (col >= top)
+            if bad.any():
+                i = np.flatnonzero(bad)[0]
+                raise ValueError(
+                    f"entry {i}: {what} {col[i]} out of range 0..{top - 1}"
+                )
+        s = cls(n, delta, obj["form"], queries, q, x, xtau * n + xnext, masses[p])
+        if s.entry_count != q.size:
             raise ValueError("repeated entry: rows share query, request and context")
         return s
 
 
-def _has_keys(row, keys) -> bool:
-    return type(row) is dict and row.keys() >= set(keys)
+def _queries(value) -> list:
+    """The queries of a scheme section, as tuples: distinct ascending lists
+    of integers, in ascending order."""
+    if type(value) is not list:
+        raise ValueError("queries must be a list")
+    queries = []
+    for i, members in enumerate(value):
+        if (
+            type(members) is not list or set(map(type, members)) - {int}
+            or members != sorted(members)
+        ):
+            raise ValueError(f"queries[{i}]: {members!r} is not ascending integers")
+        queries.append(tuple(members))
+        if i and queries[-2] >= queries[-1]:
+            raise ValueError(f"queries[{i}]: {members} does not follow {value[i - 1]}")
+    return queries
 
 
-def _require(column: list, types: set, what: str, members: bool = False):
-    """Raise a ValueError naming the first entry whose value, or with
-    members=True any of its members, has a type outside types."""
-    found = set(map(type, chain.from_iterable(column) if members else column))
-    if found <= types:
-        return
-    for i, v in enumerate(column):
-        if not set(map(type, v if members else [v])) <= types:
-            raise ValueError(f"entry {i}: {what}, got {v!r}")
+def _column(obj, name: str, dtype=np.int64) -> np.ndarray:
+    """The list obj[name] as a 1-D array: of JSON integers, or of JSON
+    numbers for a float dtype. The types are checked first, since np.asarray
+    reads true as 1 and [1.5, 2] as floats."""
+    values = obj[name]
+    if type(values) is not list:
+        raise ValueError(f"{name} must be a list")
+    types = {int, float} if dtype is float else {int}
+    if set(map(type, values)) <= types:
+        try:
+            return np.asarray(values, dtype=dtype)
+        except OverflowError:
+            pass
+    for i, v in enumerate(values):
+        try:
+            if type(v) in types:
+                np.asarray(v, dtype=dtype)
+                continue
+        except OverflowError:
+            pass
+        kind = "number" if dtype is float else "integer"
+        raise ValueError(f"entry {i}: {name} must be a 64-bit {kind}, got {v!r}")
+
+
+def csv_digits(columns, newline: bytes = b"\n") -> bytes:
+    """CSV rows, one per index, of non-empty equal-length columns of
+    non-negative integers, each row ended by the byte newline.
+
+    Each column takes as many cells of a uint8 matrix as its largest value
+    has digits. Digit k of a value is value // 10**k % 10; a cell above the
+    value's leading digit (value < 10**k, k >= 1) holds NUL, which the final
+    mask drops.
+    """
+    columns = [np.asarray(c, dtype=np.int64) for c in columns]
+    widths = [len(str(int(c.max()))) for c in columns]
+    mat = np.zeros((columns[0].size, sum(widths) + len(widths)), dtype=np.uint8)
+    end = 0
+    for lead, width in zip(columns, widths):
+        end += width
+        mat[:, end] = ord(",")
+        # lead runs through value // 10**k; one scalar division per digit
+        for k in range(1, width + 1):
+            rest = lead // 10
+            digit = lead - 10 * rest + ord("0")
+            if k > 1:
+                digit[lead == 0] = 0
+            mat[:, end - k] = digit
+            lead = rest
+        end += 1
+    mat[:, -1] = ord(newline)
+    return mat[mat != 0].tobytes()
 
 
 def build_scheme(

@@ -495,7 +495,7 @@ def empirical_composed_history(trace: SimTrace) -> dict:
     lengths = np.diff(starts)
     starts = starts[:-1]
     out = {}
-    for length in np.unique(lengths).tolist():
+    for length in np.flatnonzero(np.bincount(lengths)).tolist():
         first = starts[lengths == length]
         if len(first) < MIN_BUCKET_SAMPLES:
             continue

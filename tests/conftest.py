@@ -1,11 +1,12 @@
 import io
+import math
+import struct
 
 import numpy as np
 import pytest
 
-from onoffpriv.cli import CSV_BLOCK_ROWS
 from onoffpriv.markov import TransitionMatrix, as_index, as_number, u_index
-from onoffpriv.scheme import SchemeDistribution
+from onoffpriv.scheme import COLUMNS, CSV_BLOCK_ROWS, SchemeDistribution
 
 
 def random_chain(rng, n: int) -> TransitionMatrix:
@@ -72,49 +73,73 @@ def reference_trace_csv(trace) -> str:
     return "".join(parts)
 
 
+def float_bits(mass: float) -> int:
+    """The bit pattern of a float as a signed 64-bit integer."""
+    return struct.unpack("<q", struct.pack("<d", mass))[0]
+
+
 def reference_json_obj(s: SchemeDistribution) -> dict:
-    """The row-dict serializer that SchemeDistribution.write_json
-    replaced, kept as a reference: the document a scheme file section must
-    parse to."""
-    order = np.lexsort((s.u, s.x, s.q))
-    xtau, xnext = np.divmod(s.u[order], s.n)
-    cols = (s.q[order], s.x[order], xtau, xnext, s.mass[order])
-    rows = [
-        {"q": list(s.queries[k]), "x": x, "u": [a, b], "p": p}
-        for k, x, a, b, p in zip(*(c.tolist() for c in cols))
-    ]
-    return {"n": s.n, "delta": s.delta, "form": s.form, "entries": rows}
+    """A scheme file section built row by row in plain Python: the document
+    that the text SchemeDistribution.write_json writes must parse to."""
+    palette = sorted({float_bits(m) for m in s.mass.tolist()})
+    slot = {bits: i for i, bits in enumerate(palette)}
+    doc = {
+        "delta": s.delta, "form": s.form, "n": s.n, "schema": 2,
+        "queries": [list(members) for members in s.queries],
+        "masses": [struct.unpack("<d", struct.pack("<q", b))[0] for b in palette],
+        "q": [], "x": [], "u0": [], "u1": [], "p": [],
+    }
+    for k, x, u, m in zip(s.q.tolist(), s.x.tolist(), s.u.tolist(), s.mass.tolist()):
+        for name, value in zip(COLUMNS, (k, x, u // s.n, u % s.n, slot[float_bits(m)])):
+            doc[name].append(value)
+    return doc
 
 
 def reference_from_json_obj(obj) -> SchemeDistribution:
-    """The per-row loader that the columnar SchemeDistribution.from_json_obj
-    replaced, kept as a reference for what a scheme file may hold.
-
-    It read a string or an object given as `entries` or as `q` as an empty
-    list; the two checks marked below reject those, as the columnar loader
-    does. Any other file loads here exactly when it loads there.
-    """
+    """A per-row loader of a scheme file section, kept as a reference for
+    what a section may hold: it loads exactly the sections that the
+    columnar SchemeDistribution.from_json_obj loads."""
+    if obj.get("schema") != 2:
+        raise ValueError("not a schema-2 section")
     n = as_index(obj["n"], "n")
     delta = as_index(obj["delta"], "delta")
-    if type(obj["entries"]) is not list:  # added
-        raise ValueError("entries must be a list")
-    ids: dict = {}
+    queries = []
+    for members in obj["queries"]:
+        if type(members) is not list:
+            raise ValueError("a query must be a list")
+        members = tuple(as_index(i, "query member") for i in members)
+        if list(members) != sorted(members) or (queries and queries[-1] >= members):
+            raise ValueError("queries must be ascending")
+        queries.append(members)
+    masses = [as_number(m, "mass") for m in obj["masses"]]
+    if not all(map(math.isfinite, masses)):
+        raise ValueError("a mass is not finite")
     q, xs, us, ps = [], [], [], []
-    for row in obj["entries"]:
-        if type(row["q"]) is not list:  # added
-            raise ValueError("q must be a list")
-        members = tuple(sorted(as_index(i, "query member") for i in row["q"]))
-        q.append(ids.setdefault(members, len(ids)))
-        xs.append(as_index(row["x"], "request"))
-        if not 0 <= xs[-1] < n:
-            raise ValueError(f"state out of range for n={n} in entry {row}")
-        xtau, xnext = row["u"]
+    for k, x, xtau, xnext, p in zip(*(obj[name] for name in COLUMNS), strict=True):
+        q.append(as_index(k, "query"))
+        xs.append(as_index(x, "request"))
         us.append(u_index(as_index(xtau, "xtau"), as_index(xnext, "xnext"), n))
-        ps.append(as_number(row["p"], "mass"))
-    s = SchemeDistribution(n, delta, obj["form"], list(ids), q, xs, us, ps)
+        if not 0 <= as_index(p, "mass index") < len(masses):
+            raise ValueError("mass index out of range")
+        ps.append(masses[p])
+    s = SchemeDistribution(n, delta, obj["form"], queries, q, xs, us, ps)
     if s.entry_count != len(ps):
         raise ValueError("repeated entry: rows share query, request and context")
     return s
+
+
+def schema1_json_obj(s: SchemeDistribution) -> dict:
+    """A section of s in the schema-1 layout, one object per row, which
+    the loader no longer reads."""
+    return {
+        "n": s.n, "delta": s.delta, "form": s.form,
+        "entries": [
+            {"q": list(s.queries[k]), "x": x, "u": [u // s.n, u % s.n], "p": p}
+            for k, x, u, p in zip(
+                s.q.tolist(), s.x.tolist(), s.u.tolist(), s.mass.tolist()
+            )
+        ],
+    }
 
 
 @pytest.fixture(autouse=True)

@@ -1,4 +1,5 @@
 import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -27,9 +28,11 @@ from onoffpriv.verify import check_scheme
 
 from conftest import (
     entries_of,
+    float_bits,
     json_slots,
     reference_from_json_obj,
     reference_json_obj,
+    schema1_json_obj,
     scheme_from_entries,
     section_text,
 )
@@ -163,11 +166,11 @@ class TestDistributionObject:
             ["dirichlet-0.2", "dirichlet-1", "dirichlet-5", "symmetric"]
         ),
         seed=hst.integers(min_value=0, max_value=2**32 - 1),
-        block=hst.integers(min_value=1, max_value=5),
+        block=hst.sampled_from([1, 2, 3, 100]),
     )
     def test_json_round_trip_is_exact(self, n, delta, chain, seed, block):
-        # the text parses to the row-dict serializer's document, loads back
-        # bit for bit, and does not depend on how many rows go per write
+        # the text parses to the per-row reference document, loads back bit
+        # for bit, and does not depend on how many rows go per write
         rng = np.random.default_rng(seed)
         if chain == "symmetric":
             P = symmetric_chain(n, rng.uniform(0.05, 0.95))
@@ -181,13 +184,13 @@ class TestDistributionObject:
         ms = build_scheme(theta_profile(cond), cond)
         for s in (ms, collapse_to_sets(ms)):
             text = section_text(s)
-            # a header line, one line per entry, and a closing line
-            assert len(text.splitlines()) == s.entry_count + 2
+            # a header line, then queries, masses and one line per column
+            assert len(text.splitlines()) == 3 + len(scheme_module.COLUMNS)
             assert json.loads(text) == reference_json_obj(s)
             assert_same_distribution(
                 SchemeDistribution.from_json_obj(json.loads(text)), s
             )
-            with mock.patch.object(scheme_module, "JSON_BLOCK_ROWS", block):
+            with mock.patch.object(scheme_module, "CSV_BLOCK_ROWS", block):
                 assert section_text(s) == text
 
     @settings(max_examples=60, deadline=None)
@@ -226,15 +229,15 @@ class TestDistributionObject:
             assert s.queries == sorted(set(s.queries))
             for q in s.queries:
                 assert list(q) == sorted(q) and all(0 <= i < n for i in q)
-            rows = parsed(s)["entries"]
-            keys = [q for q, _, _ in sorted(entries_of(s))]
-            assert [row["q"] for row in rows] == [list(q) for q in keys]
+            doc = parsed(s)
+            assert doc["queries"] == [list(q) for q in s.queries]
+            assert doc["q"] == s.q.tolist()
 
     @settings(max_examples=80, deadline=None)
     @given(
         n=hst.integers(min_value=2, max_value=4),
         form=hst.sampled_from(["multiset", "set"]),
-        field=hst.sampled_from(["q", "x", "xtau", "xnext", "alias"]),
+        field=hst.sampled_from(["member", "q", "x", "u0", "u1", "p", "alias"]),
         bad=hst.one_of(
             hst.integers(min_value=-5, max_value=-1),
             hst.integers(min_value=0, max_value=5),
@@ -244,18 +247,23 @@ class TestDistributionObject:
     def test_out_of_range_states_are_rejected(self, n, form, field, bad, pick):
         _, _, ms = built(n, 0.6, 1)
         obj = parsed(ms if form == "multiset" else collapse_to_sets(ms))
-        row = obj["entries"][pick % len(obj["entries"])]
+        i = pick % len(obj["q"])
+        top = {"q": len(obj["queries"]), "p": len(obj["masses"])}.get(field, n)
         if bad >= 0:
-            bad += n
-        if field == "q":
-            row["q"][pick % len(row["q"])] = bad
-        elif field == "x":
-            row["x"] = bad
+            bad += top
+        if field == "member":
+            # the first query gets a member below it, the last one above
+            # it, so that the queries stay in ascending order
+            if bad < 0:
+                obj["queries"][0].insert(0, bad)
+            else:
+                obj["queries"][-1].append(bad)
         elif field == "alias":
             # (xtau + 1, xnext - n) flattens to the same row index
-            row["u"] = [row["u"][0] + 1, row["u"][1] - n]
+            obj["u0"][i] += 1
+            obj["u1"][i] -= n
         else:
-            row["u"][field == "xnext"] = bad
+            obj[field][i] = bad
         with pytest.raises(ValueError, match="out of range"):
             SchemeDistribution.from_json_obj(obj)
 
@@ -265,16 +273,16 @@ class TestDistributionObject:
         delta=hst.integers(min_value=0, max_value=3),
         form=hst.sampled_from(["multiset", "set"]),
         pick=hst.integers(min_value=0),
-        shuffle_seed=hst.integers(min_value=0, max_value=2**32 - 1),
+        mass_pick=hst.integers(min_value=0),
     )
-    def test_repeated_rows_are_rejected(self, n, delta, form, pick, shuffle_seed):
+    def test_repeated_rows_are_rejected(self, n, delta, form, pick, mass_pick):
         _, _, ms = built(n, 0.6, delta)
         obj = parsed(ms if form == "multiset" else collapse_to_sets(ms))
-        row = obj["entries"][pick % len(obj["entries"])]
-        # the same query, request and context, members listed in another order
-        twin = json.loads(json.dumps(row))
-        np.random.default_rng(shuffle_seed).shuffle(twin["q"])
-        obj["entries"].append(twin)
+        i = pick % len(obj["q"])
+        # the same query, request and context, with any mass
+        for name in scheme_module.COLUMNS:
+            obj[name].append(obj[name][i])
+        obj["p"][-1] = mass_pick % len(obj["masses"])
         with pytest.raises(ValueError, match="repeated entry"):
             SchemeDistribution.from_json_obj(obj)
 
@@ -286,8 +294,9 @@ class TestDistributionObject:
     def test_repeated_set_members_are_rejected(self, n, pick):
         _, _, ms = built(n, 0.6, 1)
         obj = parsed(collapse_to_sets(ms))
-        row = obj["entries"][pick % len(obj["entries"])]
-        row["q"].append(row["q"][pick % len(row["q"])])
+        # repeating the last member keeps the queries in ascending order
+        members = obj["queries"][pick % len(obj["queries"])]
+        members.append(members[-1])
         with pytest.raises(ValueError, match="repeated query member"):
             SchemeDistribution.from_json_obj(obj)
 
@@ -381,7 +390,7 @@ class TestSchemeFile:
     @settings(max_examples=60, deadline=None)
     @given(
         masses=hst.lists(
-            hst.sampled_from([5e-324, 1e-300, -0.0, -5e-324, 1e300, 1 / 3])
+            hst.sampled_from([5e-324, 1e-300, 0.0, -0.0, -5e-324, 1e300, 1 / 3])
             | hst.floats(allow_nan=False, allow_infinity=False),
             min_size=1, max_size=18,
         ),
@@ -391,14 +400,35 @@ class TestSchemeFile:
         queries = [(0,), (1,), (0, 1)] + ([(0, 0, 1)] if form == "multiset" else [])
         keys = [(k, x, u) for k in queries for x in (0, 1) for u in range(4)]
         s = scheme_from_entries(2, 1, form, dict(zip(keys, masses)))
+        # no rows share a key, so the container keeps every mass, -0.0 too
+        assert sorted(map(float_bits, s.mass.tolist())) == sorted(
+            map(float_bits, masses)
+        )
         text = section_text(s)
-        assert json.loads(text) == reference_json_obj(s)
-        assert_same_distribution(SchemeDistribution.from_json_obj(json.loads(text)), s)
+        doc = json.loads(text)
+        assert doc == reference_json_obj(s)
+        # one palette entry per bit pattern: 0.0 and -0.0 stay apart
+        assert sorted(map(float_bits, doc["masses"])) == sorted(
+            set(map(float_bits, masses))
+        )
+        assert_same_distribution(SchemeDistribution.from_json_obj(doc), s)
+
+    def test_signed_zeros_get_separate_palette_entries(self):
+        s = scheme_from_entries(
+            2, 1, "set", {((0,), 0, 0): 0.0, ((0,), 0, 1): -0.0, ((1,), 1, 0): 0.0}
+        )
+        doc = parsed(s)
+        # in the order of the bit patterns as int64: -0.0 is the smallest
+        assert [math.copysign(1.0, m) for m in doc["masses"]] == [-1.0, 1.0]
+        assert doc["p"] == [1, 0, 1]
+        assert_same_distribution(SchemeDistribution.from_json_obj(doc), s)
 
     @settings(max_examples=300, deadline=None)
     @given(
         form=hst.sampled_from(["multiset", "set"]),
-        mutation=hst.sampled_from(["delete", "replace", "wrap", "twin", "swap"]),
+        mutation=hst.sampled_from(
+            ["delete", "replace", "wrap", "twin", "swap", "extend", "drop"]
+        ),
         pick=hst.integers(min_value=0),
         value=JSON_VALUES | hst.integers(min_value=-1, max_value=3),
     )
@@ -409,22 +439,28 @@ class TestSchemeFile:
         # per-row loader loads it, and gives the same columns
         _, _, ms = built(3, 0.6, 1)
         obj = parsed(ms if form == "multiset" else collapse_to_sets(ms))
-        entries = obj["entries"]
-        if mutation == "wrap":
-            entries[pick % len(entries)] = [entries[pick % len(entries)]]
-        elif mutation == "twin":
-            entries.append(json.loads(json.dumps(entries[pick % len(entries)])))
+        rows = len(obj["q"])
+        if mutation == "twin":
+            for name in scheme_module.COLUMNS:
+                obj[name].append(obj[name][pick % rows])
         elif mutation == "swap":
-            i, j = pick % len(entries), (pick // len(entries)) % len(entries)
-            entries[i], entries[j] = entries[j], entries[i]
+            i, j = pick % rows, (pick // rows) % rows
+            for col in (obj[name] for name in scheme_module.COLUMNS):
+                col[i], col[j] = col[j], col[i]
+        elif mutation in ("extend", "drop"):
+            lists = [node for node, _ in json_slots(obj) if isinstance(node, list)]
+            node = lists[pick % len(lists)]
+            node.append(value) if mutation == "extend" else node.pop()
         else:
             slots = [
                 (node, key) for node, key in json_slots(obj)
-                if mutation == "replace" or isinstance(node, dict)
+                if mutation != "delete" or isinstance(node, dict)
             ]
             node, key = slots[pick % len(slots)]
             if mutation == "delete":
                 del node[key]
+            elif mutation == "wrap":
+                node[key] = [node[key]]
             else:
                 node[key] = value
         try:
@@ -442,25 +478,39 @@ class TestSchemeFile:
     @pytest.mark.parametrize(
         "spoil, message",
         [
-            (lambda obj: obj["entries"].__setitem__(3, [1, 2]), "entry 3: not an"),
-            (lambda obj: obj["entries"][3].pop("u"), "entry 3: not an"),
-            (lambda obj: obj["entries"][3].__setitem__("q", 5), "entry 3: q must"),
-            (lambda obj: obj["entries"][3].__setitem__("u", [1]), "entry 3: u must"),
-            (lambda obj: obj["entries"][3]["u"].__setitem__(1, 3), "entry 3: context"),
-            (lambda obj: obj["entries"][3].__setitem__("x", 3), "row 3: request"),
-            (lambda obj: obj["entries"][3].__setitem__("p", "0.1"), "entry 3: mass"),
             (lambda obj: obj.pop("form"), "an object with keys"),
-            (lambda obj: obj.__setitem__("entries", {}), "entries must be a list"),
+            (lambda obj: obj.pop("schema"), "regenerate the file with `onoffpriv"),
+            (lambda obj: obj.__setitem__("q", {}), "q must be a list"),
+            (lambda obj: obj["u0"].pop(), "u0 has 47 entries, q has 48"),
+            (lambda obj: obj["q"].__setitem__(3, 1.5), "entry 3: q must"),
+            (lambda obj: obj["x"].__setitem__(3, True), "entry 3: x must .*got True"),
+            (lambda obj: obj["u0"].__setitem__(3, [1]), r"entry 3: u0 must .*\[1\]"),
+            (lambda obj: obj["p"].__setitem__(3, 2**64), "entry 3: p must be a 64-bit"),
+            (lambda obj: obj["u1"].__setitem__(3, 3), "entry 3: context"),
+            (lambda obj: obj["x"].__setitem__(3, 3), "row 3: request"),
+            (lambda obj: obj["p"].__setitem__(3, 8), "entry 3: mass"),
+            (lambda obj: obj["masses"].__setitem__(1, math.nan), "entry 1: .*nan"),
+            (lambda obj: obj["masses"].__setitem__(1, -math.inf), "entry 1: .*-inf"),
+            (lambda obj: obj["masses"].__setitem__(1, "0.1"), "entry 1: masses must"),
+            (lambda obj: obj["queries"].reverse(), r"queries\[1\]: .* not follow"),
+            (lambda obj: obj["queries"][1].reverse(), r"queries\[1\]: .* not ascen"),
         ],
     )
     def test_malformed_documents_raise_value_errors(self, spoil, message):
         _, _, ms = built(3, 0.6, 1)
         obj = parsed(ms)
+        assert (len(obj["q"]), len(obj["masses"])) == (48, 8)
         spoil(obj)
         with pytest.raises(ValueError, match=message):
             SchemeDistribution.from_json_obj(obj)
-        with pytest.raises(ValueError, match="an object with keys"):
-            SchemeDistribution.from_json_obj([parsed(ms)])
+
+    @pytest.mark.parametrize("form", ["multiset", "set"])
+    def test_schema_1_sections_ask_to_regenerate_the_file(self, form):
+        _, _, ms = built(3, 0.6, 1)
+        s = ms if form == "multiset" else collapse_to_sets(ms)
+        for doc in (schema1_json_obj(s), [parsed(s)], None):
+            with pytest.raises(ValueError, match="regenerate the file"):
+                SchemeDistribution.from_json_obj(doc)
 
 
 class TestSampler:
