@@ -492,8 +492,8 @@ class TestSchemeFile:
             (lambda obj: obj["masses"].__setitem__(1, math.nan), "entry 1: .*nan"),
             (lambda obj: obj["masses"].__setitem__(1, -math.inf), "entry 1: .*-inf"),
             (lambda obj: obj["masses"].__setitem__(1, "0.1"), "entry 1: masses must"),
-            (lambda obj: obj["queries"].reverse(), r"queries\[1\]: .* not follow"),
-            (lambda obj: obj["queries"][1].reverse(), r"queries\[1\]: .* not ascen"),
+            (lambda obj: obj["queries"].reverse(), "does not follow"),
+            (lambda obj: obj["queries"][1].reverse(), "is not ascending"),
         ],
     )
     def test_malformed_documents_raise_value_errors(self, spoil, message):
