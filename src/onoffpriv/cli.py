@@ -84,7 +84,7 @@ def _load_chain(args) -> TransitionMatrix:
             raise ConfigError(f"--chain is not valid JSON: {exc}") from exc
         try:
             return chain_from_dict(obj)
-        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(f"bad chain spec: {exc}") from exc
     if args.n is None or args.alpha is None:
         raise ConfigError("--n and --alpha must be given together")

@@ -274,24 +274,35 @@ def symmetric_sigmas(n: int, alpha: float, delta: int) -> SymmetricSigmas:
     )
 
 
-def chain_from_dict(spec: dict) -> TransitionMatrix:
-    """Build a chain from its JSON representation.
-
-    Two forms are accepted:
+def chain_from_dict(spec) -> TransitionMatrix:
+    """Build a chain from its JSON representation, which takes exactly one
+    of two forms:
         {"n": 3, "rows": [[...], [...], [...]]}
         {"symmetric": {"n": 3, "alpha": 0.6}}
+
+    Raises:
+        ValueError: naming the field that is missing or malformed.
     """
+    if not isinstance(spec, dict):
+        raise ValueError("a chain spec must be a JSON object")
+    if ("rows" in spec) == ("symmetric" in spec):
+        raise ValueError("a chain spec needs exactly one of 'rows' and 'symmetric'")
     if "symmetric" in spec:
         sym = spec["symmetric"]
+        if not isinstance(sym, dict):
+            raise ValueError("'symmetric' must be an object with 'n' and 'alpha'")
+        for key in ("n", "alpha"):
+            if key not in sym:
+                raise ValueError(f"'symmetric' needs {key!r}")
         n = as_index(sym["n"], "n")
         return symmetric_chain(n, as_number(sym["alpha"], "alpha"))
-    if "rows" in spec:
-        rows = spec["rows"]
-        rows = np.array([[as_number(p, "probability") for p in r] for r in rows])
-        if "n" in spec and as_index(spec["n"], "n") != rows.shape[0]:
-            raise ValueError("declared n does not match row count")
-        return TransitionMatrix(rows)
-    raise ValueError("chain spec needs either 'rows' or 'symmetric'")
+    rows = spec["rows"]
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise ValueError("'rows' must be a list of lists of probabilities")
+    rows = np.array([[as_number(p, "probability") for p in r] for r in rows])
+    if "n" in spec and as_index(spec["n"], "n") != rows.shape[0]:
+        raise ValueError("declared n does not match row count")
+    return TransitionMatrix(rows)
 
 
 def chain_to_dict(P: TransitionMatrix) -> dict:

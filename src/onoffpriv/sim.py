@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import isqrt
 
 import numpy as np
 
@@ -209,27 +210,55 @@ class SimTrace:
 
 
 def _sample_path(P: TransitionMatrix, length: int, initial, rng) -> np.ndarray:
+    """A request path of `length` states from one block of uniform draws.
+
+    The state after s on draw r is the number of breakpoints cum[s, :-1]
+    at or below r, the same as min(searchsorted(cum[s], r, "right"), n - 1).
+    That count is constant between consecutive breakpoints of all the rows,
+    so each draw is placed once among them, in a cell, and a table gives
+    every state's successor in every cell.
+
+    The transitions are cut into B blocks of L steps. Every block is walked
+    from all n states at once, which gives where it ends from each; a B-long
+    loop chains the blocks' true starts; and every block is walked once
+    more from its start: about 2L + B Python steps instead of one a step.
+    """
     n = P.n
     if initial is None:
         initial = np.full(n, 1.0 / n)
     draws = rng.random(length)
+    first = min(int(np.searchsorted(np.cumsum(initial), draws[0], "right")), n - 1)
+    cum = np.cumsum(P.entries, axis=1)[:, :-1]
+    edges = np.sort(cum, axis=None)
+    # table[c * n + s]: the state after s on a draw in cell c
+    table = np.zeros((len(edges) + 1, n), dtype=np.intp)
+    for s, row in enumerate(cum):
+        table[1:, s] = np.searchsorted(row, edges, "right")
+    table = table.ravel()
 
-    def pick(cum, draw):
-        return np.minimum(np.searchsorted(cum, draw, side="right"), n - 1)
+    steps = length - 1
+    L = max(1, isqrt(steps // n))
+    B = -(-steps // L)
+    # each step's cell as an offset into table; the cells that pad the last
+    # block come after the path's end, whose states are cut off
+    cells = np.zeros(B * L, dtype=np.intp)
+    np.multiply(np.searchsorted(edges, draws[1:], "right"), n, out=cells[:steps])
+    cells = cells.reshape(B, L)
 
-    # successor[i][t]: the state after state i when step t draws draws[t],
-    # in the smallest integer type that holds a state
-    small = np.min_scalar_type(n - 1)
-    successor = [
-        memoryview(pick(row, draws).astype(small))
-        for row in np.cumsum(P.entries, axis=1)
-    ]
-    state = int(pick(np.cumsum(initial), draws[0]))
-    path = [state]
-    for t in range(1, length):
-        state = successor[state][t]
-        path.append(state)
-    return np.array(path, dtype=np.int64)
+    ends = np.broadcast_to(np.arange(n), (B, n))
+    for j in range(L):
+        ends = table[cells[:, j, None] + ends]
+    starts = np.empty(B, dtype=np.intp)
+    state = first
+    for b in range(B):
+        starts[b] = state
+        state = ends[b, state]
+    path = np.empty((B, L), dtype=np.int64)
+    state = starts
+    for j in range(L):
+        state = table[cells[:, j] + state]
+        path[:, j] = state
+    return np.concatenate(([first], path.ravel()[:steps]))
 
 
 def build_scheme_for_gap(
@@ -328,7 +357,8 @@ def run_simulation(cfg: SimConfig, scheme_overrides: dict | None = None) -> SimT
     depends on the chain and seed only. Each generator gives one block of
     draws, the same stream as one draw per step, so the trace of a seed is
     the one the step-by-step protocol would produce. The cost is linear in
-    the horizon.
+    the horizon T: the request path takes O(n T) array work and about
+    2 sqrt(T / n) + sqrt(n T) Python steps, with no n x T table.
     """
     P = cfg.chain
     if not P.is_strictly_positive():
@@ -517,12 +547,21 @@ def empirical_composed_history(trace: SimTrace) -> dict:
 
 def _contingency(rows: np.ndarray, cols: np.ndarray):
     """Distinct row and column labels, each sorted, and the table that
-    counts every (row, column) label pair in that order."""
-    row_vals, r = np.unique(rows, return_inverse=True)
-    col_vals, c = np.unique(cols, return_inverse=True)
+    counts every (row, column) label pair in that order.
+
+    Labels are non-negative and bounded by the query count, n^2 or the
+    run count, so they are ranked by counting, not sorting."""
+    row_vals, r = _ranks(rows)
+    col_vals, c = _ranks(cols)
     shape = (len(row_vals), len(col_vals))
     flat = np.bincount(r * shape[1] + c, minlength=shape[0] * shape[1])
     return row_vals, col_vals, flat.reshape(shape).astype(float)
+
+
+def _ranks(labels: np.ndarray):
+    """The distinct labels, sorted, and each label's position among them."""
+    seen = np.bincount(labels) > 0
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[labels]
 
 
 def average_download_rate(trace: SimTrace) -> dict:

@@ -73,6 +73,32 @@ def reference_trace_csv(trace) -> str:
     return "".join(parts)
 
 
+def reference_sample_path(P: TransitionMatrix, length: int, initial, rng):
+    """The per-step path walk that sim._sample_path replaced, kept as a
+    reference: the path a seed must give, dtype too."""
+    n = P.n
+    if initial is None:
+        initial = np.full(n, 1.0 / n)
+    draws = rng.random(length)
+
+    def pick(cum, draw):
+        return np.minimum(np.searchsorted(cum, draw, side="right"), n - 1)
+
+    # successor[i][t]: the state after state i when step t draws draws[t],
+    # in the smallest integer type that holds a state
+    small = np.min_scalar_type(n - 1)
+    successor = [
+        memoryview(pick(row, draws).astype(small))
+        for row in np.cumsum(P.entries, axis=1)
+    ]
+    state = int(pick(np.cumsum(initial), draws[0]))
+    path = [state]
+    for t in range(1, length):
+        state = successor[state][t]
+        path.append(state)
+    return np.array(path, dtype=np.int64)
+
+
 def float_bits(mass: float) -> int:
     """The bit pattern of a float as a signed 64-bit integer."""
     return struct.unpack("<q", struct.pack("<d", mass))[0]

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 from onoffpriv.cli import main, write_trace_csv
@@ -95,6 +95,97 @@ class TestChainLoading:
             )
             assert code == 2
             assert err.startswith("error: bad chain spec")
+
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ('{"symmetric": {"n": 3}}', "'symmetric' needs 'alpha'"),
+            ('{"symmetric": {"alpha": 0.6}}', "'symmetric' needs 'n'"),
+            ('{"symmetric": [3, 0.6]}', "'symmetric' must be an object"),
+            ("null", "a chain spec must be a JSON object"),
+            ("[[0.5, 0.5], [0.5, 0.5]]", "a chain spec must be a JSON object"),
+            ("{}", "exactly one of 'rows' and 'symmetric'"),
+            (
+                '{"rows": [[0.5, 0.5], [0.5, 0.5]],'
+                ' "symmetric": {"n": 2, "alpha": 0.5}}',
+                "exactly one of 'rows' and 'symmetric'",
+            ),
+            ('{"rows": [0.5, 0.5]}', "'rows' must be a list of lists"),
+            ('{"rows": null}', "'rows' must be a list of lists"),
+        ],
+    )
+    def test_malformed_specs_name_the_field(self, capsys, spec, message):
+        code, out, err = run_cli(capsys, "bounds", "--chain", spec, "--delta", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad chain spec: ")
+        assert message in err
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        form=hst.sampled_from(["rows", "symmetric"]),
+        mutation=hst.sampled_from(
+            ["delete", "replace", "truncate", "wrap", "whole", "both", "extend"]
+        ),
+        pick=hst.integers(min_value=0),
+        # integers stay small, or so large that numpy refuses them at once:
+        # a symmetric chain of a million states is a legal spec that would
+        # allocate n^2 floats
+        value=hst.recursive(
+            hst.none() | hst.booleans() | hst.floats() | hst.text(max_size=4)
+            | hst.integers(min_value=-2, max_value=4)
+            | hst.sampled_from([2**62, 10**30, 10**400]),
+            lambda inner: hst.lists(inner, max_size=3)
+            | hst.dictionaries(hst.text(max_size=3), inner, max_size=3),
+            max_leaves=6,
+        ),
+        command=hst.sampled_from(["scheme", "simulate", "lp"]),
+    )
+    def test_every_command_survives_a_mutated_chain_spec(
+        self, form, mutation, pick, value, command
+    ):
+        obj = (
+            chain_to_dict(symmetric_chain(3, 0.6)) if form == "rows"
+            else {"symmetric": {"n": 3, "alpha": 0.6}}
+        )
+        if mutation == "wrap":
+            obj = [obj]
+        elif mutation == "whole":
+            obj = value
+        elif mutation == "both":
+            obj.update(rows=[[0.5, 0.5], [0.5, 0.5]], symmetric={"n": 2, "alpha": 0.5})
+        elif mutation == "extend":
+            # a row grows, or the row list does
+            lists = [node for node, _ in json_slots(obj) if isinstance(node, list)]
+            assume(lists)
+            lists[pick % len(lists)].append(value)
+        elif mutation != "truncate":
+            slots = [
+                (node, key) for node, key in json_slots(obj)
+                if mutation == "replace" or isinstance(node, dict)
+            ]
+            node, key = slots[pick % len(slots)]
+            if mutation == "delete":
+                del node[key]
+            else:
+                node[key] = value
+        text = json.dumps(obj)
+        if mutation == "truncate":
+            text = text[: pick % len(text)]
+        argv = {
+            "scheme": ["--delta", "1"],
+            "simulate": ["--schedule", "periodic:2", "--horizon", "60"],
+            "lp": ["--delta", "1"],
+        }[command]
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            out = str(Path(tmp) / "out.json")
+            with contextlib.redirect_stdout(io.StringIO()):
+                with contextlib.redirect_stderr(err):
+                    code = main([command, f"--chain={text}", *argv, "--out", out])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestBoundsCommand:
@@ -693,6 +784,10 @@ scheme, out = sys.argv[1], sys.argv[2]
 codes = [main(["scheme", *chain, "--out", scheme])]
 codes.append(main(["verify", *chain, "--scheme", scheme, "--out", out]))
 loaded["scheme+verify"] = loaded_now()
+# no gap bucket of this run reaches 1,000 samples, so no privacy test runs
+sim = ["--schedule", "periodic:500", "--horizon", "10000"]
+codes.append(main(["simulate", "--n", "3", "--alpha", "0.6", *sim, "--out", out]))
+loaded["simulate"] = loaded_now()
 codes.append(main(["lp", *chain, "--out", out]))
 loaded["lp"] = loaded_now()
 unresolved = [name for name in onoffpriv.__all__ if not hasattr(onoffpriv, name)]
@@ -717,7 +812,7 @@ def import_probe():
         )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["codes"] == [0, 0, 0]
+    assert result["codes"] == [0, 0, 0, 0]
     return result
 
 
@@ -726,6 +821,7 @@ class TestImportCost:
         loaded = import_probe()["loaded"]
         assert loaded["import"]["scipy"] == []
         assert loaded["scheme+verify"]["scipy"] == []
+        assert loaded["simulate"]["scipy"] == []
         assert "scipy.optimize" in loaded["lp"]["scipy"]
         assert "scipy.stats" not in loaded["lp"]["scipy"]
 
@@ -738,6 +834,8 @@ class TestImportCost:
         assert "onoffpriv.lp" in loaded["lp"]["onoffpriv"]
         # a plain np.unique imports numpy.ma, 15-22 ms a process
         assert not loaded["scheme+verify"]["numpy.ma"]
+        assert "onoffpriv.sim" in loaded["simulate"]["onoffpriv"]
+        assert not loaded["simulate"]["numpy.ma"]
 
     def test_every_export_resolves(self):
         assert import_probe()["unresolved"] == []

@@ -1,3 +1,4 @@
+from math import isqrt
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,13 +7,15 @@ import scipy.stats
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
-from onoffpriv.markov import symmetric_chain
+from onoffpriv.markov import TransitionMatrix, symmetric_chain
 from onoffpriv.sim import (
     MIN_BUCKET_SAMPLES,
     InsufficientSamples,
     PrivacySchedule,
     SimConfig,
     SimTrace,
+    _contingency,
+    _sample_path,
     average_download_rate,
     build_scheme_for_gap,
     empirical_composed_history,
@@ -20,7 +23,7 @@ from onoffpriv.sim import (
     run_simulation,
 )
 
-from conftest import entries_of, scheme_from_entries
+from conftest import entries_of, reference_sample_path, scheme_from_entries
 
 TRACE_ARRAYS = ("x", "flag", "tau", "delta", "u", "q_size", "bytes_down", "decode_ok")
 
@@ -321,6 +324,120 @@ class TestSeedContract:
         hit = (trace.delta == 50) & (trace.x == 0) & (trace.u == 0)
         assert hit.sum() > 0
         assert np.array_equal(~trace.decode_ok, hit)
+
+
+@hst.composite
+def path_cases(draw):
+    """A chain, a path length, a start distribution or None, and a seed."""
+    n = draw(hst.integers(min_value=2, max_value=12))
+    seed = draw(hst.integers(min_value=0, max_value=2**32 - 1))
+    gen = np.random.default_rng(seed)
+    concentration = draw(hst.sampled_from([0.05, 1.0, 5.0, None]))
+    if concentration is None:
+        # rows of a symmetric chain share most of their breakpoints
+        P = symmetric_chain(n, draw(hst.floats(min_value=0.0, max_value=1.0)))
+    else:
+        P = TransitionMatrix(gen.dirichlet(np.full(n, concentration), size=n))
+    initial = gen.dirichlet(np.ones(n)) if draw(hst.booleans()) else None
+    # the walk cuts its steps into blocks of L = isqrt(steps // n); with
+    # B = n L + 1 blocks, L stays the same from L B - 1 to L B + 1 steps
+    L = draw(hst.integers(min_value=1, max_value=isqrt(50_000 // n) - 1))
+    steps = draw(
+        hst.sampled_from([0, 1, n - 1])
+        | hst.integers(min_value=0, max_value=50_000)
+        | hst.sampled_from([-1, 0, 1]).map(lambda d: L * (n * L + 1) + d)
+    )
+    return P, steps + 1, initial, seed
+
+
+class StubDraws:
+    """A generator whose uniform draws are given in advance."""
+
+    def __init__(self, draws):
+        self.draws = np.array(draws, dtype=float)
+
+    def random(self, size):
+        assert size == len(self.draws)
+        return self.draws.copy()
+
+
+class TestSamplePath:
+    @settings(max_examples=120, deadline=None)
+    @given(case=path_cases())
+    def test_matches_the_per_step_walk(self, case):
+        P, length, initial, seed = case
+        got = _sample_path(P, length, initial, np.random.default_rng(seed))
+        want = reference_sample_path(
+            P, length, initial, np.random.default_rng(seed)
+        )
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    def test_draws_on_and_next_to_every_breakpoint(self):
+        # the last row sums to 1 - 3e-10, within the row tolerance, so a
+        # draw may lie past all of its breakpoints
+        P = TransitionMatrix(
+            [[0.25, 0.25, 0.5], [0.5, 0.25, 0.25], [0.25, 0.5, 0.25 - 3e-10]]
+        )
+        cum = np.cumsum(P.entries, axis=1).ravel()
+        draws = [0.0, *cum, *np.nextafter(cum, 0.0), np.nextafter(1.0, 0.0)]
+        for s in range(P.n):
+            # a start distribution on s, so the one step taken leaves s
+            start = np.eye(P.n)[s]
+            for r in draws:
+                want = reference_sample_path(P, 2, start, StubDraws([0.5, r]))
+                assert want[0] == s
+                assert np.array_equal(
+                    _sample_path(P, 2, start, StubDraws([0.5, r])), want
+                )
+        # and a long path that meets every draw in many blocks
+        draws = np.random.default_rng(3).permutation(np.repeat(draws, 50))
+        want = reference_sample_path(P, len(draws), None, StubDraws(draws))
+        got = _sample_path(P, len(draws), None, StubDraws(draws))
+        assert np.array_equal(got, want)
+
+
+def sorting_contingency(rows, cols):
+    """The contingency table with labels ranked by np.unique, as before."""
+    row_vals, r = np.unique(rows, return_inverse=True)
+    col_vals, c = np.unique(cols, return_inverse=True)
+    shape = (len(row_vals), len(col_vals))
+    flat = np.bincount(r * shape[1] + c, minlength=shape[0] * shape[1])
+    return row_vals, col_vals, flat.reshape(shape).astype(float)
+
+
+@hst.composite
+def label_pairs(draw):
+    """Row and column labels, each drawn from a few values with gaps."""
+    row_pool = sorted(draw(hst.sets(hst.integers(0, 60), min_size=1, max_size=5)))
+    col_pool = sorted(draw(hst.sets(hst.integers(0, 60), min_size=1, max_size=5)))
+    size = draw(hst.integers(min_value=1, max_value=200))
+    pick = hst.lists(hst.integers(0, 10**6), min_size=size, max_size=size)
+    rows = [row_pool[i % len(row_pool)] for i in draw(pick)]
+    cols = [col_pool[i % len(col_pool)] for i in draw(pick)]
+    return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+
+
+class TestContingency:
+    @settings(max_examples=150, deadline=None)
+    @given(labels=label_pairs())
+    def test_counting_ranks_as_sorting_does(self, labels):
+        for got, want in zip(_contingency(*labels), sorting_contingency(*labels)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "rows", [[0, 5, 9, 9, 0, 5, 5], [7, 7, 7, 7, 7, 7, 7]], ids=["gaps", "one"]
+    )
+    def test_labels_with_gaps_and_a_single_label(self, rows):
+        rows = np.array(rows)
+        cols = np.array([3, 3, 0, 3, 0, 0, 3])
+        got = _contingency(rows, cols)
+        assert got[0].tolist() == sorted(set(rows.tolist()))
+        assert got[1].tolist() == [0, 3]
+        assert got[2].sum() == len(rows)
+        for part, want in zip(got, sorting_contingency(rows, cols)):
+            assert np.array_equal(part, want)
 
 
 class TestEmpiricalStats:
