@@ -96,7 +96,6 @@ class TestChainLoading:
             assert code == 2
             assert err.startswith("error: bad chain spec")
 
-
     @pytest.mark.parametrize(
         "spec, message",
         [

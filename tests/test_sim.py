@@ -398,7 +398,8 @@ class TestSamplePath:
 
 
 def sorting_contingency(rows, cols):
-    """The contingency table with labels ranked by np.unique, as before."""
+    """The contingency table with labels ranked by np.unique: the reference
+    that _contingency must match, dtypes too."""
     row_vals, r = np.unique(rows, return_inverse=True)
     col_vals, c = np.unique(cols, return_inverse=True)
     shape = (len(row_vals), len(col_vals))
