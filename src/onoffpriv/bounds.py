@@ -97,14 +97,9 @@ def theta_profile(cond: ConditionalTable) -> ThetaProfile:
             of zero are clipped to zero instead.
     """
     n, m = cond.n, cond.m
-    values = cond.values
-    order = np.empty((n, m), dtype=np.int64)
-    lambda_xi = np.empty((n, m))
-    for x in range(n):
-        # stable sort = ascending likelihood, ties by ascending context index
-        idx = np.argsort(values[:, x], kind="stable")
-        order[x] = idx
-        lambda_xi[x] = values[idx, x]
+    # stable sort = ascending likelihood, ties by ascending context index
+    order = np.ascontiguousarray(np.argsort(cond.values, axis=0, kind="stable").T)
+    lambda_xi = np.take_along_axis(cond.values.T, order, axis=1)
     lambda_rows = lambda_xi.sum(axis=0)
     theta = np.empty(n)
     theta[0] = lambda_rows[0]

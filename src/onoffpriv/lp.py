@@ -73,21 +73,6 @@ class LpProblem:
     var_keys: list
     row_keys: list
 
-    def to_json_obj(self) -> dict:
-        rows, cols = np.nonzero(self.A)
-        return {
-            "n": self.n,
-            "delta": self.delta,
-            "c": self.c.tolist(),
-            "b": self.b.tolist(),
-            "a_sparse": [
-                [int(r), int(cl), float(self.A[r, cl])]
-                for r, cl in zip(rows, cols)
-            ],
-            "var_keys": [_key_to_json(k) for k in self.var_keys],
-            "row_keys": [_key_to_json(k) for k in self.row_keys],
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class LpSolution:
@@ -121,23 +106,23 @@ def _key_to_json(key: tuple):
     if key[0] == "a":
         _, q, x, u = key
         return {"kind": "a", "q": list(q), "x": x, "u": u}
-    if key[0] == "s":
-        return {"kind": "s", "q": list(key[1])}
-    if key[0] == "marginal":
-        return {"kind": "marginal", "x": key[1], "u": key[2]}
-    return {"kind": "tie", "q": list(key[1]), "u": key[2]}
+    return {"kind": "s", "q": list(key[1])}
 
 
 def all_subsets(n: int) -> list[tuple]:
     """Nonempty subsets of range(n) as sorted tuples, in bitmask order."""
-    out = []
-    for mask in range(1, 1 << n):
-        out.append(tuple(i for i in range(n) if mask >> i & 1))
-    return out
+    return [
+        tuple(i for i in range(n) if mask >> i & 1) for mask in range(1, 1 << n)
+    ]
 
 
 def formulate_lp(cond: ConditionalTable) -> LpProblem:
     """Build the exact-cost LP for one likelihood table.
+
+    Queries are the bitmasks 1 .. 2^n - 1. Each (query, member) pair k, in
+    bitmask order and then ascending member, owns the columns k*m + u; the
+    s(q) columns follow. The marginal row of (x, u) is x*m + u and the tie
+    row of query index i is (n + i)*m + u.
 
     Raises:
         TooLarge: n exceeds 5 and the dense program would be unreasonable.
@@ -146,54 +131,28 @@ def formulate_lp(cond: ConditionalTable) -> LpProblem:
     if n > MAX_STATES:
         raise TooLarge(f"exact LP limited to n <= {MAX_STATES}, got n={n}")
     subsets = all_subsets(n)
+    bits = np.arange(1, 1 << n)[:, None] >> np.arange(n) & 1
+    pair_q, pair_x = np.nonzero(bits)
+    n_q, n_a, ctx = len(subsets), len(pair_q) * m, np.arange(m)
+    a_cols = np.arange(len(pair_q))[:, None] * m + ctx
+    s_q = np.arange(n_q)[:, None]
 
-    var_keys: list = []
-    a_index: dict = {}
-    for q in subsets:
-        for x in q:
-            for u in range(m):
-                a_index[(q, x, u)] = len(var_keys)
-                var_keys.append(("a", q, x, u))
-    s_index: dict = {}
-    for q in subsets:
-        s_index[q] = len(var_keys)
-        var_keys.append(("s", q))
-    nvars = len(var_keys)
+    A = np.zeros(((n + n_q) * m, n_a + n_q))
+    A[pair_x[:, None] * m + ctx, a_cols] = 1.0
+    A[(n + pair_q)[:, None] * m + ctx, a_cols] = 1.0
+    A[(n + s_q) * m + ctx, n_a + s_q] = -1.0
+    b = np.concatenate([cond.values.T.ravel(), np.zeros(n_q * m)])
+    c = np.concatenate([np.zeros(n_a), bits.sum(axis=1, dtype=float)])
 
-    row_keys: list = []
-    rows = []
-    b = []
-    for x in range(n):
-        for u in range(m):
-            row = np.zeros(nvars)
-            for q in subsets:
-                if x in q:
-                    row[a_index[(q, x, u)]] = 1.0
-            rows.append(row)
-            b.append(cond.values[u, x])
-            row_keys.append(("marginal", x, u))
-    for q in subsets:
-        for u in range(m):
-            row = np.zeros(nvars)
-            for x in q:
-                row[a_index[(q, x, u)]] = 1.0
-            row[s_index[q]] = -1.0
-            rows.append(row)
-            b.append(0.0)
-            row_keys.append(("tie", q, u))
-
-    c = np.zeros(nvars)
-    for q in subsets:
-        c[s_index[q]] = float(len(q))
-
+    var_keys = [
+        ("a", subsets[q], x, u)
+        for q, x in zip(pair_q.tolist(), pair_x.tolist()) for u in range(m)
+    ] + [("s", q) for q in subsets]
+    row_keys = [("marginal", x, u) for x in range(n) for u in range(m)] + [
+        ("tie", q, u) for q in subsets for u in range(m)
+    ]
     return LpProblem(
-        n=n,
-        delta=cond.delta,
-        c=c,
-        A=np.array(rows),
-        b=np.array(b),
-        var_keys=var_keys,
-        row_keys=row_keys,
+        n=n, delta=cond.delta, c=c, A=A, b=b, var_keys=var_keys, row_keys=row_keys
     )
 
 

@@ -53,6 +53,25 @@ class TestThetaProfile:
         assert np.allclose(prof.theta, [0.0, 0.0, 0.0, 1.0], atol=1e-12)
         assert rate_inner(prof) == pytest.approx(4.0, abs=1e-12)
 
+    def test_order_is_a_stable_sort_of_each_column(self, rng, chain_factory):
+        # ascending likelihood, ties by ascending context index; the
+        # symmetric tables tie many contexts exactly
+        tables = [conditional_table(symmetric_chain(4, a), 1) for a in (0.25, 0.6)]
+        tables += [conditional_table(chain_factory(rng, n), 2) for n in (2, 5)]
+        for cond in tables:
+            prof = theta_profile(cond)
+            values = cond.values.tolist()
+            expected = [
+                sorted(range(cond.m), key=lambda u: (values[u][x], u))
+                for x in range(cond.n)
+            ]
+            assert prof.order.dtype == np.int64
+            assert prof.order.tolist() == expected
+            assert prof.lambda_xi.tolist() == [
+                [values[u][x] for u in row] for x, row in enumerate(expected)
+            ]
+            assert prof.order.flags.c_contiguous and prof.lambda_xi.flags.c_contiguous
+
     def test_duplicate_columns_keep_profile_stable(self):
         # ties everywhere must not produce out-of-range increments
         prof = profile_for(4, 0.25, 3)

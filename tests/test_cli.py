@@ -849,3 +849,41 @@ class TestTopLevel:
         out = capsys.readouterr().out
         for cmd in ("bounds", "sweep-alpha", "scheme", "verify", "lp", "simulate"):
             assert cmd in out
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        command=hst.sampled_from(["lp", "bounds"]),
+        n=hst.none() | hst.integers(min_value=-2, max_value=8),
+        alpha=hst.none() | hst.floats(),
+        delta=hst.none() | hst.integers(min_value=-3, max_value=30),
+        delta_max=hst.none() | hst.integers(min_value=-3, max_value=30),
+    )
+    def test_lp_and_bounds_survive_random_argv(
+        self, command, n, alpha, delta, delta_max
+    ):
+        # --delta-max exists only on bounds
+        flags = {"--n": n, "--alpha": alpha, "--delta": delta}
+        if command == "bounds":
+            flags["--delta-max"] = delta_max
+        argv = [command]
+        for flag, value in flags.items():
+            if value is not None:
+                argv.append(f"{flag}={value!r}")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+
+    def test_memory_error_is_a_config_error(self, capsys, monkeypatch):
+        def refuse(n, alpha):
+            raise MemoryError(f"cannot hold a {n}-state chain")
+
+        monkeypatch.setattr("onoffpriv.cli.symmetric_chain", refuse)
+        code, out, err = run_cli(
+            capsys, "bounds", "--n", "4", "--alpha", "0.5", "--delta", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: MemoryError: cannot hold a 4-state chain\n"

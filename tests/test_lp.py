@@ -66,21 +66,37 @@ class TestFormulation:
             formulate_lp(cond)
 
     def test_constraint_rows_encode_the_table(self, rng, chain_factory):
-        cond = conditional_table(chain_factory(rng, 2), 1)
-        p = formulate_lp(cond)
-        for i, key in enumerate(p.row_keys):
-            if key[0] == "marginal":
-                _, x, u = key
-                assert p.b[i] == pytest.approx(cond.values[u, x], abs=0)
-            else:
-                assert p.b[i] == 0.0
-
-    def test_json_shape(self, rng, chain_factory):
-        import json
-
-        cond = conditional_table(chain_factory(rng, 2), 1)
-        obj = formulate_lp(cond).to_json_obj()
-        assert json.loads(json.dumps(obj)) == obj
+        # read each row through the keys: a marginal row sums the joint
+        # masses of one (x, u) over every query holding x; a tie row sums
+        # one query's masses at u and subtracts its shared probability
+        for n in (2, 3, 4, 5):
+            cond = conditional_table(chain_factory(rng, n), 1)
+            p = formulate_lp(cond)
+            assert p.A.shape == (len(p.row_keys), len(p.var_keys))
+            for i, key in enumerate(p.row_keys):
+                if key[0] == "marginal":
+                    _, x, u = key
+                    want = {
+                        k: 1.0 for k in p.var_keys
+                        if k[0] == "a" and k[2:] == (x, u)
+                    }
+                    assert len(want) == 2 ** (n - 1)
+                    assert p.b[i] == cond.values[u, x]
+                else:
+                    _, q, u = key
+                    want = {("a", q, x, u): 1.0 for x in q}
+                    want[("s", q)] = -1.0
+                    assert p.b[i] == 0.0
+                cols = np.flatnonzero(p.A[i])
+                assert {p.var_keys[j]: p.A[i, j] for j in cols} == want
+            n_marginal = sum(key[0] == "marginal" for key in p.row_keys)
+            assert n_marginal == n * cond.m
+            assert np.array_equal(
+                p.b[:n_marginal].reshape(n, cond.m), cond.values.T
+            )
+            assert p.c.tolist() == [
+                0.0 if k[0] == "a" else float(len(k[1])) for k in p.var_keys
+            ]
 
 
 class TestSimplex:
