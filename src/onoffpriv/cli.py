@@ -53,7 +53,6 @@ from onoffpriv.verify import VERIFY_TOL, check_scheme, expected_cost
 log = logging.getLogger("onoffpriv")
 
 SYMMETRY_DETECT_TOL = 1e-12
-DEPENDENCE_GAP_THRESHOLD = 0.05
 
 
 class ConfigError(Exception):
@@ -358,7 +357,7 @@ def cmd_simulate(args) -> int:
             continue
         stats = empirical_privacy_test(trace, delta)
         privacy.append(stats.to_json_obj())
-        if stats.flags_dependence(DEPENDENCE_GAP_THRESHOLD):
+        if stats.flags_dependence():
             dependent = True
     passed = decode_failures == 0 and not dependent
     stats_obj = {

@@ -65,8 +65,6 @@ class LpProblem:
     row_keys annotates each row: ("marginal", x, u) or ("tie", q, u).
     """
 
-    n: int
-    delta: int
     c: np.ndarray
     A: np.ndarray
     b: np.ndarray
@@ -151,9 +149,7 @@ def formulate_lp(cond: ConditionalTable) -> LpProblem:
     row_keys = [("marginal", x, u) for x in range(n) for u in range(m)] + [
         ("tie", q, u) for q in subsets for u in range(m)
     ]
-    return LpProblem(
-        n=n, delta=cond.delta, c=c, A=A, b=b, var_keys=var_keys, row_keys=row_keys
-    )
+    return LpProblem(c=c, A=A, b=b, var_keys=var_keys, row_keys=row_keys)
 
 
 def solve_simplex(p: LpProblem) -> LpSolution:

@@ -37,7 +37,6 @@ from onoffpriv.markov import ConditionalTable, as_index
 
 BOUNDARY_TOL = 1e-12
 EXTRACTION_TOL = 1e-12
-NEGLIGIBLE_INCREMENT = 1e-13
 MASS_DROP_LIMIT = 1e-15
 MASS_DROP_BUDGET = 1e-10
 # rows of a scheme file column or of a trace CSV formatted and written at
@@ -60,22 +59,6 @@ class ExtractionInfeasible(ArithmeticError):
 
 class ZeroLikelihoodContext(ValueError):
     """Sampling was requested for an (x, u) pair with p(x | u) = 0."""
-
-
-@dataclass(frozen=True, eq=False)
-class ExtractionLedger:
-    """Bookkeeping snapshot of one construction run, for inspection.
-
-    Attributes:
-        m_initial: residual matrix before any extraction.
-        m_final: residual matrix after all cardinalities below n are done;
-            row sums at this point all equal theta_n.
-        segments: (ell, x) -> list of (companion tuple, width).
-    """
-
-    m_initial: np.ndarray
-    m_final: np.ndarray
-    segments: dict
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,21 +312,9 @@ def csv_digits(columns, newline: bytes = b"\n") -> bytes:
     return mat[mat != 0].tobytes()
 
 
-def build_scheme(
-    profile: ThetaProfile,
-    cond: ConditionalTable,
-    return_ledger: bool = False,
-):
-    """Construct the multiset query distribution achieving the inner bound.
-
-    Args:
-        profile: sorted-likelihood profile of `cond`.
-        cond: the likelihood table itself.
-        return_ledger: also return the ExtractionLedger of the run.
-
-    Returns:
-        A SchemeDistribution in multiset form, or (distribution, ledger)
-        when return_ledger is set.
+def build_scheme(profile: ThetaProfile, cond: ConditionalTable) -> SchemeDistribution:
+    """The multiset-form SchemeDistribution achieving the inner bound for the
+    likelihood table cond, given its sorted-likelihood profile.
 
     Raises:
         ExtractionInfeasible: a residual row could not supply its increment;
@@ -369,14 +340,13 @@ def build_scheme(
     ends = np.cumsum(m_initial, axis=1)
     used = np.zeros(m)
 
-    segments_log: dict = {}
     ids: dict = {}  # query -> index, in order of first use
     blocks = []  # (query, request, context, mass) columns per (ell, x)
 
     for ell in range(1, n):
         for x in range(n):
             need = increments[x, ell - 1]
-            if need <= NEGLIGIBLE_INCREMENT:
+            if need <= 0.0:
                 continue
             rows = order[x, : ell - 1]
             # the state boundaries of each supplying row, past its used part
@@ -400,13 +370,13 @@ def build_scheme(
             for i, r in enumerate(rel):
                 cols[i] = np.searchsorted(r, mids, side="right")
             cols = np.minimum(cols, n - 1).T
-            segs = list(zip(map(tuple, cols.tolist()), widths.tolist()))
-            segments_log[(ell, x)] = segs
-            qids = [ids.setdefault(tuple(sorted((x, *z))), len(ids)) for z, _ in segs]
+            qids = [
+                ids.setdefault(tuple(sorted((x, *z))), len(ids)) for z in cols.tolist()
+            ]
             # a segment's rows: request x in every other context, then each
             # supplying row's named state in that row's context
-            requests = np.hstack((np.full((len(segs), m - ell + 1), x), cols))
-            contexts = np.tile(np.concatenate((order[x, ell - 1 :], rows)), len(segs))
+            requests = np.hstack((np.full((widths.size, m - ell + 1), x), cols))
+            contexts = np.tile(np.concatenate((order[x, ell - 1 :], rows)), widths.size)
             blocks.append(
                 (np.repeat(qids, m), requests.ravel(), contexts, np.repeat(widths, m))
             )
@@ -425,11 +395,6 @@ def build_scheme(
     if tiny.any():
         columns = [c[~tiny] for c in (dist.q, dist.x, dist.u, dist.mass)]
         dist = SchemeDistribution(n, cond.delta, "multiset", dist.queries, *columns)
-    if return_ledger:
-        ledger = ExtractionLedger(
-            m_initial=m_initial, m_final=m_final, segments=segments_log
-        )
-        return dist, ledger
     return dist
 
 

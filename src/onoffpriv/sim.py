@@ -32,6 +32,9 @@ from onoffpriv.scheme import (
 )
 
 MIN_BUCKET_SAMPLES = 1000
+# the gap and p-value thresholds of EmpiricalStats.flags_dependence
+DEPENDENCE_GAP_THRESHOLD = 0.05
+DEPENDENCE_P_THRESHOLD = 1e-6
 # how far a start distribution's total may stray from 1
 INITIAL_SUM_TOL = 1e-9
 
@@ -161,8 +164,9 @@ class SimConfig:
             init = np.asarray(self.initial, dtype=float)
             if init.shape != (self.chain.n,):
                 raise ValueError("initial distribution has wrong length")
-            if (init < 0).any() or abs(init.sum() - 1.0) > INITIAL_SUM_TOL:
-                raise ValueError("initial distribution must be a distribution")
+            # a NaN fails every comparison, and an infinite entry makes the sum miss 1
+            if not ((init >= 0.0).all() and abs(init.sum() - 1.0) <= INITIAL_SUM_TOL):
+                raise ValueError("initial must be finite, non-negative, sum to 1")
             object.__setattr__(self, "initial", init)
 
 
@@ -435,9 +439,7 @@ class EmpiricalStats:
     chi2_dof: int
     chi2_pvalue: float
 
-    def flags_dependence(
-        self, gap_threshold: float = 0.05, p_threshold: float = 1e-6
-    ) -> bool:
+    def flags_dependence(self) -> bool:
         """True when the bucket looks dependent on the context.
 
         Requires both statistical significance (the chi-square p-value,
@@ -445,7 +447,8 @@ class EmpiricalStats:
         Either alone misfires: small buckets show large gaps from noise,
         and huge buckets reach tiny p-values on negligible effects.
         """
-        return self.chi2_pvalue < p_threshold and self.max_tv_gap > gap_threshold
+        p, gap = self.chi2_pvalue, self.max_tv_gap
+        return p < DEPENDENCE_P_THRESHOLD and gap > DEPENDENCE_GAP_THRESHOLD
 
     def to_json_obj(self) -> dict:
         return {

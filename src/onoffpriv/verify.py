@@ -52,8 +52,7 @@ class VerificationReport:
             it its largest and smallest mass; None when there are no entries.
         worst_marginal: {"x": x, "u": pair} of the largest marginal error;
             None when there are no entries.
-        tol: threshold the report was requested at; passes() uses it when
-            no explicit tolerance is given.
+        tol: the threshold that passes() applies.
     """
 
     decodability_violations: list
@@ -77,20 +76,18 @@ class VerificationReport:
             return 0.0
         return float(self.size_law_errors.max())
 
-    def passes(self, tol: float | None = None) -> bool:
-        """True when every correctness property holds within tol.
+    def passes(self) -> bool:
+        """True when every correctness property holds within self.tol.
 
         Cost is deliberately not gated: a distribution that downloads more
         than the achievable bound is wasteful, not wrong. cost_slack stays
         in the report for callers who do want to gate on it.
         """
-        if tol is None:
-            tol = self.tol
         return (
             not self.decodability_violations
-            and self.max_privacy_gap < tol
-            and self.max_marginal_error < tol
-            and self.max_size_law_error < tol
+            and self.max_privacy_gap < self.tol
+            and self.max_marginal_error < self.tol
+            and self.max_size_law_error < self.tol
         )
 
     def to_json_obj(self) -> dict:
@@ -123,8 +120,8 @@ def check_scheme(
 ) -> VerificationReport:
     """Recompute every property of a query distribution from its rows.
 
-    All report fields carry raw maxima; tol is only remembered as the
-    default threshold for report.passes().
+    All report fields carry raw maxima; tol is the threshold that
+    report.passes() applies to them.
 
     Raises:
         DimensionMismatch: s, cond, and profile disagree on n or delta.
@@ -203,11 +200,16 @@ def expected_cost(s, cond: ConditionalTable, u_prior: np.ndarray) -> float:
 
     For a private distribution the result does not depend on the prior,
     because p(q | u) is the same for every u.
+
+    Raises:
+        DimensionMismatch: the prior does not have one entry per context.
+        ValueError: the prior is not finite, non-negative and summing to 1.
     """
     u_prior = np.asarray(u_prior, dtype=float)
     if u_prior.shape != (cond.m,):
         raise DimensionMismatch(f"prior must have length {cond.m}")
-    if abs(float(u_prior.sum()) - 1.0) > PRIOR_SUM_TOL:
-        raise ValueError("prior must sum to 1")
+    # a NaN fails every comparison, and an infinite entry makes the sum miss 1
+    if not ((u_prior >= 0.0).all() and abs(u_prior.sum() - 1.0) <= PRIOR_SUM_TOL):
+        raise ValueError("prior must be finite, non-negative, sum to 1")
     size = np.array([len(members) for members in s.queries], dtype=float)
     return float(np.dot(size[s.q] * u_prior[s.u], s.mass))

@@ -4,6 +4,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import strategies as hst
 
 from onoffpriv.markov import TransitionMatrix, as_index, as_number, u_index
 from onoffpriv.scheme import COLUMNS, CSV_BLOCK_ROWS, SchemeDistribution
@@ -166,6 +167,24 @@ def schema1_json_obj(s: SchemeDistribution) -> dict:
             )
         ],
     }
+
+
+@hst.composite
+def distribution_cases(draw, size: int):
+    """(vector, valid): a distribution over size >= 2 entries or, when not
+    valid, a distribution over size - 1 entries with a NaN, infinite or
+    negative entry put in among them, so that the total may still be 1."""
+    valid = draw(hst.booleans())
+    k = size if valid else size - 1
+    weights = draw(hst.lists(hst.floats(0.0, 1.0), min_size=k, max_size=k).filter(any))
+    vector = np.array(weights) / sum(weights)
+    if not valid:
+        bad = draw(
+            hst.sampled_from([math.nan, math.inf, -math.inf])
+            | hst.floats(max_value=0.0, exclude_max=True)
+        )
+        vector = np.insert(vector, draw(hst.integers(0, k)), bad)
+    return vector, valid
 
 
 @pytest.fixture(autouse=True)

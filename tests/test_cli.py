@@ -840,6 +840,47 @@ class TestImportCost:
         assert import_probe()["unresolved"] == []
 
 
+# the flags each command takes, by their argparse names
+CHAIN_FLAGS = ("n", "alpha")
+RANDOM_ARGV_FLAGS = {
+    "lp": (*CHAIN_FLAGS, "delta"),
+    "bounds": (*CHAIN_FLAGS, "delta", "delta_max"),
+    "sweep-alpha": (*CHAIN_FLAGS, "delta"),
+    "scheme": (*CHAIN_FLAGS, "delta"),
+    "verify": (*CHAIN_FLAGS, "delta", "tol"),
+    "simulate": (*CHAIN_FLAGS, "horizon", "seed", "msg_len", "schedule"),
+}
+# each flag's well-formed values, then values of its type in a wide range,
+# malformed and edge values included
+RANDOM_ARGV_VALUES = {
+    "n": (hst.integers(2, 7), hst.integers(-2, 8)),
+    "alpha": (hst.floats(0.05, 0.95), hst.floats()),
+    "delta": (hst.integers(0, 4), hst.integers(-3, 30)),
+    "delta_max": (hst.integers(0, 6), hst.integers(-3, 30)),
+    "tol": (hst.floats(1e-12, 1e-6), hst.floats()),
+    "horizon": (hst.integers(1, 3000), hst.integers(-2, 3000)),
+    "seed": (
+        hst.integers(0, 2**32),
+        hst.integers(-(2**8), -1) | hst.integers(2**64 - 2, 2**65),
+    ),
+    "msg_len": (
+        hst.integers(1, 64), hst.integers(-2, 0) | hst.integers(2**40, 2**66)
+    ),
+    "schedule": (
+        hst.sampled_from(
+            ["always-on", "off-after-0", "bernoulli:0.3", "periodic:3", "explicit:1"]
+        ),
+        hst.sampled_from(
+            ["bernoulli:nan", "bernoulli:1.5", "periodic:0", "periodic:-1",
+             "explicit:", "explicit:0,1", "explicit:1,2", "never", ""]
+        )
+        | hst.from_regex(
+            r"(bernoulli|periodic|explicit):[-0-9.,e]{0,6}", fullmatch=True
+        ),
+    ),
+}
+
+
 class TestTopLevel:
     def test_no_command_is_a_usage_error(self, capsys):
         assert main([]) == 2
@@ -851,24 +892,21 @@ class TestTopLevel:
             assert cmd in out
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        command=hst.sampled_from(["lp", "bounds"]),
-        n=hst.none() | hst.integers(min_value=-2, max_value=8),
-        alpha=hst.none() | hst.floats(),
-        delta=hst.none() | hst.integers(min_value=-3, max_value=30),
-        delta_max=hst.none() | hst.integers(min_value=-3, max_value=30),
-    )
-    def test_lp_and_bounds_survive_random_argv(
-        self, command, n, alpha, delta, delta_max
-    ):
-        # --delta-max exists only on bounds
-        flags = {"--n": n, "--alpha": alpha, "--delta": delta}
-        if command == "bounds":
-            flags["--delta-max"] = delta_max
+    @given(command=hst.sampled_from(list(RANDOM_ARGV_FLAGS)), data=hst.data())
+    def test_commands_survive_random_argv(self, command, data):
+        # each flag the command has is left out (1 in 4), given any value of
+        # its type (1 in 4) or given a well-formed value
         argv = [command]
-        for flag, value in flags.items():
-            if value is not None:
-                argv.append(f"{flag}={value!r}")
+        for name in RANDOM_ARGV_FLAGS[command]:
+            valid, wide = RANDOM_ARGV_VALUES[name]
+            pick = data.draw(hst.integers(0, 3), label=f"{name} kind")
+            if pick == 0:
+                continue
+            value = data.draw(wide if pick == 1 else valid, label=name)
+            if name == "n" and command not in ("lp", "bounds"):
+                value = min(value, 7)  # keeps the scheme builds small
+            # --flag=VALUE keeps argparse from reading "-inf" as an option
+            argv.append(f"--{name.replace('_', '-')}={value}")
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()):
             with contextlib.redirect_stderr(err):

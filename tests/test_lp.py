@@ -166,8 +166,6 @@ class TestSimplex:
 
     def test_infeasible_system_is_reported(self):
         p = LpProblem(
-            n=2,
-            delta=1,
             c=np.array([1.0]),
             A=np.array([[1.0], [1.0]]),
             b=np.array([1.0, 2.0]),

@@ -24,7 +24,7 @@ from onoffpriv.scheme import (
     collapse_to_sets,
     sample_query_indices,
 )
-from onoffpriv.verify import check_scheme
+from onoffpriv.verify import VERIFY_TOL, check_scheme
 
 from conftest import (
     entries_of,
@@ -118,13 +118,15 @@ class TestConstruction:
             assert s.entry_count <= n * n * n**4
 
     def test_residual_rows_carry_the_tail_mass(self, rng, chain_factory):
+        # only the leftover residual rows ride on the full query, and each
+        # context's leftover sums to theta_n
         cond = conditional_table(chain_factory(rng, 4), 1)
         profile = theta_profile(cond)
-        _, ledger = build_scheme(profile, cond, return_ledger=True)
-        assert np.allclose(
-            ledger.m_final.sum(axis=1), profile.theta[-1], atol=1e-9
-        )
-        assert ledger.m_initial.min() >= 0.0
+        s = build_scheme(profile, cond)
+        on_full = s.q == s.queries.index(tuple(range(4)))
+        tail = np.bincount(s.u[on_full], weights=s.mass[on_full], minlength=cond.m)
+        assert np.allclose(tail, profile.theta[-1], atol=1e-9)
+        assert s.mass.min() >= 0.0
 
     def test_tiny_increment_keeps_its_mass(self):
         # p(0 | u) is 0.2 in context 0 and 5e-13 more in context 1, so the
@@ -139,6 +141,17 @@ class TestConstruction:
         assert 1e-13 < increment <= 1e-12
         report = check_scheme(build_scheme(profile, cond), cond, profile)
         assert report.max_marginal_error < 1e-15
+
+    def test_every_positive_increment_is_placed(self):
+        # this chain has increments below 1e-13; skipping them would leave
+        # request x short in the other contexts by up to 1.25e-13
+        rows = np.random.default_rng(2).dirichlet(np.full(8, 0.2), size=8)
+        cond = conditional_table(TransitionMatrix(rows), 1)
+        profile = theta_profile(cond)
+        increments = np.diff(profile.lambda_xi[:, :7], axis=1, prepend=0.0)
+        assert ((increments > 0.0) & (increments <= 1e-13)).any()
+        report = check_scheme(build_scheme(profile, cond), cond, profile, tol=1e-14)
+        assert report.passes(), report.max_marginal_error
 
     def test_profile_table_mismatch_is_rejected(self, rng, chain_factory):
         cond_a = conditional_table(chain_factory(rng, 3), 1)
@@ -215,14 +228,11 @@ class TestDistributionObject:
             cond = conditional_table(P, delta)
         except ZeroContextProbability:
             assume(False)
-        ms, ledger = build_scheme(theta_profile(cond), cond, return_ledger=True)
-        # the download size of each query: the cardinality it was carved at
-        size = {tuple(range(n)): n}
-        for (ell, x), segs in ledger.segments.items():
-            for zeta, _ in segs:
-                size[tuple(sorted((x, *zeta)))] = ell
-        for z in ms.queries:
-            assert len(z) == size[z]
+        profile = theta_profile(cond)
+        ms = build_scheme(profile, cond)
+        # each query's download size is the cardinality it was carved at,
+        # so the size law holds in every context
+        assert check_scheme(ms, cond, profile).max_size_law_error < VERIFY_TOL
         st = collapse_to_sets(ms)
         assert all(len(set(q)) == len(q) for q in st.queries)
         for s in (ms, st):

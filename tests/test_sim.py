@@ -23,7 +23,12 @@ from onoffpriv.sim import (
     run_simulation,
 )
 
-from conftest import entries_of, reference_sample_path, scheme_from_entries
+from conftest import (
+    distribution_cases,
+    entries_of,
+    reference_sample_path,
+    scheme_from_entries,
+)
 
 TRACE_ARRAYS = ("x", "flag", "tau", "delta", "u", "q_size", "bytes_down", "decode_ok")
 
@@ -228,6 +233,21 @@ class TestRunSimulation:
                 horizon=5,
                 initial=np.array([0.5, 0.5]),
             )
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=distribution_cases(3))
+def test_initial_must_be_a_finite_distribution(case):
+    initial, valid = case
+    kw = dict(
+        chain=symmetric_chain(3, 0.6), schedule=PrivacySchedule.always_on(),
+        horizon=5, initial=initial,
+    )
+    if valid:
+        assert np.array_equal(SimConfig(**kw).initial, initial)
+    else:
+        with pytest.raises(ValueError, match="finite, non-negative"):
+            SimConfig(**kw)
 
 
 @settings(max_examples=200, deadline=None)

@@ -8,12 +8,13 @@ from onoffpriv.markov import (
     TransitionMatrix,
     ZeroContextProbability,
     conditional_table,
+    symmetric_chain,
     u_pair,
 )
 from onoffpriv.scheme import build_scheme, collapse_to_sets
 from onoffpriv.verify import DimensionMismatch, check_scheme, expected_cost
 
-from conftest import entries_of, scheme_from_entries
+from conftest import distribution_cases, entries_of, scheme_from_entries
 
 
 def reference_check(entries, form, cond, profile):
@@ -241,3 +242,16 @@ class TestExpectedCost:
             expected_cost(ms, cond, np.full(5, 0.2))
         with pytest.raises(ValueError):
             expected_cost(ms, cond, np.full(cond.m, 0.5))
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=distribution_cases(9))
+    def test_prior_must_be_a_finite_distribution(self, case):
+        prior, valid = case
+        cond = conditional_table(symmetric_chain(3, 0.6), 1)
+        profile = theta_profile(cond)
+        ms = build_scheme(profile, cond)
+        if valid:
+            assert expected_cost(ms, cond, prior) == pytest.approx(rate_inner(profile))
+        else:
+            with pytest.raises(ValueError, match="finite, non-negative"):
+                expected_cost(ms, cond, prior)
