@@ -20,10 +20,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import io
+import functools
 import json
-import logging
 import math
 import os
 import sys
@@ -45,24 +43,31 @@ from onoffpriv.markov import (
     matrix_power,
     symmetric_chain,
 )
-from onoffpriv.verify import VERIFY_TOL, check_scheme, expected_cost
 
-# scheme, lp and sim are imported by the commands that run them, so that a
-# command compiles only the modules it uses
-
-log = logging.getLogger("onoffpriv")
+# scheme, verify, lp and sim, and csv and logging, are imported by the
+# commands that use them, so that a command compiles only the modules it runs
 
 SYMMETRY_DETECT_TOL = 1e-12
+# the values of ONOFFPRIV_LOG, in any case; any other value means WARNING
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 
 class ConfigError(Exception):
     """Bad flags or malformed input; maps to exit code 2."""
 
 
-def _configure_logging() -> None:
-    level_name = os.environ.get("ONOFFPRIV_LOG", "warning").upper()
-    level = getattr(logging, level_name, logging.WARNING)
-    logging.basicConfig(level=level, format="%(levelname)s %(message)s")
+@functools.cache
+def _log():
+    """The onoffpriv logger, configured from ONOFFPRIV_LOG on first use, so
+    that a command that emits no record never imports logging."""
+    import logging
+
+    level = os.environ.get("ONOFFPRIV_LOG", "").upper()
+    logging.basicConfig(
+        level=level if level in LOG_LEVELS else "WARNING",
+        format="%(levelname)s %(message)s",
+    )
+    return logging.getLogger("onoffpriv")
 
 
 def _load_chain(args) -> TransitionMatrix:
@@ -131,6 +136,9 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _csv_text(header: list, rows: list) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -186,7 +194,7 @@ def cmd_bounds(args) -> int:
                 cf_inv_o, cf_inv_i = closed_form_small_alpha(n, alpha, delta)
                 vals += [1.0 / cf_inv_i, 1.0 / cf_inv_o]
         rows.append([str(delta)] + [_fmt(v) for v in vals] + [_raw(v) for v in vals])
-        log.info("bounds delta=%d done", delta)
+        _log().info("bounds delta=%d done", delta)
     _emit(_csv_text(header, rows), args.out)
     return 0
 
@@ -211,7 +219,7 @@ def cmd_sweep_alpha(args) -> int:
         try:
             profile = theta_profile(conditional_table(P, delta))
         except ZeroContextProbability:
-            log.warning("alpha=%g skipped: context probability vanishes", alpha)
+            _log().warning("alpha=%g skipped: context probability vanishes", alpha)
             continue
         r_i = 1.0 / rate_inner(profile)
         r_o = 1.0 / rate_outer(profile)
@@ -224,6 +232,7 @@ def cmd_sweep_alpha(args) -> int:
 
 def cmd_scheme(args) -> int:
     from onoffpriv.scheme import build_scheme, collapse_to_sets
+    from onoffpriv.verify import expected_cost
 
     P = _load_chain(args)
     if args.delta is None:
@@ -255,9 +264,11 @@ def cmd_scheme(args) -> int:
 
 def cmd_verify(args) -> int:
     from onoffpriv.scheme import SchemeDistribution, build_scheme
+    from onoffpriv.verify import VERIFY_TOL, check_scheme
 
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        raise ConfigError(f"--tol must be finite and positive, got {args.tol}")
+    tol = VERIFY_TOL if args.tol is None else args.tol
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigError(f"--tol must be finite and positive, got {tol}")
     P = _load_chain(args)
     if args.delta is None:
         raise ConfigError("verify requires --delta")
@@ -274,7 +285,7 @@ def cmd_verify(args) -> int:
             raise ConfigError(f"bad scheme file: {exc}") from exc
     else:
         s = build_scheme(profile, cond)
-    report = check_scheme(s, cond, profile, tol=args.tol)
+    report = check_scheme(s, cond, profile, tol=tol)
     _emit(_json_text(report.to_json_obj()), args.out)
     return 0 if report.passes() else 1
 
@@ -288,7 +299,7 @@ def cmd_lp(args) -> int:
     cond = conditional_table(P, args.delta)
     profile = theta_profile(cond)
     problem = formulate_lp(cond)
-    log.info(
+    _log().info(
         "lp has %d variables, %d rows", len(problem.var_keys), len(problem.row_keys)
     )
     sol = solve_simplex(problem)
@@ -428,7 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a query distribution")
     add_common(p)
     p.add_argument("--delta", type=int, help="gap since the flag was on")
-    p.add_argument("--tol", type=float, default=VERIFY_TOL, help="pass threshold")
+    # default None: cmd_verify applies verify.VERIFY_TOL
+    p.add_argument("--tol", type=float, help="pass threshold")
     p.add_argument("--scheme", help="scheme JSON to check instead of a fresh build")
     p.set_defaults(func=cmd_verify)
 
@@ -453,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _configure_logging()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

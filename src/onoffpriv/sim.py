@@ -26,9 +26,9 @@ from onoffpriv.bounds import theta_profile
 from onoffpriv.markov import ConditionalTable, TransitionMatrix, conditional_table
 from onoffpriv.scheme import (
     SchemeDistribution,
+    ZeroLikelihoodContext,
     build_scheme,
     collapse_to_sets,
-    sample_query_indices,
 )
 
 MIN_BUCKET_SAMPLES = 1000
@@ -320,30 +320,70 @@ def _gap_schemes(P: TransitionMatrix, max_delta: int, overrides: dict):
     return schemes, index, built, reused
 
 
-def _draw_queries(schemes: list, scheme_of_step, x, u, n: int, draws):
-    """Query of every step, where step t has the uniform draw draws[t].
+def _draw_queries(schemes: list, scheme_of_gap, delta, x, u, n: int, draws):
+    """Query of every step, where step t has gap delta[t], request x[t],
+    context u[t] and the uniform draw draws[t].
 
-    Steps are grouped by (scheme, request, context), and each group is
-    drawn with one searchsorted. Returns (ids, keys): keys are the queries
-    of all the schemes, sorted, and ids[t] indexes the query of step t.
+    A step draws as sample_query_indices does, from the rows of its
+    (scheme, request, context) group, all steps in one pass. The rows of
+    every scheme are in (x, u, q) order, so their concatenation is grouped
+    by the key (scheme n + x) n^2 + u, and a table with a slot per key
+    holds each group's row range. Each group's cumulative masses add the
+    same floats in the same order as np.cumsum does, one position in the
+    group at a time, and every step bisects its group's range with
+    searchsorted(side="right") semantics, one round for all steps at once.
+    Returns (ids, keys): keys are the queries of all the schemes, sorted,
+    and ids[t] indexes the query of step t.
+
+    Raises:
+        ZeroLikelihoodContext: a step's group has no positive total mass.
     """
     keys = sorted(set().union(*(s.queries for s in schemes)))
     key_ids = {q: i for i, q in enumerate(keys)}
-    # each scheme's query indices as positions in keys
-    to_key = [np.array([key_ids[q] for q in s.queries]) for s in schemes]
     m = n * n
-    group = (scheme_of_step * n + x) * m + u
-    order = np.argsort(group)
-    group = group[order]
-    cuts = (np.flatnonzero(np.diff(group)) + 1).tolist()
-    ids = np.empty(len(group), dtype=np.int64)
-    for lo, hi in zip([0] + cuts, cuts + [len(group)]):
-        sid, rest = divmod(int(group[lo]), n * m)
-        xx, uu = divmod(rest, m)
-        steps = order[lo:hi]
-        picks = sample_query_indices(schemes[sid], xx, uu, draws[steps])
-        ids[steps] = to_key[sid][picks]
-    return ids, keys
+    # the rows of all schemes: query (as a position in keys), group, mass
+    row_key = np.concatenate([
+        np.array([key_ids[q] for q in s.queries], dtype=np.int64)[s.q]
+        for s in schemes
+    ])
+    group = np.concatenate([(i * n + s.x) * m + s.u for i, s in enumerate(schemes)])
+    cum = np.concatenate([s.mass for s in schemes])
+    # bounds[g] .. bounds[g + 1] is the row range of group g
+    bounds = np.zeros(len(schemes) * n * m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(group, minlength=bounds.size - 1), out=bounds[1:])
+    starts, sizes = bounds[:-1], np.diff(bounds)
+    for k in range(1, int(sizes.max())):
+        longer = sizes > k
+        starts, sizes = starts[longer], sizes[longer]
+        cum[starts + k] += cum[starts + k - 1]
+
+    step_group = (scheme_of_gap[delta] * n + x) * m + u
+    lo = bounds[step_group]
+    hi = bounds[1:][step_group] - 1  # each step's last row
+    del step_group
+    empty = hi < lo
+    if not empty.any():
+        target = cum[hi]
+        empty = target <= 0.0
+    if empty.any():
+        t = np.flatnonzero(empty)[0]
+        raise ZeroLikelihoodContext(
+            f"gap {delta[t]}: no mass for request {x[t]} in context {u[t]}"
+        )
+    target *= draws
+    # searchsorted(side="right") over each step's rows but the last, in
+    # place, so that a pick is the last row at the latest: the clamp of
+    # sample_query_indices
+    mid = np.empty_like(lo)
+    right = np.empty(lo.size, dtype=bool)
+    for _ in range(int((hi - lo).max()).bit_length()):
+        np.add(lo, hi, out=mid)
+        mid >>= 1
+        np.less(lo, hi, out=right)
+        right &= cum[mid] <= target
+        np.add(mid, 1, out=lo, where=right)
+        np.copyto(hi, mid, where=~right)
+    return row_key[lo], keys
 
 
 def run_simulation(cfg: SimConfig, scheme_overrides: dict | None = None) -> SimTrace:
@@ -386,7 +426,7 @@ def run_simulation(cfg: SimConfig, scheme_overrides: dict | None = None) -> SimT
         P, int(delta.max()), scheme_overrides or {}
     )
     query_ids, query_keys = _draw_queries(
-        schemes, scheme_of_gap[delta], x[:T], u, n, query_rng.random(T)
+        schemes, scheme_of_gap, delta, x[:T], u, n, query_rng.random(T)
     )
     q_size = np.array([len(q) for q in query_keys], dtype=np.int64)[query_ids]
     # the server answers exactly the queried messages, so the client

@@ -774,50 +774,79 @@ def loaded_now():
         "scipy": modules("scipy"),
         "onoffpriv": modules("onoffpriv"),
         "numpy.ma": "numpy.ma" in sys.modules,
+        "logging": "logging" in sys.modules,
+        "csv": "csv" in sys.modules,
     }
 
 
-loaded = {"import": loaded_now()}
 chain = ["--n", "3", "--alpha", "0.6", "--delta", "1"]
 scheme, out = sys.argv[1], sys.argv[2]
-codes = [main(["scheme", *chain, "--out", scheme])]
-codes.append(main(["verify", *chain, "--scheme", scheme, "--out", out]))
-loaded["scheme+verify"] = loaded_now()
 # no gap bucket of this run reaches 1,000 samples, so no privacy test runs
 sim = ["--schedule", "periodic:500", "--horizon", "10000"]
-codes.append(main(["simulate", "--n", "3", "--alpha", "0.6", *sim, "--out", out]))
-loaded["simulate"] = loaded_now()
-codes.append(main(["lp", *chain, "--out", out]))
-loaded["lp"] = loaded_now()
+argvs = {
+    "scheme+verify": [
+        ["scheme", *chain, "--out", scheme],
+        ["verify", *chain, "--scheme", scheme, "--out", out],
+    ],
+    "simulate": [["simulate", "--n", "3", "--alpha", "0.6", *sim, "--out", out]],
+    "lp": [["lp", *chain, "--out", out]],
+}
+loaded = {"import": loaded_now()}
+codes = []
+for step in sys.argv[3:]:
+    codes += [main(argv) for argv in argvs[step]]
+    loaded[step] = loaded_now()
 unresolved = [name for name in onoffpriv.__all__ if not hasattr(onoffpriv, name)]
 print(json.dumps({"codes": codes, "loaded": loaded, "unresolved": unresolved}))
 '''
 
 
-@functools.cache
-def import_probe():
-    """What the probe's fresh interpreter loaded at each step: this test
-    process has scipy and every onoffpriv module loaded already."""
+def fresh_env(log=None):
+    """The environment of a fresh interpreter that imports onoffpriv from
+    this checkout, with ONOFFPRIV_LOG set to log, or removed."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
+    env.pop("ONOFFPRIV_LOG", None)
+    if log is not None:
+        env["ONOFFPRIV_LOG"] = log
+    return env
+
+
+def run_fresh(*argv, log=None):
+    """Run the CLI in a fresh interpreter: (exit code, stdout, stderr)."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "onoffpriv.cli", *argv],
+        env=fresh_env(log), capture_output=True, text=True, timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@functools.cache
+def import_probe(*steps):
+    """What the probe's fresh interpreter loaded on import and after each
+    step, run in the order given: this test process has scipy, logging and
+    every onoffpriv module loaded already."""
     with tempfile.TemporaryDirectory() as tmp:
         proc = subprocess.run(
             [sys.executable, "-c", IMPORT_PROBE,
-             str(Path(tmp) / "s.json"), str(Path(tmp) / "out.json")],
-            env=env, capture_output=True, text=True, timeout=120,
+             str(Path(tmp) / "s.json"), str(Path(tmp) / "out.json"), *steps],
+            env=fresh_env(), capture_output=True, text=True, timeout=120,
         )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["codes"] == [0, 0, 0, 0]
+    assert set(result["codes"]) == {0}
     return result
+
+
+ALL_STEPS = ("scheme+verify", "simulate", "lp")
 
 
 class TestImportCost:
     def test_only_the_commands_that_need_scipy_load_it(self):
-        loaded = import_probe()["loaded"]
+        loaded = import_probe(*ALL_STEPS)["loaded"]
         assert loaded["import"]["scipy"] == []
         assert loaded["scheme+verify"]["scipy"] == []
         assert loaded["simulate"]["scipy"] == []
@@ -825,10 +854,11 @@ class TestImportCost:
         assert "scipy.stats" not in loaded["lp"]["scipy"]
 
     def test_a_command_loads_only_the_modules_it_runs(self):
-        loaded = import_probe()["loaded"]
+        loaded = import_probe(*ALL_STEPS)["loaded"]
         at_import = loaded["import"]["onoffpriv"]
         assert "onoffpriv.lp" not in at_import
         assert "onoffpriv.sim" not in at_import
+        assert "onoffpriv.verify" not in at_import
         assert "onoffpriv.sim" not in loaded["scheme+verify"]["onoffpriv"]
         assert "onoffpriv.lp" in loaded["lp"]["onoffpriv"]
         # a plain np.unique imports numpy.ma, 15-22 ms a process
@@ -836,8 +866,45 @@ class TestImportCost:
         assert "onoffpriv.sim" in loaded["simulate"]["onoffpriv"]
         assert not loaded["simulate"]["numpy.ma"]
 
+    def test_simulate_and_lp_load_no_checker(self):
+        loaded = import_probe("simulate", "lp")["loaded"]
+        assert "onoffpriv.sim" in loaded["simulate"]["onoffpriv"]
+        assert "onoffpriv.lp" in loaded["lp"]["onoffpriv"]
+        assert "onoffpriv.verify" not in loaded["lp"]["onoffpriv"]
+
+    def test_logging_and_csv_load_only_when_used(self):
+        loaded = import_probe("simulate", "lp")["loaded"]
+        assert not loaded["import"]["logging"]
+        assert not loaded["import"]["csv"]
+        assert not loaded["simulate"]["logging"]
+        assert not loaded["simulate"]["csv"]
+        assert not import_probe(*ALL_STEPS)["loaded"]["scheme+verify"]["logging"]
+
     def test_every_export_resolves(self):
-        assert import_probe()["unresolved"] == []
+        assert import_probe(*ALL_STEPS)["unresolved"] == []
+
+
+class TestLogging:
+    def test_skipped_alphas_are_warned_by_default(self):
+        code, out, err = run_fresh("sweep-alpha", "--n", "2")
+        assert code == 0
+        assert out.startswith("alpha,r_inner,r_outer,")
+        assert "WARNING alpha=0 skipped: context probability vanishes\n" in err
+
+    def test_info_level_reports_the_lp_size(self):
+        argv = ("lp", "--n", "3", "--alpha", "0.6", "--delta", "1")
+        code, _, err = run_fresh(*argv, log="info")
+        assert code == 0
+        assert err == "INFO lp has 115 variables, 90 rows\n"
+
+    @pytest.mark.parametrize("value", ["basic_format", "_styles", "bogus", "5", ""])
+    def test_a_value_that_is_no_level_name_means_warning(self, value):
+        argv = ("bounds", "--n", "3", "--alpha", "0.6", "--delta-max", "2")
+        code, out, err = run_fresh(*argv, log=value)
+        assert code == 0
+        assert out.startswith("delta,")
+        # the bounds command logs each gap at INFO, below WARNING
+        assert err == ""
 
 
 # the flags each command takes, by their argparse names

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 from onoffpriv.markov import TransitionMatrix, symmetric_chain
+from onoffpriv.scheme import ZeroLikelihoodContext, sample_query_indices
 from onoffpriv.sim import (
     MIN_BUCKET_SAMPLES,
     InsufficientSamples,
@@ -15,6 +16,7 @@ from onoffpriv.sim import (
     SimConfig,
     SimTrace,
     _contingency,
+    _draw_queries,
     _sample_path,
     average_download_rate,
     build_scheme_for_gap,
@@ -415,6 +417,73 @@ class TestSamplePath:
         want = reference_sample_path(P, len(draws), None, StubDraws(draws))
         got = _sample_path(P, len(draws), None, StubDraws(draws))
         assert np.array_equal(got, want)
+
+
+@hst.composite
+def draw_chains(draw):
+    """A symmetric chain or a Dirichlet(0.05, 1 or 5) chain, n = 2..8, with
+    every entry at least 1e-3 / n: Dirichlet(0.05) rows may hold exact
+    zeros, and the simulator takes strictly positive chains only."""
+    n = draw(hst.integers(2, 8), label="n")
+    concentration = draw(hst.sampled_from([None, 0.05, 1.0, 5.0]))
+    if concentration is None:
+        return symmetric_chain(n, draw(hst.floats(0.02, 0.98), label="alpha"))
+    seed = draw(hst.integers(0, 2**32 - 1), label="seed")
+    rows = np.random.default_rng(seed).dirichlet(np.full(n, concentration), size=n)
+    return TransitionMatrix(0.999 * rows + 1e-3 / n)
+
+
+def boundary_draws(cum):
+    """0, the largest float below 1, and every cum[k] / total with the
+    floats on either side."""
+    edges = cum / cum[-1]
+    return np.concatenate((
+        [0.0, np.nextafter(1.0, 0.0)],
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, 2.0),
+    ))
+
+
+class TestDrawQueries:
+    @settings(max_examples=40, deadline=None)
+    @given(P=draw_chains())
+    def test_boundary_draws_pick_as_the_per_pair_sampler(self, P):
+        # gaps 1 and 2 as two schemes, so that groups of both are keyed
+        n = P.n
+        schemes = [build_scheme_for_gap(P, 1), build_scheme_for_gap(P, 2)]
+        scheme_of_gap = np.array([0, 0, 1])
+        steps, want = [], []
+        for delta, s in ((1, schemes[0]), (2, schemes[1])):
+            pairs = sorted(set(zip(s.x.tolist(), s.u.tolist())))
+            for x, u in pairs:
+                draws = boundary_draws(s.mass_by_context(x, u)[1])
+                picks = sample_query_indices(s, x, u, draws)
+                want += [s.queries[i] for i in picks.tolist()]
+                steps += [(delta, x, u, r) for r in draws.tolist()]
+        delta, x, u, draws = (np.array(c) for c in zip(*steps))
+        ids, keys = _draw_queries(
+            schemes, scheme_of_gap, delta.astype(np.int64), x.astype(np.int64),
+            u.astype(np.int64), n, draws,
+        )
+        assert keys == sorted(set(schemes[0].queries) | set(schemes[1].queries))
+        assert [keys[i] for i in ids.tolist()] == want
+
+    @pytest.mark.parametrize("fault", ["no rows", "zero mass"])
+    def test_an_override_without_mass_names_gap_request_and_context(self, fault):
+        P = symmetric_chain(3, 0.6)
+        entries = entries_of(build_scheme_for_gap(P, 1))
+        for key in [k for k in entries if k[1:] == (0, 0)]:
+            if fault == "no rows":
+                del entries[key]
+            else:
+                entries[key] = 0.0
+        bad = scheme_from_entries(3, 1, "set", entries)
+        cfg = SimConfig(
+            chain=P, schedule=PrivacySchedule.periodic(2), horizon=2000, seed=4
+        )
+        with pytest.raises(
+            ZeroLikelihoodContext, match=r"^gap 1: no mass for request 0 in context 0$"
+        ):
+            run_simulation(cfg, scheme_overrides={1: bad})
 
 
 def sorting_contingency(rows, cols):
