@@ -21,8 +21,10 @@ is used up, and each supply is an interval of that sum. Cutting the
 increment at every row boundary inside it gives segments on which each
 supplying row names one state; every segment becomes one multiset query of
 x and those ell-1 companions. What is left of the rows rides on the full
-query. Collapsing repeated elements afterwards gives ordinary subset
-queries whose expected size can only shrink.
+query, and so, uncut, does every increment below MASS_DROP_LIMIT: the
+marginals and privacy stay exact, the size law moves by at most the folded
+mass F and the cost by at most (n - 1) F. Collapsing repeated elements
+afterwards gives ordinary subset queries whose expected size can only shrink.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from onoffpriv.markov import ConditionalTable, as_index
 BOUNDARY_TOL = 1e-12
 EXTRACTION_TOL = 1e-12
 MASS_DROP_LIMIT = 1e-15
-MASS_DROP_BUDGET = 1e-10
 # rows of a scheme file column or of a trace CSV formatted and written at
 # once; bounds the memory a writer takes
 CSV_BLOCK_ROWS = 8192
@@ -314,7 +315,9 @@ def csv_digits(columns, newline: bytes = b"\n") -> bytes:
 
 def build_scheme(profile: ThetaProfile, cond: ConditionalTable) -> SchemeDistribution:
     """The multiset-form SchemeDistribution achieving the inner bound for the
-    likelihood table cond, given its sorted-likelihood profile.
+    likelihood table cond, given its sorted-likelihood profile. A full-query
+    cell below MASS_DROP_LIMIT, at most n per context, is residue and is
+    not placed.
 
     Raises:
         ExtractionInfeasible: a residual row could not supply its increment;
@@ -339,6 +342,7 @@ def build_scheme(profile: ThetaProfile, cond: ConditionalTable) -> SchemeDistrib
     m_initial = np.maximum(values - lambda_xi[:, n - 2][None, :], 0.0)
     ends = np.cumsum(m_initial, axis=1)
     used = np.zeros(m)
+    folded = np.zeros((m, n))
 
     ids: dict = {}  # query -> index, in order of first use
     blocks = []  # (query, request, context, mass) columns per (ell, x)
@@ -347,6 +351,10 @@ def build_scheme(profile: ThetaProfile, cond: ConditionalTable) -> SchemeDistrib
         for x in range(n):
             need = increments[x, ell - 1]
             if need <= 0.0:
+                continue
+            if need < MASS_DROP_LIMIT:
+                # too small to cut; the supplying rows keep their share
+                folded[order[x, ell - 1 :], x] += need
                 continue
             rows = order[x, : ell - 1]
             # the state boundaries of each supplying row, past its used part
@@ -381,21 +389,13 @@ def build_scheme(profile: ThetaProfile, cond: ConditionalTable) -> SchemeDistrib
                 (np.repeat(qids, m), requests.ravel(), contexts, np.repeat(widths, m))
             )
 
-    # whatever is left of each row rides on the full query; row sums equal
-    # theta_n
-    m_final = np.clip(ends - used[:, None], 0.0, m_initial)
-    u_left, x_left = np.nonzero(m_final > 0.0)
+    # the rows' leftovers and the folded increments ride on the full query
+    m_final = np.clip(ends - used[:, None], 0.0, m_initial) + folded
+    u_left, x_left = np.nonzero(m_final >= MASS_DROP_LIMIT)
     full = np.full(u_left.size, ids.setdefault(tuple(range(n)), len(ids)))
     blocks.append((full, x_left, u_left, m_final[u_left, x_left]))
     columns = [np.concatenate(c) for c in zip(*blocks)]
-    dist = SchemeDistribution(n, cond.delta, "multiset", list(ids), *columns)
-    tiny = dist.mass < MASS_DROP_LIMIT
-    if dist.mass[tiny].sum() > MASS_DROP_BUDGET:
-        raise ArithmeticError(f"dropped {dist.mass[tiny].sum():g} of negligible mass")
-    if tiny.any():
-        columns = [c[~tiny] for c in (dist.q, dist.x, dist.u, dist.mass)]
-        dist = SchemeDistribution(n, cond.delta, "multiset", dist.queries, *columns)
-    return dist
+    return SchemeDistribution(n, cond.delta, "multiset", list(ids), *columns)
 
 
 def collapse_to_sets(s: SchemeDistribution) -> SchemeDistribution:

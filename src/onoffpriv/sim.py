@@ -94,7 +94,7 @@ class PrivacySchedule:
         head = head.strip().lower()
         if head == "always-on":
             return cls.always_on()
-        if head in ("off-after-0", "always-off-after-0"):
+        if head == "off-after-0":
             return cls.off_after_0()
         if head == "bernoulli":
             return cls.bernoulli(float(arg))

@@ -118,7 +118,7 @@ class TestConstruction:
             assert s.entry_count <= n * n * n**4
 
     def test_residual_rows_carry_the_tail_mass(self, rng, chain_factory):
-        # only the leftover residual rows ride on the full query, and each
+        # the leftover residual rows ride on the full query, and each
         # context's leftover sums to theta_n
         cond = conditional_table(chain_factory(rng, 4), 1)
         profile = theta_profile(cond)
@@ -152,6 +152,43 @@ class TestConstruction:
         assert ((increments > 0.0) & (increments <= 1e-13)).any()
         report = check_scheme(build_scheme(profile, cond), cond, profile, tol=1e-14)
         assert report.passes(), report.max_marginal_error
+
+    @pytest.mark.parametrize("delta", [15, 16])
+    def test_increments_below_the_drop_limit_fold_onto_the_full_query(self, delta):
+        # near mixing, most increments of this chain lie below
+        # MASS_DROP_LIMIT: 544 of 870 at gap 15, 1.6e-10 in all
+        rows = np.random.default_rng(15).dirichlet(np.ones(30), size=30)
+        cond = conditional_table(TransitionMatrix(rows), delta)
+        profile = theta_profile(cond)
+        increments = np.diff(profile.lambda_xi[:, :29], axis=1, prepend=0.0)
+        tiny = (increments > 0.0) & (increments < scheme_module.MASS_DROP_LIMIT)
+        assert tiny.sum() > 100
+        s = build_scheme(profile, cond)
+        for form in (s, collapse_to_sets(s)):
+            report = check_scheme(form, cond, profile, tol=VERIFY_TOL)
+            assert report.passes(), form.form
+            # skipping the folded increments, or taking them from the
+            # supplying rows too, leaves errors above 1e-14
+            assert report.max_marginal_error < 5e-15
+            assert report.max_privacy_gap < 5e-15
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        concentration=hst.sampled_from([0.2, 1.0, 5.0]),
+        n=hst.integers(2, 12),
+        delta=hst.integers(0, 40),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    def test_every_chain_builds_a_passing_scheme_at_every_gap(
+        self, concentration, n, delta, seed
+    ):
+        rows = np.random.default_rng(seed).dirichlet(np.full(n, concentration), size=n)
+        cond = conditional_table(TransitionMatrix(rows), delta)
+        profile = theta_profile(cond)
+        s = build_scheme(profile, cond)
+        for form in (s, collapse_to_sets(s)):
+            report = check_scheme(form, cond, profile, tol=VERIFY_TOL)
+            assert report.passes(), (form.form, report.max_marginal_error)
 
     def test_profile_table_mismatch_is_rejected(self, rng, chain_factory):
         cond_a = conditional_table(chain_factory(rng, 3), 1)

@@ -93,8 +93,10 @@ class TestPrivacySchedule:
         assert PrivacySchedule.parse("explicit:1,0,1").flags == (True, False, True)
 
     def test_parse_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            PrivacySchedule.parse("sometimes")
+        # off-after-0 has one spelling
+        for spec in ("sometimes", "always-off-after-0"):
+            with pytest.raises(ValueError):
+                PrivacySchedule.parse(spec)
 
     @settings(max_examples=200, deadline=None)
     @given(
