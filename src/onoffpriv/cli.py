@@ -411,9 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, chain=True):
-        if chain:
-            sp.add_argument("--chain", help="inline JSON or path to a chain file")
+    def add_common(sp):
+        sp.add_argument("--chain", help="inline JSON or path to a chain file")
         sp.add_argument("--n", type=int, help="symmetric chain: number of states")
         sp.add_argument(
             "--alpha", type=float, help="symmetric chain: self-loop probability"
@@ -427,8 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("sweep-alpha", help="bounds across symmetric chains")
-    add_common(p, chain=False)
+    p.add_argument("--n", type=int, help="number of states")
     p.add_argument("--delta", type=int, help="gap since the flag was on (default 1)")
+    p.add_argument("--out", help="output path (.csv or .json); default stdout")
     p.set_defaults(func=cmd_sweep_alpha)
 
     p = sub.add_parser("scheme", help="construct a query distribution")

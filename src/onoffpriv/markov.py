@@ -185,17 +185,21 @@ def symmetric_chain(n: int, alpha: float) -> TransitionMatrix:
 def matrix_power(P: TransitionMatrix, delta: int) -> np.ndarray:
     """P raised to the delta-th power; delta = 0 gives the identity.
 
-    Takes delta products, one after another from the identity. A caller that
-    walks the gaps in order, as the simulator does, should instead carry the
-    power forward with one product per gap: that is the same sequence of
-    products, so it gives the same bits at a fraction of the cost. Squaring
+    Takes up to delta products, one after another from the identity, and
+    stops once a product gives its input back bit for bit, as every later
+    one would too. A caller that walks the gaps in order, as the simulator
+    does, should instead carry the power forward with one product per gap:
+    the same products, so the same bits at a fraction of the cost. Squaring
     would be cheaper for one large delta but would change the rounding.
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     out = np.eye(P.n)
     for _ in range(delta):
-        out = out @ P.entries
+        nxt = out @ P.entries
+        if nxt.tobytes() == out.tobytes():
+            break
+        out = nxt
     return out
 
 

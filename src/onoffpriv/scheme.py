@@ -18,13 +18,12 @@ itself; those ell-1 contexts must send the same queries, so each supplies
 the same amount from its residual row. A row always gives up its states
 left to right, so its state is one number, how much of its cumulative sum
 is used up, and each supply is an interval of that sum. Cutting the
-increment at every row boundary inside it gives segments on which each
-supplying row names one state; every segment becomes one multiset query of
-x and those ell-1 companions. What is left of the rows rides on the full
-query, and so, uncut, does every increment below MASS_DROP_LIMIT: the
-marginals and privacy stay exact, the size law moves by at most the folded
-mass F and the cost by at most (n - 1) F. Collapsing repeated elements
-afterwards gives ordinary subset queries whose expected size can only shrink.
+increment at every distinct row boundary inside it gives segments on which
+each supplying row names one state, the one that holds the segment's left
+edge; every segment becomes one multiset query of x and those ell-1
+companions. What is left of the rows rides on the full query. build_scheme
+lists the only approximations. Collapsing repeated elements afterwards
+gives ordinary subset queries whose expected size can only shrink.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ import numpy as np
 from onoffpriv.bounds import ThetaProfile
 from onoffpriv.markov import ConditionalTable, as_index
 
-BOUNDARY_TOL = 1e-12
 EXTRACTION_TOL = 1e-12
 MASS_DROP_LIMIT = 1e-15
 # rows of a scheme file column or of a trace CSV formatted and written at
@@ -315,9 +313,17 @@ def csv_digits(columns, newline: bytes = b"\n") -> bytes:
 
 def build_scheme(profile: ThetaProfile, cond: ConditionalTable) -> SchemeDistribution:
     """The multiset-form SchemeDistribution achieving the inner bound for the
-    likelihood table cond, given its sorted-likelihood profile. A full-query
-    cell below MASS_DROP_LIMIT, at most n per context, is residue and is
-    not placed.
+    likelihood table cond, given its sorted-likelihood profile.
+
+    Each increment is cut at the rows' exact boundaries. The only
+    approximations are these:
+        1. an increment below MASS_DROP_LIMIT rides uncut on the full query,
+           so the marginals and privacy stay exact, and the size law moves
+           by at most the folded mass F and the cost by at most (n - 1) F;
+        2. a full-query cell below MASS_DROP_LIMIT, at most n per context,
+           is residue and is not placed;
+        3. a supplying row short by up to EXTRACTION_TOL names its last
+           state for the rest of the increment.
 
     Raises:
         ExtractionInfeasible: a residual row could not supply its increment;
@@ -365,18 +371,16 @@ def build_scheme(profile: ThetaProfile, cond: ConditionalTable) -> SchemeDistrib
                     f"row budget short by {short.max():g} (needed {need:g})"
                 )
             used[rows] += need
-            # every boundary inside (0, need) cuts the increment; one within
-            # BOUNDARY_TOL above a kept cut, or below need, merges into it
-            cuts = np.sort(rel[(rel > 0.0) & (rel < need - BOUNDARY_TOL)])
-            cuts = cuts[np.diff(cuts, prepend=-np.inf) > BOUNDARY_TOL]
+            # every distinct boundary inside (0, need) cuts the increment
+            cuts = np.sort(rel[(rel > 0.0) & (rel < need)])
+            cuts = cuts[np.diff(cuts, prepend=-np.inf) > 0.0]
             edges = np.concatenate(([0.0], cuts, [need]))
             widths = np.diff(edges)
-            # each row names the state whose interval holds a segment's
-            # middle; a row short by up to EXTRACTION_TOL names its last
-            mids = 0.5 * (edges[:-1] + edges[1:])
-            cols = np.empty((ell - 1, mids.size), dtype=np.int64)
+            # each row names the state whose interval holds a segment's left
+            # edge; a row short by up to EXTRACTION_TOL names its last
+            cols = np.empty((ell - 1, widths.size), dtype=np.int64)
             for i, r in enumerate(rel):
-                cols[i] = np.searchsorted(r, mids, side="right")
+                cols[i] = np.searchsorted(r, edges[:-1], side="right")
             cols = np.minimum(cols, n - 1).T
             qids = [
                 ids.setdefault(tuple(sorted((x, *z))), len(ids)) for z in cols.tolist()

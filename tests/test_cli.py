@@ -254,6 +254,19 @@ class TestBoundsCommand:
                 float(row["raw_r_inner"]), abs=1e-9
             )
 
+    def test_a_huge_gap_takes_the_rates_of_the_mixed_chain(self):
+        # P^delta stops changing after 43 products, so a gap of 1e12 ends
+        # as fast as a gap of 1000, with the same rates
+        rates = {}
+        for delta in ("1000", "1000000000000"):
+            code, out, err = run_fresh(
+                "bounds", "--n", "3", "--alpha", "0.6", "--delta", delta
+            )
+            assert code == 0, err
+            row = parse_csv(out)[0]
+            rates[delta] = {k: v for k, v in row.items() if k != "delta"}
+        assert rates["1000"] == rates["1000000000000"]
+
     def test_closed_form_columns_for_symmetric_chains(self, capsys):
         code, out, _ = run_cli(
             capsys, "bounds", "--n", "3", "--alpha", "0.6", "--delta", "1"
@@ -310,6 +323,13 @@ class TestSweepAlphaCommand:
     def test_requires_n(self, capsys):
         code, _, _ = run_cli(capsys, "sweep-alpha")
         assert code == 2
+
+    def test_alpha_is_not_an_option(self, capsys):
+        # the sweep walks its own alpha grid
+        code, out, err = run_cli(capsys, "sweep-alpha", "--n", "3", "--alpha", "0.9")
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --alpha 0.9" in err
 
 
 class TestSchemeAndVerifyCommands:
@@ -912,7 +932,7 @@ CHAIN_FLAGS = ("n", "alpha")
 RANDOM_ARGV_FLAGS = {
     "lp": (*CHAIN_FLAGS, "delta"),
     "bounds": (*CHAIN_FLAGS, "delta", "delta_max"),
-    "sweep-alpha": (*CHAIN_FLAGS, "delta"),
+    "sweep-alpha": ("n", "delta"),
     "scheme": (*CHAIN_FLAGS, "delta"),
     "verify": (*CHAIN_FLAGS, "delta", "tol"),
     "simulate": (*CHAIN_FLAGS, "horizon", "seed", "msg_len", "schedule"),

@@ -82,6 +82,22 @@ class TestMatrixPower:
             expected = np.linalg.matrix_power(P.entries, delta)
             assert np.allclose(matrix_power(P, delta), expected, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "P",
+        [symmetric_chain(3, 0.6), symmetric_chain(5, 0.95), symmetric_chain(2, 0.0)]
+        + [
+            TransitionMatrix(np.random.default_rng(s).dirichlet(np.full(n, c), size=n))
+            for s, n, c in ((0, 7, 0.2), (1, 12, 1.0), (2, 20, 5.0))
+        ],
+    )
+    def test_same_bits_as_every_product_taken(self, P):
+        # the loop stops at the power's bitwise fixed point, and every
+        # later product would give the same bits back
+        want = np.eye(P.n)
+        for delta in range(201):
+            assert matrix_power(P, delta).tobytes() == want.tobytes(), delta
+            want = want @ P.entries
+
     def test_rejects_negative_exponent(self):
         with pytest.raises(ValueError):
             matrix_power(symmetric_chain(2, 0.5), -1)

@@ -189,6 +189,26 @@ class TestConstruction:
         for form in (s, collapse_to_sets(s)):
             report = check_scheme(form, cond, profile, tol=VERIFY_TOL)
             assert report.passes(), (form.form, report.max_marginal_error)
+            assert report.max_marginal_error < 5e-15, form.form
+
+    @pytest.mark.parametrize(
+        "n, concentration, seed, delta",
+        [(7, 0.2, 0, 21), (9, 1.0, 2, 20), (10, 1.0, 1, 20), (6, 1.0, 2, 20)],
+    )
+    def test_increments_are_cut_at_the_exact_row_boundaries(
+        self, n, concentration, seed, delta
+    ):
+        # these chains have supplying-row boundaries within 1e-12 of each
+        # other or of an increment's end; a cut placed anywhere but at each
+        # exact boundary moves up to 9.7e-13 of mass onto a neighbouring state
+        rows = np.random.default_rng(seed).dirichlet(np.full(n, concentration), size=n)
+        cond = conditional_table(TransitionMatrix(rows), delta)
+        profile = theta_profile(cond)
+        s = build_scheme(profile, cond)
+        for form in (s, collapse_to_sets(s)):
+            report = check_scheme(form, cond, profile, tol=1e-14)
+            assert report.passes(), (form.form, report.max_marginal_error)
+            assert report.max_marginal_error < 5e-15, form.form
 
     def test_profile_table_mismatch_is_rejected(self, rng, chain_factory):
         cond_a = conditional_table(chain_factory(rng, 3), 1)
