@@ -39,8 +39,8 @@ _EXPORTS = {
         "DimensionMismatch", "VerificationReport", "check_scheme", "expected_cost",
     ),
     "lp": (
-        "Infeasible", "IterationLimit", "LpProblem", "LpSolution", "TooLarge",
-        "formulate_lp", "optimal_rate", "solve_simplex",
+        "IterationLimit", "LpProblem", "LpSolution", "TooLarge", "formulate_lp",
+        "optimal_rate", "solve_simplex",
     ),
     "sim": (
         "EmpiricalStats", "InsufficientSamples", "PrivacySchedule", "SimConfig",

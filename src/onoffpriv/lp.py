@@ -1,21 +1,39 @@
 """Exact optimal download cost via linear programming, for small n.
 
-The optimal private query distribution solves
+The optimal private query distribution solves the full program
 
     minimize    sum_q |q| * s(q)
     subject to  sum_{q containing x} a(q, x, u) = p(x | u)   for all x, u
-                sum_{x in q} a(q, x, u) - s(q) = 0           for all q, u
+                sum_{x in q} a(q, x, u) = s(q)               for all q, u
                 a, s >= 0
 
 where a(q, x, u) = p(x, q | u) ranges over subset queries q that contain x,
-and s(q) is the common value of p(q | u) forced by privacy. Variables with
-x outside q are never instantiated. The program has on the order of
-n^3 * 2^n variables, which is why it is only solved for n <= 5; the
-construction in scheme.py exists precisely because this does not scale.
+and s(q) is the common value of p(q | u) forced by privacy. For fixed s, the
+rows of one context u ask for a flow that carries each query's mass s(q) to
+the requests x in q and meets the demands p(x | u). By Gale's supply-demand
+theorem (D. Gale, "A theorem on flows in networks", Pacific J. Math. 1957)
+that flow exists exactly when the queries inside any request set T fit in
+T's smallest mass over the contexts, its floor:
 
-The program is handed to scipy's HiGHS dual simplex. The returned point is
-not taken on trust: it is re-checked for sign and for the residual of every
-constraint before a value is reported.
+    sum_{q inside T} s(q) <= floor(T) = min_u sum_{x in T} p(x | u).
+
+So the a(q, x, u) drop out. Writing s([n]) = 1 - sum of the other s(q)
+leaves a program over the 2^n - 2 other queries,
+
+    maximize    sum_{q != [n]} (n - |q|) * s(q)
+    subject to  sum_{q inside T} s(q) <= floor(T)   for every proper nonempty T
+                sum_{q != [n]} s(q) <= 1,   s >= 0,
+
+whose optimal cost is n minus its maximum. Every right-hand side is
+nonnegative, so the slack basis, which downloads everything, is a feasible
+start: the program can be neither infeasible nor unbounded. A dense tableau
+simplex with Bland's lowest-index rule (R. G. Bland, "New finite pivoting
+rules for the simplex method", Math. Oper. Res. 1977) solves it.
+
+The answer is not taken on trust. The simplex's dual certificate is checked
+against the program's own rows. Each context's a(q, x, u) is then recovered
+by the same simplex, as a maximum flow that must carry all of the mass, and
+the assembled (a, s) point is checked against every row of the full program.
 """
 
 from __future__ import annotations
@@ -30,14 +48,12 @@ MAX_STATES = 5
 NONNEG_TOL = 1e-10
 RESIDUAL_TOL = 1e-8
 PRIMAL_ZERO_TOL = 1e-12
-# Presolve off and tight tolerances make HiGHS return an exact vertex; with
-# its defaults, postsolve can hand back entries near -1e-7 that the sign
-# check in solve_simplex rejects.
-HIGHS_OPTIONS = {
-    "presolve": False,
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
-}
+# a tableau entry this close to 0 is never a pivot, and a reduced cost this
+# close to 0 never enters: both are rounding of a 0
+PIVOT_TOL = 1e-9
+# Bland's rule cannot cycle, so the cap only stops a tableau that rounding
+# has broken; the largest program, at n = 5, takes a few dozen pivots
+MAX_PIVOTS = 10_000
 
 
 class TooLarge(ValueError):
@@ -45,24 +61,18 @@ class TooLarge(ValueError):
 
 
 class IterationLimit(RuntimeError):
-    """The solver stopped at its iteration limit without an optimum."""
-
-
-class Infeasible(RuntimeError):
-    """The solver found the equality constraints unsatisfiable.
-
-    Downloading everything is always a feasible private scheme, so this can
-    only mean the problem matrix was built wrong.
-    """
+    """The simplex stopped at its pivot cap without an optimum."""
 
 
 @dataclass(frozen=True, eq=False)
 class LpProblem:
-    """Equality-form LP: minimize c @ v subject to A @ v = b, v >= 0.
+    """The program over shared query masses: maximize c @ v subject to
+    A @ v <= b, v >= 0; the optimal cost is cond.n minus the maximum.
 
-    var_keys annotates each column: ("a", q, x, u) for joint query mass or
-    ("s", q) for shared query probability, with q a sorted member tuple.
-    row_keys annotates each row: ("marginal", x, u) or ("tie", q, u).
+    var_keys annotates each column: ("s", q) for every query q other than
+    the full one, as a sorted member tuple. row_keys annotates each row:
+    ("floor", T) for every proper nonempty request set T, then ("total",).
+    cond is the likelihood table the per-context masses are recovered from.
     """
 
     c: np.ndarray
@@ -70,6 +80,7 @@ class LpProblem:
     b: np.ndarray
     var_keys: list
     row_keys: list
+    cond: ConditionalTable
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,10 +88,11 @@ class LpSolution:
     """Optimal point of an LpProblem.
 
     value is the optimal expected query size (an inverse rate). primal maps
-    the semantic key of every variable above PRIMAL_ZERO_TOL to its value.
-    status is "optimal" whenever the solver returns instead of raising; the
-    other states ("infeasible", "iteration-limit") surface as exceptions and
-    the field exists so serialized records can carry them.
+    each ("a", q, x, u) and ("s", q) key of the full program above
+    PRIMAL_ZERO_TOL to its value. status is "optimal" whenever the solver
+    returns instead of raising; the pivot cap surfaces as IterationLimit,
+    and the field exists so serialized records can carry the status.
+    iterations counts the pivots of the program over shared masses.
     """
 
     value: float
@@ -114,80 +126,153 @@ def all_subsets(n: int) -> list[tuple]:
     ]
 
 
-def formulate_lp(cond: ConditionalTable) -> LpProblem:
-    """Build the exact-cost LP for one likelihood table.
+def _member_bits(n: int) -> np.ndarray:
+    """bits[i, x] = 1 when state x belongs to the subset with bitmask i + 1."""
+    return np.arange(1, 1 << n)[:, None] >> np.arange(n) & 1
 
-    Queries are the bitmasks 1 .. 2^n - 1. Each (query, member) pair k, in
-    bitmask order and then ascending member, owns the columns k*m + u; the
-    s(q) columns follow. The marginal row of (x, u) is x*m + u and the tie
-    row of query index i is (n + i)*m + u.
+
+def formulate_lp(cond: ConditionalTable) -> LpProblem:
+    """Build the program over shared query masses for one likelihood table.
+
+    Queries and request sets are both the bitmasks 1 .. 2^n - 2, in order;
+    column q of row T is 1 when q lies inside T, and the total row is all 1.
+    A floor that rounding leaves below 0 is taken as 0.
 
     Raises:
-        TooLarge: n exceeds 5 and the dense program would be unreasonable.
+        TooLarge: n exceeds MAX_STATES, beyond which recovering the
+            per-context masses stops being quick.
     """
-    n, m = cond.n, cond.m
+    n = cond.n
     if n > MAX_STATES:
         raise TooLarge(f"exact LP limited to n <= {MAX_STATES}, got n={n}")
-    subsets = all_subsets(n)
-    bits = np.arange(1, 1 << n)[:, None] >> np.arange(n) & 1
-    pair_q, pair_x = np.nonzero(bits)
-    n_q, n_a, ctx = len(subsets), len(pair_q) * m, np.arange(m)
-    a_cols = np.arange(len(pair_q))[:, None] * m + ctx
-    s_q = np.arange(n_q)[:, None]
+    masks = np.arange(1, (1 << n) - 1)
+    bits = _member_bits(n)[:-1]
+    inside = (masks[None, :] & ~masks[:, None]) == 0
+    A = np.vstack([inside, np.ones(len(masks))]).astype(float)
+    floor = np.maximum((cond.values @ bits.T).min(axis=0), 0.0)
+    b = np.append(floor, 1.0)
+    c = (n - bits.sum(axis=1)).astype(float)
+    proper = all_subsets(n)[:-1]
+    return LpProblem(
+        c=c, A=A, b=b, var_keys=[("s", q) for q in proper],
+        row_keys=[("floor", t) for t in proper] + [("total",)], cond=cond,
+    )
 
-    A = np.zeros(((n + n_q) * m, n_a + n_q))
-    A[pair_x[:, None] * m + ctx, a_cols] = 1.0
-    A[(n + pair_q)[:, None] * m + ctx, a_cols] = 1.0
-    A[(n + s_q) * m + ctx, n_a + s_q] = -1.0
-    b = np.concatenate([cond.values.T.ravel(), np.zeros(n_q * m)])
-    c = np.concatenate([np.zeros(n_a), bits.sum(axis=1, dtype=float)])
 
-    var_keys = [
-        ("a", subsets[q], x, u)
-        for q, x in zip(pair_q.tolist(), pair_x.tolist()) for u in range(m)
-    ] + [("s", q) for q in subsets]
-    row_keys = [("marginal", x, u) for x in range(n) for u in range(m)] + [
-        ("tie", q, u) for q in subsets for u in range(m)
-    ]
-    return LpProblem(c=c, A=A, b=b, var_keys=var_keys, row_keys=row_keys)
+def _simplex(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """Maximize c @ v subject to A @ v <= b, v >= 0, for b >= 0: the optimal
+    v and the pivot count.
+
+    The tableau starts from the slack basis. Bland's rule enters the lowest
+    column with a positive reduced cost and, among the rows tied in the
+    ratio test, leaves the one whose basic variable has the lowest index.
+
+    Raises:
+        IterationLimit: the pivots reach MAX_PIVOTS.
+        ArithmeticError: a column can grow without bound, or the optimum
+            fails its certificate: v >= 0 and A @ v <= b, the duals y read
+            off the slack columns with y >= 0 and y @ A >= c, and
+            y @ b = c @ v, each within NONNEG_TOL or RESIDUAL_TOL.
+    """
+    rows, cols = A.shape
+    tab = np.zeros((rows + 1, cols + rows + 1))
+    tab[:rows, :cols] = A
+    tab[:rows, cols:-1] = np.eye(rows)
+    tab[:rows, -1] = b
+    tab[-1, :cols] = -c
+    basis = np.arange(cols, cols + rows)
+    pivots = 0
+    while True:
+        entering = np.flatnonzero(tab[-1, :-1] < -PIVOT_TOL)
+        if not entering.size:
+            break
+        if pivots == MAX_PIVOTS:
+            raise IterationLimit(f"no optimum after {MAX_PIVOTS} pivots")
+        j = entering[0]
+        rising = np.flatnonzero(tab[:rows, j] > PIVOT_TOL)
+        if not rising.size:
+            raise ArithmeticError(f"column {j} is unbounded")
+        ratios = tab[rising, -1] / tab[rising, j]
+        tied = rising[ratios == ratios.min()]
+        i = tied[basis[tied].argmin()]
+        tab[i] /= tab[i, j]
+        factors = tab[:, j].copy()
+        factors[i] = 0.0
+        tab -= np.outer(factors, tab[i])
+        basis[i] = j
+        pivots += 1
+
+    v = np.zeros(cols + rows)
+    v[basis] = tab[:rows, -1]
+    v = v[:cols]
+    y = tab[-1, cols:-1]
+    if v.min() < -NONNEG_TOL or (A @ v - b).max() > RESIDUAL_TOL:
+        raise ArithmeticError("simplex point leaves the feasible region")
+    if y.min() < -NONNEG_TOL or (c - y @ A).max() > RESIDUAL_TOL:
+        raise ArithmeticError("simplex duals are infeasible")
+    gap = abs(float(y @ b - c @ v))
+    if gap > RESIDUAL_TOL:
+        raise ArithmeticError(f"primal and dual values differ by {gap:g}")
+    return np.maximum(v, 0.0), pivots
 
 
 def solve_simplex(p: LpProblem) -> LpSolution:
-    """Solve the LP with scipy's HiGHS dual simplex, then re-check the point.
+    """Solve the program over shared masses, then recover and re-check the
+    full program's point.
+
+    Each context u gets the flow that maximizes sum a(q, x, u) subject to
+    sum_{q containing x} a <= p(x | u), sum_{x in q} a <= s(q) and a >= 0,
+    solved by the same simplex; the flow must reach 1. The assembled (a, s)
+    must then meet every marginal and tie row of the full program within
+    RESIDUAL_TOL.
 
     Raises:
-        Infeasible: the solver proves the constraints unsatisfiable.
-        IterationLimit: the solver stops at its iteration limit.
-        ArithmeticError: any other solver failure, or a returned point that
-            is negative or misses a constraint by more than the tolerances.
+        ValueError: a right-hand side is negative, so the slack basis is not
+            a feasible start.
+        IterationLimit: a simplex reaches its pivot cap.
+        ArithmeticError: a certificate fails, a flow falls short of 1, or the
+            assembled point misses a row of the full program.
     """
-    # imported here, so that only a caller that solves pays for loading it
-    from scipy.optimize import linprog
+    if not (p.b >= 0.0).all():
+        raise ValueError("every right-hand side must be nonnegative")
+    s, iterations = _simplex(p.c, p.A, p.b)
+    cond = p.cond
+    n, m = cond.n, cond.m
+    s_all = np.append(s, max(1.0 - s.sum(), 0.0))
 
-    res = linprog(
-        p.c, A_eq=p.A, b_eq=p.b, bounds=(0, None), method="highs-ds",
-        options=HIGHS_OPTIONS,
-    )
-    if res.status == 2:
-        raise Infeasible(res.message)
-    if res.status == 1:
-        raise IterationLimit(res.message)
-    if res.status != 0:
-        raise ArithmeticError(f"linprog status {res.status}: {res.message}")
-
-    x = res.x
-    if x.min() < -NONNEG_TOL:
-        raise ArithmeticError(f"negative primal value {x.min():g}")
-    residual = float(np.abs(p.A @ x - p.b).max())
+    # columns are the (query, member) pairs in bitmask order, then ascending
+    # member; rows are the members' demands, then the queries' supplies
+    pair_q, pair_x = np.nonzero(_member_bits(n))
+    flow = np.zeros((n + len(s_all), len(pair_q)))
+    flow[pair_x, np.arange(len(pair_q))] = 1.0
+    flow[n + pair_q, np.arange(len(pair_q))] = 1.0
+    ones = np.ones(len(pair_q))
+    a = np.empty((m, len(pair_q)))
+    for u in range(m):
+        a[u], _ = _simplex(
+            ones, flow, np.concatenate([np.maximum(cond.values[u], 0.0), s_all])
+        )
+    shortfall = float(1.0 - a.sum(axis=1).min())
+    if shortfall > RESIDUAL_TOL:
+        raise ArithmeticError(f"a context's flow falls {shortfall:g} short of 1")
+    rows = a @ flow.T - np.hstack([cond.values, np.tile(s_all, (m, 1))])
+    residual = float(np.abs(rows).max())
     if residual > RESIDUAL_TOL:
-        raise ArithmeticError(f"constraint residual {residual:g}")
+        raise ArithmeticError(f"full-program residual {residual:g}")
 
-    value = float(p.c @ x)
+    subsets = all_subsets(n)
+    us, ks = np.nonzero(a > PRIMAL_ZERO_TOL)
     primal = {
-        p.var_keys[k]: float(x[k]) for k in np.nonzero(x > PRIMAL_ZERO_TOL)[0]
+        ("a", subsets[pair_q[k]], int(pair_x[k]), u): float(a[u, k])
+        for u, k in zip(us.tolist(), ks.tolist())
     }
+    primal.update(
+        (("s", subsets[q]), float(s_all[q]))
+        for q in np.flatnonzero(s_all > PRIMAL_ZERO_TOL).tolist()
+    )
+    value = n - float(p.c @ s)
     return LpSolution(
-        value=value, primal=primal, status="optimal", iterations=int(res.nit)
+        value=value, primal=primal, status="optimal", iterations=iterations
     )
 
 

@@ -185,21 +185,31 @@ def symmetric_chain(n: int, alpha: float) -> TransitionMatrix:
 def matrix_power(P: TransitionMatrix, delta: int) -> np.ndarray:
     """P raised to the delta-th power; delta = 0 gives the identity.
 
-    Takes up to delta products, one after another from the identity, and
-    stops once a product gives its input back bit for bit, as every later
-    one would too. A caller that walks the gaps in order, as the simulator
-    does, should instead carry the power forward with one product per gap:
-    the same products, so the same bits at a fraction of the cost. Squaring
-    would be cheaper for one large delta but would change the rounding.
+    Takes up to delta products, one after another from the identity. Each
+    product is a function of its input's bits, so once one repeats an
+    earlier product bit for bit, the rest repeat with that period. Brent's
+    cycle detection (R. P. Brent, "An improved Monte Carlo factorization
+    algorithm", BIT 1980) compares each product with the one saved at the
+    last power-of-two step; on a match with period lam, the remaining steps
+    are skipped modulo lam. That ends a mixing chain at its fixed point
+    (lam = 1) and a periodic chain at its cycle. A caller that walks the
+    gaps in order, as the simulator does, should instead carry the power
+    forward with one product per gap: the same products, so the same bits
+    at a fraction of the cost. Squaring would be cheaper for one large
+    delta but would change the rounding.
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     out = np.eye(P.n)
-    for _ in range(delta):
-        nxt = out @ P.entries
-        if nxt.tobytes() == out.tobytes():
+    saved, saved_at = out.tobytes(), 0
+    for k in range(1, delta + 1):
+        out = out @ P.entries
+        if out.tobytes() == saved:
+            for _ in range((delta - k) % (k - saved_at)):
+                out = out @ P.entries
             break
-        out = nxt
+        if k & (k - 1) == 0:
+            saved, saved_at = out.tobytes(), k
     return out
 
 

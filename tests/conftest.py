@@ -1,13 +1,76 @@
 import io
 import math
 import struct
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import strategies as hst
 
-from onoffpriv.markov import TransitionMatrix, as_index, as_number, u_index
+from onoffpriv.lp import all_subsets
+from onoffpriv.markov import (
+    ConditionalTable, TransitionMatrix, as_index, as_number, u_index,
+)
 from onoffpriv.scheme import COLUMNS, CSV_BLOCK_ROWS, SchemeDistribution
+
+
+class FullProgram(NamedTuple):
+    """Equality-form LP: minimize c @ v subject to A @ v = b, v >= 0.
+
+    var_keys annotates each column: ("a", q, x, u) for joint query mass or
+    ("s", q) for shared query probability, with q a sorted member tuple.
+    row_keys annotates each row: ("marginal", x, u) or ("tie", q, u).
+    """
+
+    c: np.ndarray
+    A: np.ndarray
+    b: np.ndarray
+    var_keys: list
+    row_keys: list
+
+
+def full_program(cond: ConditionalTable) -> FullProgram:
+    """The exact-cost LP over every (a, s) variable, which lp.formulate_lp
+    replaced with the program over s alone, kept as the reference the
+    reduced program must agree with.
+
+    Queries are the bitmasks 1 .. 2^n - 1. Each (query, member) pair k, in
+    bitmask order and then ascending member, owns the columns k*m + u; the
+    s(q) columns follow. The marginal row of (x, u) is x*m + u and the tie
+    row of query index i is (n + i)*m + u.
+    """
+    n, m = cond.n, cond.m
+    subsets = all_subsets(n)
+    bits = np.arange(1, 1 << n)[:, None] >> np.arange(n) & 1
+    pair_q, pair_x = np.nonzero(bits)
+    n_q, n_a, ctx = len(subsets), len(pair_q) * m, np.arange(m)
+    a_cols = np.arange(len(pair_q))[:, None] * m + ctx
+    s_q = np.arange(n_q)[:, None]
+
+    A = np.zeros(((n + n_q) * m, n_a + n_q))
+    A[pair_x[:, None] * m + ctx, a_cols] = 1.0
+    A[(n + pair_q)[:, None] * m + ctx, a_cols] = 1.0
+    A[(n + s_q) * m + ctx, n_a + s_q] = -1.0
+    b = np.concatenate([cond.values.T.ravel(), np.zeros(n_q * m)])
+    c = np.concatenate([np.zeros(n_a), bits.sum(axis=1, dtype=float)])
+
+    var_keys = [
+        ("a", subsets[q], x, u)
+        for q, x in zip(pair_q.tolist(), pair_x.tolist()) for u in range(m)
+    ] + [("s", q) for q in subsets]
+    row_keys = [("marginal", x, u) for x in range(n) for u in range(m)] + [
+        ("tie", q, u) for q in subsets for u in range(m)
+    ]
+    return FullProgram(c=c, A=A, b=b, var_keys=var_keys, row_keys=row_keys)
+
+
+def full_point(program: FullProgram, primal: dict) -> np.ndarray:
+    """An LpSolution's primal placed in the full program's columns."""
+    column = {key: i for i, key in enumerate(program.var_keys)}
+    v = np.zeros(len(program.var_keys))
+    for key, value in primal.items():
+        v[column[key]] = value
+    return v
 
 
 def random_chain(rng, n: int) -> TransitionMatrix:

@@ -68,6 +68,16 @@ class TestContextIndex:
             u_pair(9, 3)
 
 
+# periodic chains, whose powers never reach a fixed point: a 3-cycle; a
+# bipartite 4-state chain, whose powers alternate between two limits; and a
+# chain that leaves state 0 at once for a 2-cycle between states 1 and 2
+THREE_CYCLE = TransitionMatrix(np.roll(np.eye(3), 1, axis=1))
+BIPARTITE = TransitionMatrix(
+    [[0, 0, 0.4, 0.6], [0, 0, 0.9, 0.1], [0.8, 0.2, 0, 0], [0.3, 0.7, 0, 0]]
+)
+INTO_A_FLIP = TransitionMatrix([[0, 0.5, 0.5], [0, 0, 1], [0, 1, 0]])
+
+
 class TestMatrixPower:
     def test_two_step_symmetric_chain(self):
         # frozen: second power of the 3-state chain with self-loop 0.6
@@ -88,15 +98,30 @@ class TestMatrixPower:
         + [
             TransitionMatrix(np.random.default_rng(s).dirichlet(np.full(n, c), size=n))
             for s, n, c in ((0, 7, 0.2), (1, 12, 1.0), (2, 20, 5.0))
-        ],
+        ]
+        + [THREE_CYCLE, BIPARTITE, INTO_A_FLIP],
     )
     def test_same_bits_as_every_product_taken(self, P):
-        # the loop stops at the power's bitwise fixed point, and every
-        # later product would give the same bits back
+        # the loop stops once a product repeats the one saved at the last
+        # power-of-two step, and every later product repeats with the
+        # period found
         want = np.eye(P.n)
         for delta in range(201):
             assert matrix_power(P, delta).tobytes() == want.tobytes(), delta
             want = want @ P.entries
+
+    @pytest.mark.parametrize(
+        "P", [symmetric_chain(2, 0.0), THREE_CYCLE, BIPARTITE, INTO_A_FLIP]
+    )
+    def test_a_huge_gap_lands_on_the_cycle(self, P):
+        # each chain's products repeat with a period dividing 6 from
+        # product 100 on (the bipartite chain's from product 55 on)
+        taken = [np.eye(P.n)]
+        for _ in range(105):
+            taken.append(taken[-1] @ P.entries)
+        for delta in (10**12, 10**12 + 1, 10**12 + 2, 3**30):
+            want = taken[100 + (delta - 100) % 6]
+            assert matrix_power(P, delta).tobytes() == want.tobytes(), delta
 
     def test_rejects_negative_exponent(self):
         with pytest.raises(ValueError):
