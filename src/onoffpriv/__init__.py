@@ -22,8 +22,8 @@ _EXPORTS = {
     "markov": (
         "ConditionalTable", "SymmetricSigmas", "TransitionMatrix",
         "ZeroContextProbability", "chain_from_dict", "chain_to_dict",
-        "conditional_table", "matrix_power", "symmetric_chain",
-        "symmetric_sigmas", "u_index", "u_pair",
+        "conditional_table", "matrix_power", "matrix_powers",
+        "symmetric_chain", "symmetric_sigmas", "u_index", "u_pair",
     ),
     "bounds": (
         "NegativeTheta", "OutOfRegime", "RateBounds", "ThetaProfile",

@@ -40,7 +40,7 @@ from onoffpriv.markov import (
     ZeroContextProbability,
     chain_from_dict,
     conditional_table,
-    matrix_power,
+    matrix_powers,
     symmetric_chain,
 )
 
@@ -175,12 +175,7 @@ def cmd_bounds(args) -> int:
     header = header + ["raw_" + h for h in raw_cols]
     rows = []
     deltas = _delta_range(args)
-    # P^delta carried forward with one product per gap: the products
-    # matrix_power takes, so the same bits at a cost linear in the range
-    power = matrix_power(P, deltas[0])
-    for delta in deltas:
-        if delta > deltas[0]:
-            power = power @ P.entries
+    for delta, (_, power) in zip(deltas, matrix_powers(P, deltas[0], deltas[-1] + 1)):
         cond = conditional_table(P, delta, power=power)
         profile = theta_profile(cond)
         inv_i = rate_inner(profile)

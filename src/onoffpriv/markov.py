@@ -182,35 +182,45 @@ def symmetric_chain(n: int, alpha: float) -> TransitionMatrix:
     return TransitionMatrix(entries)
 
 
-def matrix_power(P: TransitionMatrix, delta: int) -> np.ndarray:
-    """P raised to the delta-th power; delta = 0 gives the identity.
+def matrix_powers(P: TransitionMatrix, start: int, stop: int):
+    """Yield (first, P^delta) for each delta in range(start, stop), where
+    first is the smallest gap known to share P^delta bit for bit.
 
-    Takes up to delta products, one after another from the identity. Each
-    product is a function of its input's bits, so once one repeats an
-    earlier product bit for bit, the rest repeat with that period. Brent's
-    cycle detection (R. P. Brent, "An improved Monte Carlo factorization
+    The powers are products taken one after another from the identity. Each
+    is a function of its input's bits, so once one repeats an earlier
+    product bit for bit, the rest repeat with that period. Brent's cycle
+    detection (R. P. Brent, "An improved Monte Carlo factorization
     algorithm", BIT 1980) compares each product with the one saved at the
-    last power-of-two step; on a match with period lam, the remaining steps
-    are skipped modulo lam. That ends a mixing chain at its fixed point
-    (lam = 1) and a periodic chain at its cycle. A caller that walks the
-    gaps in order, as the simulator does, should instead carry the power
-    forward with one product per gap: the same products, so the same bits
-    at a fraction of the cost. Squaring would be cheaper for one large
-    delta but would change the rounding.
+    last power-of-two step. On a match with period lam, the lam powers of
+    the cycle are kept and yielded again with no further product: a mixing
+    chain ends at its fixed point (lam = 1), a periodic chain at its cycle,
+    and a start past the cycle lands on it at once. Squaring would be
+    cheaper for one large delta but would change the rounding.
     """
-    if delta < 0:
+    if start < 0:
         raise ValueError("delta must be nonnegative")
-    out = np.eye(P.n)
-    saved, saved_at = out.tobytes(), 0
-    for k in range(1, delta + 1):
-        out = out @ P.entries
-        if out.tobytes() == saved:
-            for _ in range((delta - k) % (k - saved_at)):
-                out = out @ P.entries
-            break
-        if k & (k - 1) == 0:
-            saved, saved_at = out.tobytes(), k
-    return out
+    power, k = np.eye(P.n), 0  # power is P^k
+    saved, saved_at, cycle = power.tobytes(), 0, []
+    for delta in range(start, stop):
+        while k < delta and not cycle:
+            k += 1
+            power = power @ P.entries
+            if power.tobytes() == saved:
+                cycle.append(power)  # cycle[i] is P^(saved_at + i)
+            elif k & (k - 1) == 0:
+                saved, saved_at = power.tobytes(), k
+        if not cycle:
+            yield delta, power
+            continue
+        i = (delta - saved_at) % (k - saved_at)
+        while len(cycle) <= i:
+            cycle.append(cycle[-1] @ P.entries)
+        yield saved_at + i, cycle[i]
+
+
+def matrix_power(P: TransitionMatrix, delta: int) -> np.ndarray:
+    """P^delta as matrix_powers walks to it; delta = 0 gives the identity."""
+    return next(matrix_powers(P, delta, delta + 1))[1]
 
 
 def conditional_table(
@@ -224,8 +234,8 @@ def conditional_table(
     Args:
         P: the chain.
         delta: the gap.
-        power: P^delta when the caller already holds it, as computed by
-            matrix_power; by default it is computed here.
+        power: P^delta when the caller already holds it, as walked by
+            matrix_powers; by default it is computed here.
 
     Raises:
         ZeroContextProbability: some pair (xtau, xnext) cannot occur in

@@ -23,7 +23,9 @@ from math import isqrt
 import numpy as np
 
 from onoffpriv.bounds import theta_profile
-from onoffpriv.markov import ConditionalTable, TransitionMatrix, conditional_table
+from onoffpriv.markov import (
+    ConditionalTable, TransitionMatrix, conditional_table, matrix_powers,
+)
 from onoffpriv.scheme import (
     SchemeDistribution,
     ZeroLikelihoodContext,
@@ -284,40 +286,32 @@ def _gap_schemes(P: TransitionMatrix, max_delta: int, overrides: dict):
     Returns (schemes, index, built, reused), where index[delta] is the
     position in schemes of the scheme for that gap.
 
-    The gaps are walked in order, carrying P^delta forward with one product
-    per gap: the products matrix_power would take, so the same bits. The
-    construction reads nothing of the chain but the likelihood table, so a
-    gap whose table is bitwise equal to the previous gap's takes the
-    previous gap's scheme. Once P^delta stops changing, the table stops
-    too, and it is not recomputed. An override gap passes its scheme on to
-    no other gap.
+    The construction reads nothing of the chain but the likelihood table,
+    a function of P^delta's bits, so the gaps are walked in order by
+    matrix_powers, and a gap whose power repeats an earlier gap's takes the
+    scheme built for that power. Any other gap computes its table, and takes
+    the previous gap's scheme when the two tables are bitwise equal. An
+    override gap passes its scheme on to no other gap.
     """
     schemes: list = []
+    tables: dict = {}  # position of an honest scheme -> the table it was built from
+    honest: dict = {}  # first gap of a power -> position of its honest scheme
     index = np.empty(max_delta + 1, dtype=np.int64)
-    built = reused = 0
-    power = np.eye(P.n)
-    stable = False  # P^delta is bitwise equal to P^(delta-1)
-    prev = None  # the previous gap's table; None after an override gap
-    for delta in range(max_delta + 1):
-        if delta and not stable:
-            nxt = power @ P.entries
-            stable = np.array_equal(nxt, power)
-            power = nxt
+    for delta, (first, power) in enumerate(matrix_powers(P, 0, max_delta + 1)):
         if delta in overrides:
+            index[delta] = len(schemes)
             schemes.append(overrides[delta])
-            prev = None
-        elif stable and prev is not None:
-            reused += 1
-        else:
+            continue
+        if first not in honest:
             cond = conditional_table(P, delta, power=power)
-            if prev is not None and np.array_equal(cond.values, prev):
-                reused += 1
+            if delta and np.array_equal(cond.values, tables.get(index[delta - 1])):
+                honest[first] = index[delta - 1]
             else:
+                honest[first] = len(schemes)
+                tables[len(schemes)] = cond.values
                 schemes.append(build_scheme_for_gap(P, delta, cond))
-                built += 1
-            prev = cond.values
-        index[delta] = len(schemes) - 1
-    return schemes, index, built, reused
+        index[delta] = honest[first]
+    return schemes, index, len(tables), max_delta + 1 - len(schemes)
 
 
 def _draw_queries(schemes: list, scheme_of_gap, delta, x, u, n: int, draws):

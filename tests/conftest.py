@@ -79,6 +79,14 @@ def random_chain(rng, n: int) -> TransitionMatrix:
     return TransitionMatrix(entries=0.9 * rows + 0.1 / n)
 
 
+# a strictly positive Dirichlet(1) chain whose floating-point powers never
+# settle: from product 67 on they alternate between two arrays, and Brent's
+# check finds the period at product 130, against the one saved at 128
+ROUNDING_TWO_CYCLE = TransitionMatrix(
+    np.random.default_rng(8).dirichlet(np.ones(3), size=3)
+)
+
+
 def entries_of(s: SchemeDistribution) -> dict:
     """The rows of a distribution as {(query members, x, u): mass}."""
     return {

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -225,15 +226,28 @@ class TestBoundsCommand:
             prof = theta_profile(conditional_table(P, delta))
             inv_i, inv_o = rate_inner(prof), rate_outer(prof)
             reference.append([repr(v) for v in (inv_i, inv_o, 1 / inv_i, 1 / inv_o)])
-        seen = []
-        original = onoffpriv.markov.matrix_power
+        # the range is one walk over P^delta, and every product it takes
+        # goes through the counting view of the chain's entries
+        walks, products, single = [], [], []
 
-        def counted(P, delta):
-            seen.append(delta)
-            return original(P, delta)
+        class Counted(np.ndarray):
+            def __rmatmul__(self, other):
+                products.append(1)
+                return other @ self.view(np.ndarray)
 
-        monkeypatch.setattr(onoffpriv.markov, "matrix_power", counted)
-        monkeypatch.setattr(onoffpriv.cli, "matrix_power", counted)
+        walk, power = onoffpriv.markov.matrix_powers, onoffpriv.markov.matrix_power
+
+        def counted_walk(P, start, stop):
+            walks.append((start, stop))
+            view = SimpleNamespace(n=P.n, entries=P.entries.view(Counted))
+            return walk(view, start, stop)
+
+        def counted_power(P, delta):
+            single.append(delta)
+            return power(P, delta)
+
+        monkeypatch.setattr(onoffpriv.cli, "matrix_powers", counted_walk)
+        monkeypatch.setattr(onoffpriv.markov, "matrix_power", counted_power)
         code, out, _ = run_cli(
             capsys, "bounds", "--chain", spec,
             "--delta", str(first), "--delta-max", str(last),
@@ -241,7 +255,9 @@ class TestBoundsCommand:
         assert code == 0
         raw = ["raw_inv_r_inner", "raw_inv_r_outer", "raw_r_inner", "raw_r_outer"]
         assert [[r[c] for c in raw] for r in parse_csv(out)] == reference
-        assert sum(seen) <= last
+        assert walks == [(first, last + 1)]
+        assert 0 < len(products) <= last
+        assert single == []
 
     def test_large_gaps_do_not_overflow_the_closed_forms(self, capsys):
         for n, delta in (("10", "400"), ("3", "1024")):

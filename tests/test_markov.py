@@ -11,11 +11,14 @@ from onoffpriv.markov import (
     chain_to_dict,
     conditional_table,
     matrix_power,
+    matrix_powers,
     symmetric_chain,
     symmetric_sigmas,
     u_index,
     u_pair,
 )
+
+from conftest import ROUNDING_TWO_CYCLE
 
 
 class TestTransitionMatrix:
@@ -78,6 +81,18 @@ BIPARTITE = TransitionMatrix(
 INTO_A_FLIP = TransitionMatrix([[0, 0.5, 0.5], [0, 0, 1], [0, 1, 0]])
 
 
+def check_walk(P, start, stop, power_at):
+    """matrix_powers over range(start, stop) yields power_at(delta) bit for
+    bit, and its first names a gap with the same bits; returns the firsts."""
+    walked = list(matrix_powers(P, start, stop))
+    assert len(walked) == stop - start
+    for delta, (first, power) in enumerate(walked, start):
+        assert power.tobytes() == power_at(delta).tobytes(), delta
+        assert first <= delta, delta
+        assert power_at(first).tobytes() == power.tobytes(), delta
+    return [first for first, _ in walked]
+
+
 class TestMatrixPower:
     def test_two_step_symmetric_chain(self):
         # frozen: second power of the 3-state chain with self-loop 0.6
@@ -99,16 +114,22 @@ class TestMatrixPower:
             TransitionMatrix(np.random.default_rng(s).dirichlet(np.full(n, c), size=n))
             for s, n, c in ((0, 7, 0.2), (1, 12, 1.0), (2, 20, 5.0))
         ]
-        + [THREE_CYCLE, BIPARTITE, INTO_A_FLIP],
+        + [THREE_CYCLE, BIPARTITE, INTO_A_FLIP, ROUNDING_TWO_CYCLE],
     )
     def test_same_bits_as_every_product_taken(self, P):
-        # the loop stops once a product repeats the one saved at the last
+        # the walk stops once a product repeats the one saved at the last
         # power-of-two step, and every later product repeats with the
         # period found
-        want = np.eye(P.n)
+        taken = [np.eye(P.n)]
+        for _ in range(1100):
+            taken.append(taken[-1] @ P.entries)
         for delta in range(201):
-            assert matrix_power(P, delta).tobytes() == want.tobytes(), delta
-            want = want @ P.entries
+            assert matrix_power(P, delta).tobytes() == taken[delta].tobytes(), delta
+        # every chain here finds its period by product 1025; the windows
+        # start at the identity, near or inside the cycle, and past it
+        for start in (0, 60, 131, 600, 1050):
+            firsts = check_walk(P, start, 1101, taken.__getitem__)
+            assert firsts[-1] < 1100
 
     @pytest.mark.parametrize(
         "P", [symmetric_chain(2, 0.0), THREE_CYCLE, BIPARTITE, INTO_A_FLIP]
@@ -119,9 +140,16 @@ class TestMatrixPower:
         taken = [np.eye(P.n)]
         for _ in range(105):
             taken.append(taken[-1] @ P.entries)
+
+        def power_at(delta):
+            return taken[delta if delta < 100 else 100 + (delta - 100) % 6]
+
         for delta in (10**12, 10**12 + 1, 10**12 + 2, 3**30):
-            want = taken[100 + (delta - 100) % 6]
-            assert matrix_power(P, delta).tobytes() == want.tobytes(), delta
+            assert matrix_power(P, delta).tobytes() == power_at(delta).tobytes(), delta
+        # windows from the identity, inside the cycle and far past it
+        huge = ((10**12, 10**12 + 13), (3**30, 3**30 + 7))
+        for start, stop in ((0, 120), (100, 140)) + huge:
+            check_walk(P, start, stop, power_at)
 
     def test_rejects_negative_exponent(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
 from onoffpriv.markov import TransitionMatrix, symmetric_chain
@@ -26,6 +26,7 @@ from onoffpriv.sim import (
 )
 
 from conftest import (
+    ROUNDING_TWO_CYCLE,
     distribution_cases,
     entries_of,
     reference_sample_path,
@@ -283,8 +284,11 @@ def test_byte_counts_must_fit_in_int64(n, msg_len, horizon, below):
 class TestSeedContract:
     @settings(max_examples=40, deadline=None)
     @given(
-        n=hst.integers(min_value=2, max_value=5),
-        alpha=hst.floats(min_value=0.02, max_value=0.98),
+        P=hst.builds(
+            symmetric_chain,
+            hst.integers(min_value=2, max_value=5),
+            hst.floats(min_value=0.02, max_value=0.98),
+        ),
         schedule=hst.one_of(
             hst.sampled_from(["always-on", "off-after-0"]),
             hst.integers(min_value=1, max_value=12).map(lambda k: f"periodic:{k}"),
@@ -302,13 +306,20 @@ class TestSeedContract:
         ),
         uniform_start=hst.booleans(),
     )
+    # gaps 0-399, three times each: the chain's powers alternate from
+    # product 67 on, and the walk finds the period at gap 130. Gap 128 is
+    # the first gap of the even gaps' power, and gap 201 lies past the
+    # find; neither passes its override on to another gap
+    @example(
+        P=ROUNDING_TWO_CYCLE, schedule="periodic:400", horizon=1200, seed=3,
+        overrides={128: 1, 201: 2}, uniform_start=True,
+    )
     def test_matches_the_step_by_step_reference(
-        self, n, alpha, schedule, horizon, seed, overrides, uniform_start
+        self, P, schedule, horizon, seed, overrides, uniform_start
     ):
-        P = symmetric_chain(n, alpha)
         initial = None
         if not uniform_start:
-            initial = np.random.default_rng(seed).dirichlet(np.ones(n))
+            initial = np.random.default_rng(seed).dirichlet(np.ones(P.n))
         cfg = SimConfig(
             chain=P, schedule=PrivacySchedule.parse(schedule), horizon=horizon,
             msg_len=8, seed=seed, initial=initial,
@@ -325,11 +336,17 @@ class TestSeedContract:
         assert list(trace.delta_buckets.items()) == list(buckets.items())
 
     def test_long_off_runs_build_a_bounded_number_of_schemes(self):
-        # one gap per step: the likelihood table settles bit for bit after a
-        # few dozen gaps, and every later gap reuses the last scheme
-        trace = run(n=4, alpha=0.3, schedule="off-after-0", horizon=20000)
-        assert trace.schemes_built <= 200
-        assert trace.schemes_built + trace.schemes_reused == 20000
+        # one gap per step: the symmetric chain's powers settle bit for bit
+        # after a few dozen gaps, and the rounding chain's fall into a
+        # 2-cycle; either way every later gap reuses an earlier scheme
+        for P in (symmetric_chain(4, 0.3), ROUNDING_TWO_CYCLE):
+            cfg = SimConfig(
+                chain=P, schedule=PrivacySchedule.parse("off-after-0"),
+                horizon=20000, seed=5,
+            )
+            trace = run_simulation(cfg)
+            assert trace.schemes_built <= 200
+            assert trace.schemes_built + trace.schemes_reused == 20000
 
     def test_an_override_is_not_reused_by_later_gaps(self):
         # at n = 3, alpha = 0.6 the tables of gaps 43 and up are equal, so
