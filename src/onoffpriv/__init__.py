@@ -26,21 +26,20 @@ _EXPORTS = {
         "symmetric_chain", "symmetric_sigmas", "u_index", "u_pair",
     ),
     "bounds": (
-        "NegativeTheta", "OutOfRegime", "RateBounds", "ThetaProfile",
-        "WrongArity", "closed_form_small_alpha", "closed_form_symmetric",
-        "closed_form_two_states", "rate_bounds", "rate_inner", "rate_outer",
-        "theta_profile",
+        "NegativeTheta", "OutOfRegime", "ThetaProfile", "WrongArity",
+        "closed_form_small_alpha", "closed_form_symmetric",
+        "closed_form_two_states", "rate_inner", "rate_outer", "theta_profile",
     ),
     "scheme": (
         "ExtractionInfeasible", "SchemeDistribution", "ZeroLikelihoodContext",
-        "build_scheme", "collapse_to_sets", "sample_query_indices",
+        "build_scheme", "collapse_to_sets",
     ),
     "verify": (
         "DimensionMismatch", "VerificationReport", "check_scheme", "expected_cost",
     ),
     "lp": (
         "IterationLimit", "LpProblem", "LpSolution", "TooLarge", "formulate_lp",
-        "optimal_rate", "solve_simplex",
+        "solve_simplex",
     ),
     "sim": (
         "EmpiricalStats", "InsufficientSamples", "PrivacySchedule", "SimConfig",

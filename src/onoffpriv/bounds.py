@@ -19,7 +19,6 @@ import numpy as np
 from onoffpriv.markov import ConditionalTable, symmetric_sigmas
 
 THETA_NOISE_TOL = 1e-12
-BOUND_ORDER_TOL = 1e-9
 
 
 class WrongArity(ValueError):
@@ -68,27 +67,6 @@ class ThetaProfile:
             arr.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class RateBounds:
-    """Pair of download-cost bounds, in messages per step.
-
-    inv_r_outer is a converse: no private query distribution costs less.
-    inv_r_inner is achievable by an explicit construction. Both lie between
-    1 (a single message) and n (download everything).
-    """
-
-    inv_r_inner: float
-    inv_r_outer: float
-
-    def __post_init__(self):
-        if not (
-            1.0 - BOUND_ORDER_TOL
-            <= self.inv_r_outer
-            <= self.inv_r_inner + BOUND_ORDER_TOL
-        ):
-            raise ValueError("bounds must satisfy 1 <= outer <= inner")
-
-
 def theta_profile(cond: ConditionalTable) -> ThetaProfile:
     """Sort the likelihood table per request and compute the increments.
 
@@ -128,14 +106,6 @@ def rate_inner(profile: ThetaProfile) -> float:
 def rate_outer(profile: ThetaProfile) -> float:
     """Converse bound on expected download, sum over x of max_u p(x | u)."""
     return float(profile.lambda_rows[-1])
-
-
-def rate_bounds(cond: ConditionalTable) -> RateBounds:
-    """Both bounds for a likelihood table, via the sorted profile."""
-    profile = theta_profile(cond)
-    return RateBounds(
-        inv_r_inner=rate_inner(profile), inv_r_outer=rate_outer(profile)
-    )
 
 
 def closed_form_two_states(cond: ConditionalTable) -> float:

@@ -275,12 +275,3 @@ def solve_simplex(p: LpProblem) -> LpSolution:
         value=value, primal=primal, status="optimal", iterations=iterations
     )
 
-
-def optimal_rate(cond: ConditionalTable) -> float:
-    """Exact optimal download rate (messages recovered per message sent).
-
-    The inverse of the LP optimum; errors from the formulation and the
-    solver propagate.
-    """
-    sol = solve_simplex(formulate_lp(cond))
-    return 1.0 / sol.value

@@ -153,18 +153,6 @@ class SymmetricSigmas:
     sigma4: float
     sigma5: float
 
-    def as_table(self) -> ConditionalTable:
-        """Expand the five case values into a full likelihood table."""
-        n = self.n
-        # row u = xtau * n + xnext, column x
-        xtau, xnext, x = np.indices((n, n, n)).reshape(3, -1)
-        values = np.select(
-            [(xtau == x) & (x == xnext), xtau == x, x == xnext, xtau == xnext],
-            [self.sigma1, self.sigma2, self.sigma3, self.sigma4],
-            self.sigma5,
-        )
-        return ConditionalTable(n=n, delta=self.delta, values=values.reshape(n * n, n))
-
 
 def symmetric_chain(n: int, alpha: float) -> TransitionMatrix:
     """Chain that stays put with probability alpha, else moves uniformly.

@@ -142,20 +142,6 @@ class SchemeDistribution:
     def entry_count(self) -> int:
         return self.mass.size
 
-    def mass_by_context(self, x: int, u: int) -> tuple[np.ndarray, np.ndarray]:
-        """Indices into queries, ascending, and the cumulative masses of the
-        rows of one (x, u) pair.
-
-        Raises:
-            ZeroLikelihoodContext: the pair has no positive total mass.
-        """
-        lo, hi = np.searchsorted(self.x, (x, x + 1))
-        a, b = lo + np.searchsorted(self.u[lo:hi], (u, u + 1))
-        cum = np.cumsum(self.mass[a:b])
-        if a == b or cum[-1] <= 0.0:
-            raise ZeroLikelihoodContext(f"no mass for request {x} in context {u}")
-        return self.q[a:b], cum
-
     def write_json(self, fh) -> None:
         """Write the distribution to the text file fh as one JSON object of
         columns (schema 2); from_json_obj reads it back.
@@ -417,20 +403,3 @@ def collapse_to_sets(s: SchemeDistribution) -> SchemeDistribution:
     q = np.array(support_of, dtype=np.int64)[s.q]
     return SchemeDistribution(s.n, s.delta, "set", list(supports), q, s.x, s.u, s.mass)
 
-
-def sample_query_indices(
-    s: SchemeDistribution, x: int, u: int, draws: np.ndarray
-) -> np.ndarray:
-    """Indices into s.queries of the queries that the uniform draws in
-    [0, 1) select, one per draw.
-
-    A draw r selects the first query, in sorted order, whose cumulative
-    mass exceeds r * p(x | u), so each query follows
-    w(q | x, u) = g(q, x, u) / p(x | u).
-
-    Raises:
-        ZeroLikelihoodContext: the (x, u) pair has no positive total mass.
-    """
-    ids, cum = s.mass_by_context(x, u)
-    j = np.searchsorted(cum, draws * cum[-1], side="right")
-    return ids[np.minimum(j, len(ids) - 1)]

@@ -37,8 +37,6 @@ MIN_BUCKET_SAMPLES = 1000
 # the gap and p-value thresholds of EmpiricalStats.flags_dependence
 DEPENDENCE_GAP_THRESHOLD = 0.05
 DEPENDENCE_P_THRESHOLD = 1e-6
-# how far a start distribution's total may stray from 1
-INITIAL_SUM_TOL = 1e-9
 
 
 class InsufficientSamples(ValueError):
@@ -148,7 +146,6 @@ class SimConfig:
     horizon: int
     msg_len: int = 16
     seed: int = 0
-    initial: np.ndarray | None = None
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -162,14 +159,6 @@ class SimConfig:
                 f"n={self.chain.n} messages of {self.msg_len} bytes over "
                 f"{self.horizon} steps overflow the int64 byte counts"
             )
-        if self.initial is not None:
-            init = np.asarray(self.initial, dtype=float)
-            if init.shape != (self.chain.n,):
-                raise ValueError("initial distribution has wrong length")
-            # a NaN fails every comparison, and an infinite entry makes the sum miss 1
-            if not ((init >= 0.0).all() and abs(init.sum() - 1.0) <= INITIAL_SUM_TOL):
-                raise ValueError("initial must be finite, non-negative, sum to 1")
-            object.__setattr__(self, "initial", init)
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,8 +170,9 @@ class SimTrace:
     the query of step t in it; queries lists those keys step by step.
     delta_buckets maps each observed gap to (sample count, mean query
     size). schemes_built counts the per-gap schemes constructed;
-    schemes_reused counts the gaps that took the previous gap's scheme
-    because their likelihood tables are equal.
+    schemes_reused counts the honest gaps that took an earlier gap's
+    scheme because their powers of the chain, or else their likelihood
+    tables, are bitwise equal.
     """
 
     n: int
@@ -215,8 +205,9 @@ class SimTrace:
         return int(self.bytes_down.sum())
 
 
-def _sample_path(P: TransitionMatrix, length: int, initial, rng) -> np.ndarray:
-    """A request path of `length` states from one block of uniform draws.
+def _sample_path(P: TransitionMatrix, length: int, rng) -> np.ndarray:
+    """A request path of `length` states from one block of uniform draws,
+    started in a uniformly drawn state.
 
     The state after s on draw r is the number of breakpoints cum[s, :-1]
     at or below r, the same as min(searchsorted(cum[s], r, "right"), n - 1).
@@ -230,8 +221,7 @@ def _sample_path(P: TransitionMatrix, length: int, initial, rng) -> np.ndarray:
     more from its start: about 2L + B Python steps instead of one a step.
     """
     n = P.n
-    if initial is None:
-        initial = np.full(n, 1.0 / n)
+    initial = np.full(n, 1.0 / n)
     draws = rng.random(length)
     first = min(int(np.searchsorted(np.cumsum(initial), draws[0], "right")), n - 1)
     cum = np.cumsum(P.entries, axis=1)[:, :-1]
@@ -287,15 +277,15 @@ def _gap_schemes(P: TransitionMatrix, max_delta: int, overrides: dict):
     position in schemes of the scheme for that gap.
 
     The construction reads nothing of the chain but the likelihood table,
-    a function of P^delta's bits, so the gaps are walked in order by
-    matrix_powers, and a gap whose power repeats an earlier gap's takes the
-    scheme built for that power. Any other gap computes its table, and takes
-    the previous gap's scheme when the two tables are bitwise equal. An
+    so a gap takes the scheme built from a table with the same bits. The
+    gaps are walked in order by matrix_powers: a gap whose power repeats an
+    earlier gap's takes that gap's scheme without computing its table, and
+    any other gap looks its table's bytes up among the tables built. An
     override gap passes its scheme on to no other gap.
     """
     schemes: list = []
-    tables: dict = {}  # position of an honest scheme -> the table it was built from
     honest: dict = {}  # first gap of a power -> position of its honest scheme
+    built: dict = {}  # bytes of a table -> position of the scheme built from it
     index = np.empty(max_delta + 1, dtype=np.int64)
     for delta, (first, power) in enumerate(matrix_powers(P, 0, max_delta + 1)):
         if delta in overrides:
@@ -304,28 +294,30 @@ def _gap_schemes(P: TransitionMatrix, max_delta: int, overrides: dict):
             continue
         if first not in honest:
             cond = conditional_table(P, delta, power=power)
-            if delta and np.array_equal(cond.values, tables.get(index[delta - 1])):
-                honest[first] = index[delta - 1]
-            else:
-                honest[first] = len(schemes)
-                tables[len(schemes)] = cond.values
+            key = cond.values.tobytes()
+            if key not in built:
+                built[key] = len(schemes)
                 schemes.append(build_scheme_for_gap(P, delta, cond))
+            honest[first] = built[key]
         index[delta] = honest[first]
-    return schemes, index, len(tables), max_delta + 1 - len(schemes)
+    return schemes, index, len(built), max_delta + 1 - len(schemes)
 
 
 def _draw_queries(schemes: list, scheme_of_gap, delta, x, u, n: int, draws):
     """Query of every step, where step t has gap delta[t], request x[t],
     context u[t] and the uniform draw draws[t].
 
-    A step draws as sample_query_indices does, from the rows of its
-    (scheme, request, context) group, all steps in one pass. The rows of
-    every scheme are in (x, u, q) order, so their concatenation is grouped
-    by the key (scheme n + x) n^2 + u, and a table with a slot per key
-    holds each group's row range. Each group's cumulative masses add the
-    same floats in the same order as np.cumsum does, one position in the
-    group at a time, and every step bisects its group's range with
-    searchsorted(side="right") semantics, one round for all steps at once.
+    A step with draw r picks the first row of its (scheme, request,
+    context) group, in query order, whose cumulative mass exceeds r times
+    the group's total, and the last row at the latest; so each query
+    follows w(q | x, u) = g(q, x, u) / p(x | u). All steps draw in one
+    pass. The rows of every scheme are in (x, u, q) order, so their
+    concatenation is grouped by the key (scheme n + x) n^2 + u, and a table
+    with a slot per key holds each group's row range. Each group's
+    cumulative masses add the same floats in the same order as np.cumsum
+    does, one position in the group at a time, and every step bisects its
+    group's range with searchsorted(side="right") semantics, one round for
+    all steps at once.
     Returns (ids, keys): keys are the queries of all the schemes, sorted,
     and ids[t] indexes the query of step t.
 
@@ -366,8 +358,7 @@ def _draw_queries(schemes: list, scheme_of_gap, delta, x, u, n: int, draws):
         )
     target *= draws
     # searchsorted(side="right") over each step's rows but the last, in
-    # place, so that a pick is the last row at the latest: the clamp of
-    # sample_query_indices
+    # place, so that a pick is the last row at the latest
     mid = np.empty_like(lo)
     right = np.empty(lo.size, dtype=bool)
     for _ in range(int((hi - lo).max()).bit_length()):
@@ -409,7 +400,7 @@ def run_simulation(cfg: SimConfig, scheme_overrides: dict | None = None) -> SimT
     query_rng = np.random.default_rng(query_ss)
 
     # one extra state so the lookahead at the final step exists
-    x = _sample_path(P, T + 1, cfg.initial, path_rng)
+    x = _sample_path(P, T + 1, path_rng)
     flags = cfg.schedule.realize(T, flag_rng)
 
     steps = np.arange(T)

@@ -9,9 +9,12 @@ from hypothesis import strategies as hst
 
 from onoffpriv.lp import all_subsets
 from onoffpriv.markov import (
-    ConditionalTable, TransitionMatrix, as_index, as_number, u_index,
+    ConditionalTable, SymmetricSigmas, TransitionMatrix, as_index, as_number,
+    u_index,
 )
-from onoffpriv.scheme import COLUMNS, CSV_BLOCK_ROWS, SchemeDistribution
+from onoffpriv.scheme import (
+    COLUMNS, CSV_BLOCK_ROWS, SchemeDistribution, ZeroLikelihoodContext,
+)
 
 
 class FullProgram(NamedTuple):
@@ -87,6 +90,14 @@ ROUNDING_TWO_CYCLE = TransitionMatrix(
 )
 
 
+# a strictly positive Dirichlet(1) 2-state chain whose powers never repeat
+# bit for bit, while its likelihood tables do at gaps far apart: gap 23's
+# table recurs at gaps 32 and 41, and gaps 0-1999 hold 157 distinct tables
+RECURRING_TABLES = TransitionMatrix(
+    np.random.default_rng(3).dirichlet(np.ones(2), size=2)
+)
+
+
 def entries_of(s: SchemeDistribution) -> dict:
     """The rows of a distribution as {(query members, x, u): mass}."""
     return {
@@ -107,6 +118,49 @@ def scheme_from_entries(n: int, delta: int, form: str, entries: dict):
         [ids[k[0]] for k in keys], [k[1] for k in keys], [k[2] for k in keys],
         list(entries.values()),
     )
+
+
+def mass_by_context(s: SchemeDistribution, x: int, u: int):
+    """Indices into s.queries, ascending, and the cumulative masses of the
+    rows of one (x, u) pair.
+
+    Raises:
+        ZeroLikelihoodContext: the pair has no positive total mass.
+    """
+    lo, hi = np.searchsorted(s.x, (x, x + 1))
+    a, b = lo + np.searchsorted(s.u[lo:hi], (u, u + 1))
+    cum = np.cumsum(s.mass[a:b])
+    if a == b or cum[-1] <= 0.0:
+        raise ZeroLikelihoodContext(f"no mass for request {x} in context {u}")
+    return s.q[a:b], cum
+
+
+def sample_query_indices(s: SchemeDistribution, x: int, u: int, draws):
+    """The per-pair query sampler that the simulator's one-pass draw must
+    match: indices into s.queries of the queries that the uniform draws in
+    [0, 1) select, one per draw.
+
+    A draw r selects the first query, in sorted order, whose cumulative
+    mass exceeds r * p(x | u), so each query follows
+    w(q | x, u) = g(q, x, u) / p(x | u).
+    """
+    ids, cum = mass_by_context(s, x, u)
+    j = np.searchsorted(cum, draws * cum[-1], side="right")
+    return ids[np.minimum(j, len(ids) - 1)]
+
+
+def symmetric_table(s: SymmetricSigmas) -> ConditionalTable:
+    """The five case values of a symmetric chain expanded into a full
+    likelihood table."""
+    n = s.n
+    # row u = xtau * n + xnext, column x
+    xtau, xnext, x = np.indices((n, n, n)).reshape(3, -1)
+    values = np.select(
+        [(xtau == x) & (x == xnext), xtau == x, x == xnext, xtau == xnext],
+        [s.sigma1, s.sigma2, s.sigma3, s.sigma4],
+        s.sigma5,
+    )
+    return ConditionalTable(n=n, delta=s.delta, values=values.reshape(n * n, n))
 
 
 def json_slots(node):
@@ -145,12 +199,10 @@ def reference_trace_csv(trace) -> str:
     return "".join(parts)
 
 
-def reference_sample_path(P: TransitionMatrix, length: int, initial, rng):
+def reference_sample_path(P: TransitionMatrix, length: int, rng):
     """The per-step path walk that sim._sample_path replaced, kept as a
     reference: the path a seed must give, dtype too."""
     n = P.n
-    if initial is None:
-        initial = np.full(n, 1.0 / n)
     draws = rng.random(length)
 
     def pick(cum, draw):
@@ -163,7 +215,7 @@ def reference_sample_path(P: TransitionMatrix, length: int, initial, rng):
         memoryview(pick(row, draws).astype(small))
         for row in np.cumsum(P.entries, axis=1)
     ]
-    state = int(pick(np.cumsum(initial), draws[0]))
+    state = int(pick(np.cumsum(np.full(n, 1.0 / n)), draws[0]))
     path = [state]
     for t in range(1, length):
         state = successor[state][t]

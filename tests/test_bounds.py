@@ -3,12 +3,10 @@ import pytest
 
 from onoffpriv.bounds import (
     OutOfRegime,
-    RateBounds,
     WrongArity,
     closed_form_small_alpha,
     closed_form_symmetric,
     closed_form_two_states,
-    rate_bounds,
     rate_inner,
     rate_outer,
     theta_profile,
@@ -94,23 +92,17 @@ class TestRateBounds:
     def test_outer_never_exceeds_inner(self, rng, chain_factory):
         for n in (2, 3, 5):
             for delta in (1, 2, 4):
-                rb = rate_bounds(conditional_table(chain_factory(rng, n), delta))
-                assert rb.inv_r_outer <= rb.inv_r_inner + 1e-9
-                assert rb.inv_r_outer >= 1.0 - 1e-9
+                prof = theta_profile(conditional_table(chain_factory(rng, n), delta))
+                assert rate_outer(prof) <= rate_inner(prof) + 1e-9
+                assert rate_outer(prof) >= 1.0 - 1e-9
 
     def test_two_state_bounds_coincide(self, rng, chain_factory):
         for _ in range(10):
             for delta in (1, 2, 3):
-                rb = rate_bounds(conditional_table(chain_factory(rng, 2), delta))
-                assert rb.inv_r_inner == pytest.approx(
-                    rb.inv_r_outer, abs=1e-12
+                prof = theta_profile(conditional_table(chain_factory(rng, 2), delta))
+                assert rate_inner(prof) == pytest.approx(
+                    rate_outer(prof), abs=1e-12
                 )
-
-    def test_validation_rejects_crossed_bounds(self):
-        with pytest.raises(ValueError):
-            RateBounds(inv_r_inner=1.2, inv_r_outer=1.5)
-        with pytest.raises(ValueError):
-            RateBounds(inv_r_inner=0.9, inv_r_outer=0.8)
 
     def test_cost_decays_as_the_gap_grows(self):
         # once the self-loop dominates, extra gap can only help

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -10,12 +11,12 @@ from scipy.optimize import linprog
 
 import onoffpriv.lp
 from onoffpriv.bounds import rate_inner, rate_outer, theta_profile
+from onoffpriv.cli import main
 from onoffpriv.lp import (
     IterationLimit,
     TooLarge,
     all_subsets,
     formulate_lp,
-    optimal_rate,
     solve_simplex,
 )
 from onoffpriv.markov import (
@@ -267,10 +268,14 @@ class TestSimplex:
         with pytest.raises(IterationLimit):
             solve_simplex(p)
 
-    def test_optimal_rate_inverts_the_cost(self, rng, chain_factory):
-        cond = conditional_table(chain_factory(rng, 2), 1)
-        rate = optimal_rate(cond)
-        sol = solve_simplex(formulate_lp(cond))
+    def test_optimal_rate_inverts_the_cost(self, rng, chain_factory, tmp_path):
+        # the rate the lp command reports is the inverse of the LP optimum
+        P = chain_factory(rng, 2)
+        out = tmp_path / "lp.json"
+        spec = json.dumps({"rows": P.entries.tolist()})
+        assert main(["lp", "--chain", spec, "--delta", "1", "--out", str(out)]) == 0
+        rate = json.loads(out.read_text())["optimal_rate"]
+        sol = solve_simplex(formulate_lp(conditional_table(P, 1)))
         assert rate == pytest.approx(1.0 / sol.value, abs=1e-12)
 
     @settings(max_examples=120, deadline=None)

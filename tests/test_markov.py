@@ -18,7 +18,7 @@ from onoffpriv.markov import (
     u_pair,
 )
 
-from conftest import ROUNDING_TWO_CYCLE
+from conftest import ROUNDING_TWO_CYCLE, symmetric_table
 
 
 class TestTransitionMatrix:
@@ -247,7 +247,7 @@ class TestSymmetricSigmas:
     def test_pattern_matches_general_table(self, n, alpha_frac, delta):
         # the five-case pattern must agree with the general computation
         alpha = alpha_frac
-        table = symmetric_sigmas(n, alpha, delta).as_table()
+        table = symmetric_table(symmetric_sigmas(n, alpha, delta))
         cond = conditional_table(symmetric_chain(n, alpha), delta)
         assert np.allclose(table.values, cond.values, atol=1e-10)
 

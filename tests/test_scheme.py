@@ -22,7 +22,6 @@ from onoffpriv.scheme import (
     ZeroLikelihoodContext,
     build_scheme,
     collapse_to_sets,
-    sample_query_indices,
 )
 from onoffpriv.verify import VERIFY_TOL, check_scheme
 
@@ -30,8 +29,10 @@ from conftest import (
     entries_of,
     float_bits,
     json_slots,
+    mass_by_context,
     reference_from_json_obj,
     reference_json_obj,
+    sample_query_indices,
     schema1_json_obj,
     scheme_from_entries,
     section_text,
@@ -381,7 +382,7 @@ class TestDistributionObject:
                 by_xu.setdefault((x, u), []).append((members, mass))
             assert sum(map(len, by_xu.values())) == s.entry_count
             for (x, u), items in by_xu.items():
-                ids, cum = s.mass_by_context(x, u)
+                ids, cum = mass_by_context(s, x, u)
                 assert [s.queries[k] for k in ids] == [k for k, _ in items]
                 assert np.array_equal(cum, np.cumsum([p for _, p in items]))
 
@@ -441,7 +442,7 @@ class TestDistributionObject:
         _, _, s = built(3, 0.6, 0)
         bad_x = 1  # impossible request when the context says x equals 0
         with pytest.raises(ZeroLikelihoodContext):
-            s.mass_by_context(bad_x, u_index(0, 0, 3))
+            mass_by_context(s, bad_x, u_index(0, 0, 3))
 
 
 JSON_VALUES = hst.recursive(
@@ -585,7 +586,7 @@ class TestSampler:
         cond, _, ms = built(3, 0.6, 1)
         s = collapse_to_sets(ms)
         x, u = 0, u_index(1, 2, 3)
-        ids, cum = s.mass_by_context(x, u)
+        ids, cum = mass_by_context(s, x, u)
         probs = np.diff(np.concatenate([[0.0], cum])) / cum[-1]
         draws = 20000
         picks = sample_query_indices(s, x, u, rng.random(draws))

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
 from onoffpriv.markov import TransitionMatrix, symmetric_chain
-from onoffpriv.scheme import ZeroLikelihoodContext, sample_query_indices
+from onoffpriv.scheme import ZeroLikelihoodContext
 from onoffpriv.sim import (
     MIN_BUCKET_SAMPLES,
     InsufficientSamples,
@@ -26,10 +26,12 @@ from onoffpriv.sim import (
 )
 
 from conftest import (
+    RECURRING_TABLES,
     ROUNDING_TWO_CYCLE,
-    distribution_cases,
     entries_of,
+    mass_by_context,
     reference_sample_path,
+    sample_query_indices,
     scheme_from_entries,
 )
 
@@ -44,10 +46,9 @@ def reference_run(cfg, scheme_overrides=None):
     path_rng = np.random.default_rng(path_ss)
     flag_rng = np.random.default_rng(flag_ss)
     query_rng = np.random.default_rng(query_ss)
-    initial = np.full(n, 1.0 / n) if cfg.initial is None else cfg.initial
     cum = np.cumsum(P.entries, axis=1)
     draws = path_rng.random(T + 1)
-    x = [int(np.searchsorted(np.cumsum(initial), draws[0], side="right"))]
+    x = [int(np.searchsorted(np.cumsum(np.full(n, 1.0 / n)), draws[0], side="right"))]
     for t in range(1, T + 1):
         x.append(int(np.searchsorted(cum[x[-1]], draws[t], side="right")))
     flags = cfg.schedule.realize(T, flag_rng)
@@ -60,7 +61,7 @@ def reference_run(cfg, scheme_overrides=None):
         u = x[tau] * n + x[t + 1]
         if delta not in schemes:
             schemes[delta] = build_scheme_for_gap(P, delta)
-        ids, cum = schemes[delta].mass_by_context(x[t], u)
+        ids, cum = mass_by_context(schemes[delta], x[t], u)
         j = int(np.searchsorted(cum, query_rng.random() * cum[-1], side="right"))
         q = schemes[delta].queries[ids[min(j, len(ids) - 1)]]
         rows.append((x[t], tau, delta, u, len(q), len(q) * cfg.msg_len, x[t] in q))
@@ -231,28 +232,6 @@ class TestRunSimulation:
                 horizon=5,
                 msg_len=0,
             )
-        with pytest.raises(ValueError):
-            SimConfig(
-                chain=P,
-                schedule=PrivacySchedule.always_on(),
-                horizon=5,
-                initial=np.array([0.5, 0.5]),
-            )
-
-
-@settings(max_examples=100, deadline=None)
-@given(case=distribution_cases(3))
-def test_initial_must_be_a_finite_distribution(case):
-    initial, valid = case
-    kw = dict(
-        chain=symmetric_chain(3, 0.6), schedule=PrivacySchedule.always_on(),
-        horizon=5, initial=initial,
-    )
-    if valid:
-        assert np.array_equal(SimConfig(**kw).initial, initial)
-    else:
-        with pytest.raises(ValueError, match="finite, non-negative"):
-            SimConfig(**kw)
 
 
 @settings(max_examples=200, deadline=None)
@@ -304,7 +283,6 @@ class TestSeedContract:
             hst.integers(min_value=1, max_value=8),
             max_size=2,
         ),
-        uniform_start=hst.booleans(),
     )
     # gaps 0-399, three times each: the chain's powers alternate from
     # product 67 on, and the walk finds the period at gap 130. Gap 128 is
@@ -312,17 +290,20 @@ class TestSeedContract:
     # find; neither passes its override on to another gap
     @example(
         P=ROUNDING_TWO_CYCLE, schedule="periodic:400", horizon=1200, seed=3,
-        overrides={128: 1, 201: 2}, uniform_start=True,
+        overrides={128: 1, 201: 2},
+    )
+    # gaps 0-49, ten times each: no power repeats, but gap 23's table
+    # recurs at gaps 32 and 41, which must not take its override
+    @example(
+        P=RECURRING_TABLES, schedule="periodic:50", horizon=500, seed=3,
+        overrides={23: 1},
     )
     def test_matches_the_step_by_step_reference(
-        self, P, schedule, horizon, seed, overrides, uniform_start
+        self, P, schedule, horizon, seed, overrides
     ):
-        initial = None
-        if not uniform_start:
-            initial = np.random.default_rng(seed).dirichlet(np.ones(P.n))
         cfg = SimConfig(
             chain=P, schedule=PrivacySchedule.parse(schedule), horizon=horizon,
-            msg_len=8, seed=seed, initial=initial,
+            msg_len=8, seed=seed,
         )
         # each override gap gets the honest scheme of another gap
         swapped = {d: build_scheme_for_gap(P, other) for d, other in overrides.items()}
@@ -338,8 +319,9 @@ class TestSeedContract:
     def test_long_off_runs_build_a_bounded_number_of_schemes(self):
         # one gap per step: the symmetric chain's powers settle bit for bit
         # after a few dozen gaps, and the rounding chain's fall into a
-        # 2-cycle; either way every later gap reuses an earlier scheme
-        for P in (symmetric_chain(4, 0.3), ROUNDING_TWO_CYCLE):
+        # 2-cycle; either way every later gap reuses an earlier scheme. The
+        # third chain's powers never repeat, but its tables do
+        for P in (symmetric_chain(4, 0.3), ROUNDING_TWO_CYCLE, RECURRING_TABLES):
             cfg = SimConfig(
                 chain=P, schedule=PrivacySchedule.parse("off-after-0"),
                 horizon=20000, seed=5,
@@ -369,7 +351,7 @@ class TestSeedContract:
 
 @hst.composite
 def path_cases(draw):
-    """A chain, a path length, a start distribution or None, and a seed."""
+    """A chain, a path length and a seed."""
     n = draw(hst.integers(min_value=2, max_value=12))
     seed = draw(hst.integers(min_value=0, max_value=2**32 - 1))
     gen = np.random.default_rng(seed)
@@ -379,7 +361,6 @@ def path_cases(draw):
         P = symmetric_chain(n, draw(hst.floats(min_value=0.0, max_value=1.0)))
     else:
         P = TransitionMatrix(gen.dirichlet(np.full(n, concentration), size=n))
-    initial = gen.dirichlet(np.ones(n)) if draw(hst.booleans()) else None
     # the walk cuts its steps into blocks of L = isqrt(steps // n); with
     # B = n L + 1 blocks, L stays the same from L B - 1 to L B + 1 steps
     L = draw(hst.integers(min_value=1, max_value=isqrt(50_000 // n) - 1))
@@ -388,7 +369,7 @@ def path_cases(draw):
         | hst.integers(min_value=0, max_value=50_000)
         | hst.sampled_from([-1, 0, 1]).map(lambda d: L * (n * L + 1) + d)
     )
-    return P, steps + 1, initial, seed
+    return P, steps + 1, seed
 
 
 class StubDraws:
@@ -406,11 +387,9 @@ class TestSamplePath:
     @settings(max_examples=120, deadline=None)
     @given(case=path_cases())
     def test_matches_the_per_step_walk(self, case):
-        P, length, initial, seed = case
-        got = _sample_path(P, length, initial, np.random.default_rng(seed))
-        want = reference_sample_path(
-            P, length, initial, np.random.default_rng(seed)
-        )
+        P, length, seed = case
+        got = _sample_path(P, length, np.random.default_rng(seed))
+        want = reference_sample_path(P, length, np.random.default_rng(seed))
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
 
@@ -423,18 +402,17 @@ class TestSamplePath:
         cum = np.cumsum(P.entries, axis=1).ravel()
         draws = [0.0, *cum, *np.nextafter(cum, 0.0), np.nextafter(1.0, 0.0)]
         for s in range(P.n):
-            # a start distribution on s, so the one step taken leaves s
-            start = np.eye(P.n)[s]
+            # a first draw in the middle of s's share of the uniform start,
+            # so the one step taken leaves s
+            start = (s + 0.5) / P.n
             for r in draws:
-                want = reference_sample_path(P, 2, start, StubDraws([0.5, r]))
+                want = reference_sample_path(P, 2, StubDraws([start, r]))
                 assert want[0] == s
-                assert np.array_equal(
-                    _sample_path(P, 2, start, StubDraws([0.5, r])), want
-                )
+                assert np.array_equal(_sample_path(P, 2, StubDraws([start, r])), want)
         # and a long path that meets every draw in many blocks
         draws = np.random.default_rng(3).permutation(np.repeat(draws, 50))
-        want = reference_sample_path(P, len(draws), None, StubDraws(draws))
-        got = _sample_path(P, len(draws), None, StubDraws(draws))
+        want = reference_sample_path(P, len(draws), StubDraws(draws))
+        got = _sample_path(P, len(draws), StubDraws(draws))
         assert np.array_equal(got, want)
 
 
@@ -474,7 +452,7 @@ class TestDrawQueries:
         for delta, s in ((1, schemes[0]), (2, schemes[1])):
             pairs = sorted(set(zip(s.x.tolist(), s.u.tolist())))
             for x, u in pairs:
-                draws = boundary_draws(s.mass_by_context(x, u)[1])
+                draws = boundary_draws(mass_by_context(s, x, u)[1])
                 picks = sample_query_indices(s, x, u, draws)
                 want += [s.queries[i] for i in picks.tolist()]
                 steps += [(delta, x, u, r) for r in draws.tolist()]
