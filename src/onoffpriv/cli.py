@@ -322,11 +322,12 @@ def write_trace_csv(trace, fh) -> None:
 
     fh.write(b"t,x,f,tau,delta,q_size,bytes,decode_ok\n")
     columns = (
-        np.arange(trace.horizon), trace.x, trace.flag, trace.tau, trace.delta,
+        trace.x, trace.flag, trace.tau, trace.delta,
         trace.q_size, trace.bytes_down, trace.decode_ok,
     )
     for lo in range(0, trace.horizon, CSV_BLOCK_ROWS):
-        fh.write(csv_digits([c[lo : lo + CSV_BLOCK_ROWS] for c in columns]))
+        hi = min(lo + CSV_BLOCK_ROWS, trace.horizon)
+        fh.write(csv_digits([np.arange(lo, hi)] + [c[lo:hi] for c in columns]))
 
 
 def cmd_simulate(args) -> int:
@@ -336,7 +337,7 @@ def cmd_simulate(args) -> int:
         SimConfig,
         average_download_rate,
         empirical_composed_history,
-        empirical_privacy_test,
+        empirical_privacy_tests,
         run_simulation,
     )
 
@@ -356,16 +357,14 @@ def cmd_simulate(args) -> int:
     )
     trace = run_simulation(cfg)
     decode_failures = int((~trace.decode_ok).sum())
-    privacy = []
-    dependent = False
-    for delta, (count, _mean) in sorted(trace.delta_buckets.items()):
-        if count < MIN_BUCKET_SAMPLES:
-            continue
-        stats = empirical_privacy_test(trace, delta)
-        privacy.append(stats.to_json_obj())
-        if stats.flags_dependence():
-            dependent = True
-    passed = decode_failures == 0 and not dependent
+    # before the p-values load scipy.special, so that the history's work
+    # arrays and scipy's modules do not add up in the peak memory
+    composed = empirical_composed_history(trace)
+    privacy = empirical_privacy_tests(trace, [
+        delta for delta, (count, _mean) in sorted(trace.delta_buckets.items())
+        if count >= MIN_BUCKET_SAMPLES
+    ])
+    passed = decode_failures == 0 and not any(s.flags_dependence() for s in privacy)
     stats_obj = {
         "n": trace.n,
         "horizon": trace.horizon,
@@ -381,11 +380,9 @@ def cmd_simulate(args) -> int:
             str(d): {"count": c, "mean_q_size": m}
             for d, (c, m) in sorted(trace.delta_buckets.items())
         },
-        "privacy": privacy,
+        "privacy": [s.to_json_obj() for s in privacy],
         "composed_history": {
-            str(k): v for k, v in sorted(
-                empirical_composed_history(trace).items()
-            )
+            str(k): v for k, v in sorted(composed.items())
         },
         "pass": passed,
     }

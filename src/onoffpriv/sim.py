@@ -34,6 +34,10 @@ from onoffpriv.scheme import (
 )
 
 MIN_BUCKET_SAMPLES = 1000
+# the simulator draws its uniforms, and the query draw does its per-step
+# work, this many steps at a time, so that no such work array outgrows it
+# whatever the horizon
+DRAW_BLOCK_STEPS = 1 << 15
 # the gap and p-value thresholds of EmpiricalStats.flags_dependence
 DEPENDENCE_GAP_THRESHOLD = 0.05
 DEPENDENCE_P_THRESHOLD = 1e-6
@@ -206,7 +210,7 @@ class SimTrace:
 
 
 def _sample_path(P: TransitionMatrix, length: int, rng) -> np.ndarray:
-    """A request path of `length` states from one block of uniform draws,
+    """A request path of `length` states from `length` uniform draws,
     started in a uniformly drawn state.
 
     The state after s on draw r is the number of breakpoints cum[s, :-1]
@@ -222,8 +226,8 @@ def _sample_path(P: TransitionMatrix, length: int, rng) -> np.ndarray:
     """
     n = P.n
     initial = np.full(n, 1.0 / n)
-    draws = rng.random(length)
-    first = min(int(np.searchsorted(np.cumsum(initial), draws[0], "right")), n - 1)
+    start = rng.random(1)[0]
+    first = min(int(np.searchsorted(np.cumsum(initial), start, "right")), n - 1)
     cum = np.cumsum(P.entries, axis=1)[:, :-1]
     edges = np.sort(cum, axis=None)
     # table[c * n + s]: the state after s on a draw in cell c
@@ -235,10 +239,14 @@ def _sample_path(P: TransitionMatrix, length: int, rng) -> np.ndarray:
     steps = length - 1
     L = max(1, isqrt(steps // n))
     B = -(-steps // L)
-    # each step's cell as an offset into table; the cells that pad the last
-    # block come after the path's end, whose states are cut off
+    # each step's cell as an offset into table, from DRAW_BLOCK_STEPS draws
+    # at a time; the cells that pad the last block come after the path's
+    # end, whose states are cut off
     cells = np.zeros(B * L, dtype=np.intp)
-    np.multiply(np.searchsorted(edges, draws[1:], "right"), n, out=cells[:steps])
+    for lo in range(0, steps, DRAW_BLOCK_STEPS):
+        hi = min(lo + DRAW_BLOCK_STEPS, steps)
+        cell = np.searchsorted(edges, rng.random(hi - lo), "right")
+        np.multiply(cell, n, out=cells[lo:hi])
     cells = cells.reshape(B, L)
 
     ends = np.broadcast_to(np.arange(n), (B, n))
@@ -249,12 +257,14 @@ def _sample_path(P: TransitionMatrix, length: int, rng) -> np.ndarray:
     for b in range(B):
         starts[b] = state
         state = ends[b, state]
-    path = np.empty((B, L), dtype=np.int64)
+    path = np.empty(1 + B * L, dtype=np.int64)
+    path[0] = first
+    blocks = path[1:].reshape(B, L)
     state = starts
     for j in range(L):
         state = table[cells[:, j] + state]
-        path[:, j] = state
-    return np.concatenate(([first], path.ravel()[:steps]))
+        blocks[:, j] = state
+    return path[:length]
 
 
 def build_scheme_for_gap(
@@ -303,26 +313,29 @@ def _gap_schemes(P: TransitionMatrix, max_delta: int, overrides: dict):
     return schemes, index, len(built), max_delta + 1 - len(schemes)
 
 
-def _draw_queries(schemes: list, scheme_of_gap, delta, x, u, n: int, draws):
+def _draw_queries(schemes: list, scheme_of_gap, delta, x, u, n: int, rng):
     """Query of every step, where step t has gap delta[t], request x[t],
-    context u[t] and the uniform draw draws[t].
+    context u[t] and the uniform draw that rng gives it.
 
     A step with draw r picks the first row of its (scheme, request,
     context) group, in query order, whose cumulative mass exceeds r times
     the group's total, and the last row at the latest; so each query
-    follows w(q | x, u) = g(q, x, u) / p(x | u). All steps draw in one
-    pass. The rows of every scheme are in (x, u, q) order, so their
-    concatenation is grouped by the key (scheme n + x) n^2 + u, and a table
-    with a slot per key holds each group's row range. Each group's
-    cumulative masses add the same floats in the same order as np.cumsum
-    does, one position in the group at a time, and every step bisects its
-    group's range with searchsorted(side="right") semantics, one round for
-    all steps at once.
+    follows w(q | x, u) = g(q, x, u) / p(x | u). The rows of every scheme
+    are in (x, u, q) order, so their concatenation is grouped by the key
+    (scheme n + x) n^2 + u, and a table with a slot per key holds each
+    group's row range. Each group's cumulative masses add the same floats
+    in the same order as np.cumsum does, one position in the group at a
+    time. The steps draw DRAW_BLOCK_STEPS at a time, one block of uniform
+    draws each, which is the stream of one draw per step; every step of a
+    block bisects its group's range with searchsorted(side="right")
+    semantics, one round for all of them at once.
     Returns (ids, keys): keys are the queries of all the schemes, sorted,
     and ids[t] indexes the query of step t.
 
     Raises:
-        ZeroLikelihoodContext: a step's group has no positive total mass.
+        ZeroLikelihoodContext: a step's group has no positive total mass;
+            the message names the first such step's gap, request and
+            context.
     """
     keys = sorted(set().union(*(s.queries for s in schemes)))
     key_ids = {q: i for i, q in enumerate(keys)}
@@ -343,32 +356,41 @@ def _draw_queries(schemes: list, scheme_of_gap, delta, x, u, n: int, draws):
         starts, sizes = starts[longer], sizes[longer]
         cum[starts + k] += cum[starts + k - 1]
 
-    step_group = (scheme_of_gap[delta] * n + x) * m + u
-    lo = bounds[step_group]
-    hi = bounds[1:][step_group] - 1  # each step's last row
-    del step_group
-    empty = hi < lo
-    if not empty.any():
-        target = cum[hi]
-        empty = target <= 0.0
-    if empty.any():
-        t = np.flatnonzero(empty)[0]
-        raise ZeroLikelihoodContext(
-            f"gap {delta[t]}: no mass for request {x[t]} in context {u[t]}"
-        )
-    target *= draws
-    # searchsorted(side="right") over each step's rows but the last, in
-    # place, so that a pick is the last row at the latest
-    mid = np.empty_like(lo)
-    right = np.empty(lo.size, dtype=bool)
-    for _ in range(int((hi - lo).max()).bit_length()):
-        np.add(lo, hi, out=mid)
-        mid >>= 1
-        np.less(lo, hi, out=right)
-        right &= cum[mid] <= target
-        np.add(mid, 1, out=lo, where=right)
-        np.copyto(hi, mid, where=~right)
-    return row_key[lo], keys
+    ids = np.empty(len(delta), dtype=np.int64)
+    for first in range(0, len(delta), DRAW_BLOCK_STEPS):
+        block = slice(first, first + DRAW_BLOCK_STEPS)
+        step_group = scheme_of_gap[delta[block]]
+        step_group *= n
+        step_group += x[block]
+        step_group *= m
+        step_group += u[block]
+        lo = bounds[step_group]
+        hi = bounds[1:][step_group]
+        hi -= 1  # each step's last row
+        del step_group
+        empty = hi < lo
+        if not empty.any():
+            target = cum[hi]
+            empty = target <= 0.0
+        if empty.any():
+            t = first + int(np.flatnonzero(empty)[0])
+            raise ZeroLikelihoodContext(
+                f"gap {delta[t]}: no mass for request {x[t]} in context {u[t]}"
+            )
+        target *= rng.random(len(lo))
+        # searchsorted(side="right") over each step's rows but the last, in
+        # place, so that a pick is the last row at the latest
+        mid = np.empty_like(lo)
+        right = np.empty(lo.size, dtype=bool)
+        for _ in range(int((hi - lo).max()).bit_length()):
+            np.add(lo, hi, out=mid)
+            mid >>= 1
+            np.less(lo, hi, out=right)
+            right &= cum[mid] <= target
+            np.add(mid, 1, out=lo, where=right)
+            np.copyto(hi, mid, where=~right)
+        np.take(row_key, lo, out=ids[block])
+    return ids, keys
 
 
 def run_simulation(cfg: SimConfig, scheme_overrides: dict | None = None) -> SimTrace:
@@ -383,11 +405,13 @@ def run_simulation(cfg: SimConfig, scheme_overrides: dict | None = None) -> SimT
     The run is deterministic in (cfg.chain, cfg.schedule, cfg.horizon,
     cfg.msg_len, cfg.seed): three independent child generators drive the
     request path, the schedule and the query draws, so the request path
-    depends on the chain and seed only. Each generator gives one block of
-    draws, the same stream as one draw per step, so the trace of a seed is
-    the one the step-by-step protocol would produce. The cost is linear in
-    the horizon T: the request path takes O(n T) array work and about
-    2 sqrt(T / n) + sqrt(n T) Python steps, with no n x T table.
+    depends on the chain and seed only. Each generator gives its draws in
+    blocks of DRAW_BLOCK_STEPS, the same stream as one draw per step, so
+    the trace of a seed is the one the step-by-step protocol would produce.
+    The cost is linear in the horizon T: the request path takes O(n T)
+    array work and about 2 sqrt(T / n) + sqrt(n T) Python steps, with no
+    n x T table. Past the trace's own arrays, only the path's T cells are
+    held at once; every other work array is a block long.
     """
     P = cfg.chain
     if not P.is_strictly_positive():
@@ -403,15 +427,21 @@ def run_simulation(cfg: SimConfig, scheme_overrides: dict | None = None) -> SimT
     x = _sample_path(P, T + 1, path_rng)
     flags = cfg.schedule.realize(T, flag_rng)
 
-    steps = np.arange(T)
-    tau = np.maximum.accumulate(np.where(flags, steps, 0))
-    delta = steps - tau
-    u = x[tau] * n + x[1:]
+    # derived in place: tau keeps the steps whose flag is on, then carries
+    # the last of them forward
+    tau = np.arange(T)
+    tau *= flags
+    np.maximum.accumulate(tau, out=tau)
+    delta = np.arange(T)
+    delta -= tau
+    u = x[tau]
+    u *= n
+    u += x[1:]
     schemes, scheme_of_gap, built, reused = _gap_schemes(
         P, int(delta.max()), scheme_overrides or {}
     )
     query_ids, query_keys = _draw_queries(
-        schemes, scheme_of_gap, delta, x[:T], u, n, query_rng.random(T)
+        schemes, scheme_of_gap, delta, x[:T], u, n, query_rng
     )
     q_size = np.array([len(q) for q in query_keys], dtype=np.int64)[query_ids]
     # the server answers exactly the queried messages, so the client
@@ -419,11 +449,13 @@ def run_simulation(cfg: SimConfig, scheme_overrides: dict | None = None) -> SimT
     names = np.array([[s in q for s in range(n)] for q in query_keys], dtype=bool)
     decode_ok = names[query_ids, x[:T]]
 
-    counts = np.bincount(delta).tolist()
-    size_sums = np.bincount(delta, weights=q_size).tolist()
+    counts = np.bincount(delta)
+    # summed in place: a weighted bincount would take a float copy of q_size
+    size_sums = np.zeros(len(counts), dtype=np.int64)
+    np.add.at(size_sums, delta, q_size)
     delta_buckets = {
         d: (count, size_sum / count)
-        for d, (count, size_sum) in enumerate(zip(counts, size_sums))
+        for d, (count, size_sum) in enumerate(zip(counts.tolist(), size_sums.tolist()))
     }
     return SimTrace(
         n=n,
@@ -495,15 +527,93 @@ def empirical_privacy_test(trace: SimTrace, delta: int) -> EmpiricalStats:
     Raises:
         InsufficientSamples: fewer than 1000 steps have this gap.
     """
-    mask = trace.delta == delta
-    n_samples = int(mask.sum())
-    if n_samples < MIN_BUCKET_SAMPLES:
-        raise InsufficientSamples(
-            f"gap {delta} has {n_samples} samples, need {MIN_BUCKET_SAMPLES}"
+    return empirical_privacy_tests(trace, [delta])[0]
+
+
+def empirical_privacy_tests(trace: SimTrace, deltas: list) -> list:
+    """The EmpiricalStats of every gap bucket in deltas, in that order,
+    with all the buckets' contingency tables counted in one pass.
+
+    Raises:
+        InsufficientSamples: fewer than 1000 steps have one of the gaps.
+    """
+    sizes = np.bincount(trace.delta)
+    for delta in deltas:
+        size = int(sizes[delta]) if 0 <= delta < len(sizes) else 0
+        if size < MIN_BUCKET_SAMPLES:
+            raise InsufficientSamples(
+                f"gap {delta} has {size} samples, need {MIN_BUCKET_SAMPLES}"
+            )
+    if not deltas:
+        return []
+    tables = _gap_tables(trace, deltas)
+    return [
+        _independence(trace.query_keys, delta, int(sizes[delta]), *tables[delta])
+        for delta in deltas
+    ]
+
+
+def _gap_tables(trace: SimTrace, gaps) -> dict:
+    """The query-by-context contingency table of every gap in gaps.
+
+    Each step becomes one integer, its (gap slot, query id, context) read
+    as the digits of a mixed-radix numeral; the steps of unlisted gaps
+    share the slot after the listed ones. Sorting these integers in place
+    puts equal cells next to each other, in (gap, query, context) order,
+    so one scan gives every cell and its count. The cost is one sort of T
+    integers plus each table's cells, however many gaps are listed, and
+    the work arrays take 9 bytes a step and 8 a gap.
+
+    Returns {gap: (query ids, contexts, counts)}: the distinct query ids and
+    contexts of the gap's steps, each sorted, and the float table that
+    counts the steps of every (query id, context) pair in that order.
+
+    Raises:
+        OverflowError: the numerals do not fit in an int64.
+    """
+    gaps = np.unique(gaps)
+    n_queries = len(trace.query_keys)
+    m = int(trace.u.max()) + 1
+    width = n_queries * m  # the numerals of one slot
+    if (len(gaps) + 1) * width > 2**63:
+        raise OverflowError(
+            f"{len(gaps)} gaps of {n_queries} queries and {m} contexts "
+            "overflow the int64 cell numbers"
         )
-    # query ids follow the sorted query keys, so rows come out in key order
-    qids, contexts, counts = _contingency(trace.query_ids[mask], trace.u[mask])
-    query_keys = [trace.query_keys[i] for i in qids.tolist()]
+    slot = np.full(max(int(trace.delta.max()), int(gaps[-1])) + 1, len(gaps))
+    slot[gaps] = np.arange(len(gaps))
+    cells = slot[trace.delta]
+    del slot
+    cells *= n_queries
+    cells += trace.query_ids
+    cells *= m
+    cells += trace.u
+    cells.sort()
+    new = np.empty(len(cells), dtype=bool)
+    new[0] = True
+    np.not_equal(cells[1:], cells[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    del new
+    counts = np.diff(starts, append=len(cells))
+    cell_slot, cells = np.divmod(cells[starts], width)
+    cell_query, cell_context = np.divmod(cells, m)
+    bounds = np.searchsorted(cell_slot, np.arange(len(gaps) + 1))
+    tables = {}
+    for gap, lo, hi in zip(gaps.tolist(), bounds[:-1], bounds[1:]):
+        qids, row = np.unique(cell_query[lo:hi], return_inverse=True)
+        contexts, col = np.unique(cell_context[lo:hi], return_inverse=True)
+        table = np.zeros((len(qids), len(contexts)))
+        table[row, col] = counts[lo:hi]
+        tables[gap] = (qids, contexts, table)
+    return tables
+
+
+def _independence(
+    all_keys, delta, n_samples, qids, contexts, counts
+) -> EmpiricalStats:
+    """The statistics of one gap bucket's contingency table; query ids
+    follow the sorted query keys, so its rows are in key order."""
+    query_keys = [all_keys[i] for i in qids.tolist()]
     context_ids = contexts.tolist()
 
     col_tot = counts.sum(axis=0)
@@ -552,19 +662,35 @@ def empirical_composed_history(trace: SimTrace) -> dict:
     # the final run may be truncated by the horizon, so it is left out
     lengths = np.diff(starts)
     starts = starts[:-1]
+    n_queries = len(trace.query_keys)
     out = {}
     for length in np.flatnonzero(np.bincount(lengths)).tolist():
         first = starts[lengths == length]
         if len(first) < MIN_BUCKET_SAMPLES:
             continue
-        # number the distinct composed tuples one position at a time
-        tuple_ids = np.zeros(len(first), dtype=np.int64)
-        for j in range(length):
-            step_ids = trace.query_ids[first + j]
-            _, tuple_ids = np.unique(
-                tuple_ids * len(trace.query_keys) + step_ids, return_inverse=True
-            )
-        _, _, counts = _contingency(tuple_ids, trace.x[first])
+        # number each run's composed tuple by its query ids read as the
+        # digits of a base-n_queries numeral, in place; the numbers are
+        # ranked anew only where one more digit could overflow int64, and
+        # at the end when they could exceed the run count
+        tuple_ids = trace.query_ids[first]
+        bound = n_queries  # every number lies below it
+        for _ in range(1, length):
+            if bound > (2**63 - 1) // n_queries:
+                tuple_ids, bound = _dense_ids(tuple_ids)
+            first += 1
+            tuple_ids *= n_queries
+            tuple_ids += trace.query_ids[first]
+            bound *= n_queries
+        if bound > len(first):
+            tuple_ids, bound = _dense_ids(tuple_ids)
+        first -= length - 1
+        # the runs of every tuple by the request at their on-step, over the
+        # tuples and the requests that occur
+        tuple_ids *= trace.n
+        tuple_ids += trace.x[first]
+        counts = np.bincount(tuple_ids, minlength=bound * trace.n)
+        counts = counts.reshape(bound, trace.n)
+        counts = counts[counts.any(axis=1)][:, counts.any(axis=0)].astype(float)
         freq = counts / counts.sum(axis=0)[None, :]
         out[length] = {
             "n_runs": len(first),
@@ -573,23 +699,10 @@ def empirical_composed_history(trace: SimTrace) -> dict:
     return out
 
 
-def _contingency(rows: np.ndarray, cols: np.ndarray):
-    """Distinct row and column labels, each sorted, and the table that
-    counts every (row, column) label pair in that order.
-
-    Labels are non-negative and bounded by the query count, n^2 or the
-    run count, so they are ranked by counting, not sorting."""
-    row_vals, r = _ranks(rows)
-    col_vals, c = _ranks(cols)
-    shape = (len(row_vals), len(col_vals))
-    flat = np.bincount(r * shape[1] + c, minlength=shape[0] * shape[1])
-    return row_vals, col_vals, flat.reshape(shape).astype(float)
-
-
-def _ranks(labels: np.ndarray):
-    """The distinct labels, sorted, and each label's position among them."""
-    seen = np.bincount(labels) > 0
-    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[labels]
+def _dense_ids(labels: np.ndarray):
+    """Each label's rank among the distinct labels, and their count."""
+    distinct = np.unique(labels)
+    return np.searchsorted(distinct, labels), len(distinct)
 
 
 def average_download_rate(trace: SimTrace) -> dict:

@@ -1,6 +1,7 @@
 import io
 import math
 import struct
+from collections import Counter
 from typing import NamedTuple
 
 import numpy as np
@@ -15,6 +16,7 @@ from onoffpriv.markov import (
 from onoffpriv.scheme import (
     COLUMNS, CSV_BLOCK_ROWS, SchemeDistribution, ZeroLikelihoodContext,
 )
+from onoffpriv.sim import MIN_BUCKET_SAMPLES
 
 
 class FullProgram(NamedTuple):
@@ -197,6 +199,73 @@ def reference_trace_csv(trace) -> str:
         block = np.column_stack([c[lo : lo + CSV_BLOCK_ROWS] for c in columns])
         parts.append(row_fmt * len(block) % tuple(block.ravel().tolist()))
     return "".join(parts)
+
+
+def reference_gap_table(trace, delta: int):
+    """One gap bucket's contingency table counted step by step: the query
+    ids and the contexts of its steps, each sorted, and the float table of
+    their pair counts in that order."""
+    pairs = Counter(
+        (q, u)
+        for d, q, u in zip(
+            trace.delta.tolist(), trace.query_ids.tolist(), trace.u.tolist()
+        )
+        if d == delta
+    )
+    qids = sorted({q for q, _ in pairs})
+    contexts = sorted({u for _, u in pairs})
+    counts = np.array([[float(pairs[q, u]) for u in contexts] for q in qids])
+    return qids, contexts, counts
+
+
+def reference_privacy_stats(trace, delta: int) -> dict:
+    """The fields of one gap bucket's EmpiricalStats from its step-by-step
+    table, by the textbook formulas, with scipy.stats for the p-value."""
+    import scipy.stats
+
+    qids, contexts, counts = reference_gap_table(trace, delta)
+    col_tot = counts.sum(axis=0)
+    cond_freq = counts / col_tot[None, :]
+    expected = np.outer(counts.sum(axis=1), col_tot) / counts.sum()
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cells = np.where(expected > 0, (counts - expected) ** 2 / expected, 0.0)
+    chi2_stat = float(cells.sum())
+    chi2_dof = (len(qids) - 1) * (len(contexts) - 1)
+    return {
+        "delta": delta,
+        "n_samples": int(counts.sum()),
+        "query_keys": [trace.query_keys[i] for i in qids],
+        "context_ids": contexts,
+        "counts": counts,
+        "max_tv_gap": float((cond_freq.max(axis=1) - cond_freq.min(axis=1)).max()),
+        "chi2_stat": chi2_stat,
+        "chi2_dof": chi2_dof,
+        "chi2_pvalue": (
+            float(scipy.stats.chi2.sf(chi2_stat, chi2_dof)) if chi2_dof > 0 else 1.0
+        ),
+    }
+
+
+def reference_composed_history(trace) -> dict:
+    """empirical_composed_history run by run: each complete off-run's
+    queries as a tuple, counted against the request at its on-step."""
+    ids, x = trace.query_ids.tolist(), trace.x.tolist()
+    starts = np.flatnonzero(trace.flag).tolist()
+    runs: dict = {}
+    for start, end in zip(starts, starts[1:]):
+        runs.setdefault(end - start, []).append((tuple(ids[start:end]), x[start]))
+    out = {}
+    for length, pairs in runs.items():
+        if len(pairs) < MIN_BUCKET_SAMPLES:
+            continue
+        cells = Counter(pairs)
+        col_tot = Counter(request for _, request in pairs)
+        spreads = []
+        for composed in {t for t, _ in pairs}:
+            freq = [cells[composed, r] / col_tot[r] for r in col_tot]
+            spreads.append(max(freq) - min(freq))
+        out[length] = {"n_runs": len(pairs), "max_gap": max(spreads)}
+    return out
 
 
 def reference_sample_path(P: TransitionMatrix, length: int, rng):

@@ -1,5 +1,7 @@
+import tracemalloc
 from math import isqrt
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,21 +9,24 @@ import scipy.stats
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
+from onoffpriv import sim
 from onoffpriv.markov import TransitionMatrix, symmetric_chain
 from onoffpriv.scheme import ZeroLikelihoodContext
 from onoffpriv.sim import (
+    DRAW_BLOCK_STEPS,
     MIN_BUCKET_SAMPLES,
     InsufficientSamples,
     PrivacySchedule,
     SimConfig,
     SimTrace,
-    _contingency,
     _draw_queries,
+    _gap_tables,
     _sample_path,
     average_download_rate,
     build_scheme_for_gap,
     empirical_composed_history,
     empirical_privacy_test,
+    empirical_privacy_tests,
     run_simulation,
 )
 
@@ -30,6 +35,8 @@ from conftest import (
     ROUNDING_TWO_CYCLE,
     entries_of,
     mass_by_context,
+    reference_composed_history,
+    reference_privacy_stats,
     reference_sample_path,
     sample_query_indices,
     scheme_from_entries,
@@ -283,6 +290,8 @@ class TestSeedContract:
             hst.integers(min_value=1, max_value=8),
             max_size=2,
         ),
+        # the draws' block length, or None for DRAW_BLOCK_STEPS
+        block=hst.one_of(hst.none(), hst.integers(min_value=1, max_value=64)),
     )
     # gaps 0-399, three times each: the chain's powers alternate from
     # product 67 on, and the walk finds the period at gap 130. Gap 128 is
@@ -290,16 +299,21 @@ class TestSeedContract:
     # find; neither passes its override on to another gap
     @example(
         P=ROUNDING_TWO_CYCLE, schedule="periodic:400", horizon=1200, seed=3,
-        overrides={128: 1, 201: 2},
+        overrides={128: 1, 201: 2}, block=None,
     )
     # gaps 0-49, ten times each: no power repeats, but gap 23's table
     # recurs at gaps 32 and 41, which must not take its override
     @example(
         P=RECURRING_TABLES, schedule="periodic:50", horizon=500, seed=3,
-        overrides={23: 1},
+        overrides={23: 1}, block=None,
+    )
+    # the path's draws, and the query draw, in 10 blocks of 15 steps
+    @example(
+        P=symmetric_chain(4, 0.4), schedule="bernoulli:0.3", horizon=150,
+        seed=11, overrides={2: 5}, block=15,
     )
     def test_matches_the_step_by_step_reference(
-        self, P, schedule, horizon, seed, overrides
+        self, P, schedule, horizon, seed, overrides, block
     ):
         cfg = SimConfig(
             chain=P, schedule=PrivacySchedule.parse(schedule), horizon=horizon,
@@ -307,7 +321,8 @@ class TestSeedContract:
         )
         # each override gap gets the honest scheme of another gap
         swapped = {d: build_scheme_for_gap(P, other) for d, other in overrides.items()}
-        trace = run_simulation(cfg, scheme_overrides=swapped)
+        with mock.patch.object(sim, "DRAW_BLOCK_STEPS", block or DRAW_BLOCK_STEPS):
+            trace = run_simulation(cfg, scheme_overrides=swapped)
         arrays, queries, buckets = reference_run(cfg, scheme_overrides=swapped)
         for name in TRACE_ARRAYS:
             got = getattr(trace, name)
@@ -373,14 +388,17 @@ def path_cases(draw):
 
 
 class StubDraws:
-    """A generator whose uniform draws are given in advance."""
+    """A generator whose uniform draws are given in advance, handed out in
+    order, as many as each call asks for."""
 
     def __init__(self, draws):
         self.draws = np.array(draws, dtype=float)
+        self.used = 0
 
     def random(self, size):
-        assert size == len(self.draws)
-        return self.draws.copy()
+        assert self.used + size <= len(self.draws)
+        self.used += size
+        return self.draws[self.used - size : self.used].copy()
 
 
 class TestSamplePath:
@@ -459,7 +477,7 @@ class TestDrawQueries:
         delta, x, u, draws = (np.array(c) for c in zip(*steps))
         ids, keys = _draw_queries(
             schemes, scheme_of_gap, delta.astype(np.int64), x.astype(np.int64),
-            u.astype(np.int64), n, draws,
+            u.astype(np.int64), n, StubDraws(draws),
         )
         assert keys == sorted(set(schemes[0].queries) | set(schemes[1].queries))
         assert [keys[i] for i in ids.tolist()] == want
@@ -482,10 +500,37 @@ class TestDrawQueries:
         ):
             run_simulation(cfg, scheme_overrides={1: bad})
 
+    def test_an_empty_context_first_met_in_a_later_block_is_named(self):
+        P = symmetric_chain(3, 0.6)
+        cfg = SimConfig(
+            chain=P, schedule=PrivacySchedule.periodic(2), horizon=2000, seed=4
+        )
+        honest = run_simulation(cfg)
+        # the (request, context) pair of gap 1 that occurs first the latest
+        gap1 = np.flatnonzero(honest.delta == 1)
+        pairs = list(zip(honest.x[gap1].tolist(), honest.u[gap1].tolist()))
+        first_step = {}
+        for t, pair in zip(gap1.tolist(), pairs):
+            first_step.setdefault(pair, t)
+        (x, u), t = max(first_step.items(), key=lambda item: item[1])
+        entries = entries_of(build_scheme_for_gap(P, 1))
+        bad = scheme_from_entries(
+            3, 1, "set", {k: v for k, v in entries.items() if k[1:] != (x, u)}
+        )
+        # blocks short enough that step t lies in the fourth or a later one
+        block = t // 4
+        assert block >= 1 and t // block >= 3
+        with mock.patch.object(sim, "DRAW_BLOCK_STEPS", block):
+            with pytest.raises(
+                ZeroLikelihoodContext,
+                match=rf"^gap 1: no mass for request {x} in context {u}$",
+            ):
+                run_simulation(cfg, scheme_overrides={1: bad})
+
 
 def sorting_contingency(rows, cols):
     """The contingency table with labels ranked by np.unique: the reference
-    that _contingency must match, dtypes too."""
+    that each gap's table from _gap_tables must match, dtypes too."""
     row_vals, r = np.unique(rows, return_inverse=True)
     col_vals, c = np.unique(cols, return_inverse=True)
     shape = (len(row_vals), len(col_vals))
@@ -505,13 +550,37 @@ def label_pairs(draw):
     return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
 
 
+def label_trace(delta, rows, cols):
+    """A stand-in trace with the fields that _gap_tables reads: row labels
+    as query ids and column labels as contexts."""
+    return SimpleNamespace(
+        delta=delta, query_ids=rows, u=cols, query_keys=range(int(rows.max()) + 1)
+    )
+
+
 class TestContingency:
     @settings(max_examples=150, deadline=None)
-    @given(labels=label_pairs())
-    def test_counting_ranks_as_sorting_does(self, labels):
-        for got, want in zip(_contingency(*labels), sorting_contingency(*labels)):
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
+    @given(labels=label_pairs(), data=hst.data())
+    def test_one_pass_tables_match_the_sorting_reference(self, labels, data):
+        rows, cols = labels
+        size = len(rows)
+        delta = np.array(
+            data.draw(hst.lists(hst.integers(0, 4), min_size=size, max_size=size)),
+            dtype=np.int64,
+        )
+        # any of the gaps present; the steps of the others share one slot
+        present = sorted(set(delta.tolist()))
+        listed = data.draw(
+            hst.lists(hst.sampled_from(present), min_size=1, unique=True)
+        )
+        tables = _gap_tables(label_trace(delta, rows, cols), listed)
+        assert sorted(tables) == sorted(listed)
+        for gap in listed:
+            mask = delta == gap
+            want = sorting_contingency(rows[mask], cols[mask])
+            for got, expected in zip(tables[gap], want):
+                assert got.dtype == expected.dtype
+                assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize(
         "rows", [[0, 5, 9, 9, 0, 5, 5], [7, 7, 7, 7, 7, 7, 7]], ids=["gaps", "one"]
@@ -519,12 +588,25 @@ class TestContingency:
     def test_labels_with_gaps_and_a_single_label(self, rows):
         rows = np.array(rows)
         cols = np.array([3, 3, 0, 3, 0, 0, 3])
-        got = _contingency(rows, cols)
+        got = _gap_tables(label_trace(np.zeros(7, dtype=np.int64), rows, cols), [0])[0]
         assert got[0].tolist() == sorted(set(rows.tolist()))
         assert got[1].tolist() == [0, 3]
         assert got[2].sum() == len(rows)
         for part, want in zip(got, sorting_contingency(rows, cols)):
             assert np.array_equal(part, want)
+
+    def test_cell_numbers_must_fit_in_int64(self):
+        # one listed gap and the shared slot, 2^61 queries and 2 contexts:
+        # the largest cell number is 2^63 - 1, and one more query overflows
+        delta = np.array([0, 0, 1], dtype=np.int64)
+        rows = np.array([0, 1, 1], dtype=np.int64)
+        cols = np.array([1, 0, 1], dtype=np.int64)
+        trace = label_trace(delta, rows, cols)
+        trace.query_keys = range(2**61)
+        assert _gap_tables(trace, [0])[0][2].tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        trace.query_keys = range(2**61 + 1)
+        with pytest.raises(OverflowError, match="int64"):
+            _gap_tables(trace, [0])
 
 
 class TestEmpiricalStats:
@@ -610,6 +692,104 @@ class TestEmpiricalStats:
         assert set(by_len) == {2}
         assert by_len[2]["n_runs"] > 1000
         assert 0.0 <= by_len[2]["max_gap"] <= 1.0
+        assert by_len == reference_composed_history(trace)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        P=draw_chains(),
+        schedule=hst.one_of(
+            hst.sampled_from(["always-on"]),
+            hst.integers(min_value=1, max_value=12).map(lambda k: f"periodic:{k}"),
+            hst.floats(min_value=0.4, max_value=1.0).map(lambda p: f"bernoulli:{p}"),
+        ),
+        horizon=hst.integers(min_value=3000, max_value=12000),
+        seed=hst.integers(min_value=0, max_value=2**32 - 1),
+    )
+    # twelve gaps of 1000 steps each
+    @example(P=symmetric_chain(3, 0.6), schedule="periodic:12", horizon=12000, seed=1)
+    def test_one_pass_stats_match_the_counter_reference(
+        self, P, schedule, horizon, seed
+    ):
+        cfg = SimConfig(
+            chain=P, schedule=PrivacySchedule.parse(schedule), horizon=horizon,
+            seed=seed,
+        )
+        trace = run_simulation(cfg)
+        tested = [
+            d for d, (count, _) in sorted(trace.delta_buckets.items())
+            if count >= MIN_BUCKET_SAMPLES
+        ]
+        assume(tested)
+        got = empirical_privacy_tests(trace, tested)
+        assert [stats.delta for stats in got] == tested
+        for stats in got:
+            want = reference_privacy_stats(trace, stats.delta)
+            for name, value in want.items():
+                if name == "counts":
+                    assert stats.counts.dtype == value.dtype
+                    assert np.array_equal(stats.counts, value)
+                else:
+                    assert getattr(stats, name) == value, name
+            # one gap alone goes through the same pass
+            alone = empirical_privacy_test(trace, stats.delta)
+            assert alone.to_json_obj() == stats.to_json_obj()
+
+    def test_a_gap_in_the_list_without_enough_samples_is_refused(self):
+        trace = run(horizon=4000, schedule="periodic:3")
+        with pytest.raises(InsufficientSamples, match="^gap 3 has 0 samples"):
+            empirical_privacy_tests(trace, [0, 1, 3])
+        assert empirical_privacy_tests(trace, []) == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=hst.integers(min_value=2, max_value=6),
+        # 2^40 queries renumber the tuples at every position, and 2^21 at
+        # every third; 7 never before the end
+        n_queries=hst.sampled_from([1, 2, 7, 2**21, 2**40]),
+        period=hst.integers(min_value=1, max_value=8),
+        p_on=hst.floats(min_value=0.0, max_value=1.0),
+        seed=hst.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_composed_history_matches_the_tuple_reference(
+        self, n, n_queries, period, p_on, seed
+    ):
+        # flags on at every multiple of the period and, besides, at random
+        horizon = 9000
+        gen = np.random.default_rng(seed)
+        flag = (np.arange(horizon) % period == 0) | (gen.random(horizon) < p_on / 4)
+        # few distinct queries at each position, so that tuples repeat
+        pool = gen.integers(0, n_queries, size=3)
+        trace = SimpleNamespace(
+            n=n,
+            flag=flag,
+            x=gen.integers(0, n, size=horizon),
+            query_ids=pool[gen.integers(0, 3, size=horizon)],
+            query_keys=range(n_queries),
+        )
+        assert empirical_composed_history(trace) == reference_composed_history(trace)
+
+    def test_work_arrays_stay_within_their_budget(self):
+        # tracemalloc counts numpy's array buffers. Past the trace's own
+        # arrays the run holds block-long work arrays only, the privacy
+        # tests one int64 and one flag per step, and the composed history
+        # five int64 per run; each budget leaves some room above that
+        T = 300_000
+        trace = run(horizon=T, seed=2)  # and any one-time set-up with it
+        empirical_privacy_tests(trace, [0, 1])
+        runs = T // 2
+        tracemalloc.start()
+        try:
+            trace = run(horizon=T, seed=2)
+            kept, peak = tracemalloc.get_traced_memory()
+            assert peak - kept <= 64 * DRAW_BLOCK_STEPS
+            tracemalloc.reset_peak()
+            empirical_privacy_tests(trace, [0, 1])
+            assert tracemalloc.get_traced_memory()[1] - kept <= 10 * T
+            tracemalloc.reset_peak()
+            empirical_composed_history(trace)
+            assert tracemalloc.get_traced_memory()[1] - kept <= 6 * 8 * runs
+        finally:
+            tracemalloc.stop()
 
 
 class TestAverageRate:
