@@ -317,17 +317,21 @@ def cmd_lp(args) -> int:
 
 def write_trace_csv(trace, fh) -> None:
     """Write the per-step trace as CSV to the binary file fh, formatting
-    CSV_BLOCK_ROWS rows at a time, so the whole text is never held."""
+    CSV_BLOCK_ROWS rows at a time, so the whole text is never held; the
+    columns the trace derives (tau, q_size, bytes) are derived a block at
+    a time too."""
     from onoffpriv.scheme import CSV_BLOCK_ROWS, csv_digits
 
     fh.write(b"t,x,f,tau,delta,q_size,bytes,decode_ok\n")
-    columns = (
-        trace.x, trace.flag, trace.tau, trace.delta,
-        trace.q_size, trace.bytes_down, trace.decode_ok,
-    )
     for lo in range(0, trace.horizon, CSV_BLOCK_ROWS):
-        hi = min(lo + CSV_BLOCK_ROWS, trace.horizon)
-        fh.write(csv_digits([np.arange(lo, hi)] + [c[lo:hi] for c in columns]))
+        block = slice(lo, lo + CSV_BLOCK_ROWS)
+        delta = trace.delta[block]
+        t = np.arange(lo, lo + len(delta))
+        q_size = trace.query_sizes[trace.query_ids[block]]
+        fh.write(csv_digits([
+            t, trace.x[block], trace.flag[block], t - delta, delta,
+            q_size, q_size * trace.msg_len, trace.decode_ok[block],
+        ]))
 
 
 def cmd_simulate(args) -> int:
@@ -357,14 +361,10 @@ def cmd_simulate(args) -> int:
     )
     trace = run_simulation(cfg)
     decode_failures = int((~trace.decode_ok).sum())
-    # before the p-values load scipy.special, so that the history's work
-    # arrays and scipy's modules do not add up in the peak memory
-    composed = empirical_composed_history(trace)
+    counts, size_sums = trace.gap_counts.tolist(), trace.gap_size_sums.tolist()
     privacy = empirical_privacy_tests(trace, [
-        delta for delta, (count, _mean) in sorted(trace.delta_buckets.items())
-        if count >= MIN_BUCKET_SAMPLES
+        delta for delta, count in enumerate(counts) if count >= MIN_BUCKET_SAMPLES
     ])
-    passed = decode_failures == 0 and not any(s.flags_dependence() for s in privacy)
     stats_obj = {
         "n": trace.n,
         "horizon": trace.horizon,
@@ -377,18 +377,25 @@ def cmd_simulate(args) -> int:
         "schemes_reused": trace.schemes_reused,
         "rates": average_download_rate(trace),
         "delta_buckets": {
-            str(d): {"count": c, "mean_q_size": m}
-            for d, (c, m) in sorted(trace.delta_buckets.items())
+            str(d): {"count": c, "mean_q_size": s / c}
+            for d, (c, s) in enumerate(zip(counts, size_sums))
         },
-        "privacy": [s.to_json_obj() for s in privacy],
         "composed_history": {
-            str(k): v for k, v in sorted(composed.items())
+            str(k): v for k, v in sorted(empirical_composed_history(trace).items())
         },
-        "pass": passed,
     }
-    if args.out and args.out.endswith(".csv"):
+    csv_out = args.out and args.out.endswith(".csv")
+    if csv_out:
         with open(args.out, "wb") as fh:
             write_trace_csv(trace, fh)
+    # the p-values come last: their first read loads scipy.special, and
+    # the trace is freed before it, so that the two do not add up in the
+    # peak memory
+    del trace
+    stats_obj["privacy"] = [s.to_json_obj() for s in privacy]
+    passed = decode_failures == 0 and not any(s.flags_dependence() for s in privacy)
+    stats_obj["pass"] = passed
+    if csv_out:
         sys.stdout.write(_json_text(stats_obj))
     else:
         _emit(_json_text(stats_obj), args.out)

@@ -16,7 +16,7 @@ chi-square contingency statistic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt
 
@@ -169,29 +169,31 @@ class SimConfig:
 class SimTrace:
     """Per-step protocol record plus per-gap aggregates.
 
-    Arrays are indexed by step. query_keys holds the queries of the run's
-    schemes, sorted, each a sorted member tuple, and query_ids[t] indexes
-    the query of step t in it; queries lists those keys step by step.
-    delta_buckets maps each observed gap to (sample count, mean query
-    size). schemes_built counts the per-gap schemes constructed;
-    schemes_reused counts the honest gaps that took an earlier gap's
-    scheme because their powers of the chain, or else their likelihood
-    tables, are bitwise equal.
+    Arrays are indexed by step; the trace stores x, flag, delta, u,
+    query_ids and decode_ok, 34 bytes a step. query_keys holds the queries
+    of the run's schemes, sorted, each a sorted member tuple, and
+    query_ids[t] indexes the query of step t in it; queries lists those
+    keys step by step. tau (t - delta), q_size (the member count of each
+    step's query) and bytes_down (q_size * msg_len) are derived from them
+    on each read. gap_counts[d] and gap_size_sums[d] are the number of
+    steps with gap d and the sum of their query sizes; delta_buckets maps
+    each observed gap to (sample count, mean query size). schemes_built
+    counts the per-gap schemes constructed; schemes_reused counts the
+    honest gaps that took an earlier gap's scheme because their powers of
+    the chain, or else their likelihood tables, are bitwise equal.
     """
 
     n: int
     msg_len: int
     x: np.ndarray
     flag: np.ndarray
-    tau: np.ndarray
     delta: np.ndarray
     u: np.ndarray
-    q_size: np.ndarray
-    bytes_down: np.ndarray
     decode_ok: np.ndarray
     query_ids: np.ndarray
     query_keys: list
-    delta_buckets: dict = field(default_factory=dict)
+    gap_counts: np.ndarray
+    gap_size_sums: np.ndarray
     schemes_built: int = 0
     schemes_reused: int = 0
 
@@ -205,8 +207,38 @@ class SimTrace:
         keys = self.query_keys
         return [keys[i] for i in self.query_ids.tolist()]
 
+    @cached_property
+    def query_sizes(self) -> np.ndarray:
+        """The member count of every query key."""
+        return _query_sizes(self.query_keys)
+
+    @property
+    def tau(self) -> np.ndarray:
+        return np.arange(self.horizon) - self.delta
+
+    @property
+    def q_size(self) -> np.ndarray:
+        return self.query_sizes[self.query_ids]
+
+    @property
+    def bytes_down(self) -> np.ndarray:
+        return self.q_size * self.msg_len
+
+    @property
+    def delta_buckets(self) -> dict:
+        return {
+            d: (count, size_sum / count)
+            for d, (count, size_sum) in enumerate(
+                zip(self.gap_counts.tolist(), self.gap_size_sums.tolist())
+            )
+        }
+
     def total_bytes(self) -> int:
-        return int(self.bytes_down.sum())
+        return self.msg_len * int(self.gap_size_sums.sum())
+
+
+def _query_sizes(keys) -> np.ndarray:
+    return np.array([len(q) for q in keys], dtype=np.int64)
 
 
 def _sample_path(P: TransitionMatrix, length: int, rng) -> np.ndarray:
@@ -428,49 +460,48 @@ def run_simulation(cfg: SimConfig, scheme_overrides: dict | None = None) -> SimT
     flags = cfg.schedule.realize(T, flag_rng)
 
     # derived in place: tau keeps the steps whose flag is on, then carries
-    # the last of them forward
-    tau = np.arange(T)
-    tau *= flags
-    np.maximum.accumulate(tau, out=tau)
+    # the last of them forward; once the contexts are read at tau, the same
+    # buffer becomes the gap t - tau, a block at a time
     delta = np.arange(T)
-    delta -= tau
-    u = x[tau]
+    delta *= flags
+    np.maximum.accumulate(delta, out=delta)
+    u = x[delta]
     u *= n
     u += x[1:]
+    for lo in range(0, T, DRAW_BLOCK_STEPS):
+        block = delta[lo:lo + DRAW_BLOCK_STEPS]
+        np.subtract(np.arange(lo, lo + len(block)), block, out=block)
     schemes, scheme_of_gap, built, reused = _gap_schemes(
         P, int(delta.max()), scheme_overrides or {}
     )
     query_ids, query_keys = _draw_queries(
         schemes, scheme_of_gap, delta, x[:T], u, n, query_rng
     )
-    q_size = np.array([len(q) for q in query_keys], dtype=np.int64)[query_ids]
     # the server answers exactly the queried messages, so the client
     # decodes its wanted message iff the query names it
     names = np.array([[s in q for s in range(n)] for q in query_keys], dtype=bool)
     decode_ok = names[query_ids, x[:T]]
 
-    counts = np.bincount(delta)
-    # summed in place: a weighted bincount would take a float copy of q_size
-    size_sums = np.zeros(len(counts), dtype=np.int64)
-    np.add.at(size_sums, delta, q_size)
-    delta_buckets = {
-        d: (count, size_sum / count)
-        for d, (count, size_sum) in enumerate(zip(counts.tolist(), size_sums.tolist()))
-    }
+    gap_counts = np.bincount(delta)
+    # summed in place a block at a time: a weighted bincount would take a
+    # float copy of the query sizes
+    sizes = _query_sizes(query_keys)
+    gap_size_sums = np.zeros(len(gap_counts), dtype=np.int64)
+    for lo in range(0, T, DRAW_BLOCK_STEPS):
+        block = slice(lo, lo + DRAW_BLOCK_STEPS)
+        np.add.at(gap_size_sums, delta[block], sizes[query_ids[block]])
     return SimTrace(
         n=n,
         msg_len=cfg.msg_len,
         x=x[:T],
         flag=flags,
-        tau=tau,
         delta=delta,
         u=u,
-        q_size=q_size,
-        bytes_down=q_size * cfg.msg_len,
         decode_ok=decode_ok,
         query_ids=query_ids,
         query_keys=query_keys,
-        delta_buckets=delta_buckets,
+        gap_counts=gap_counts,
+        gap_size_sums=gap_size_sums,
         schemes_built=built,
         schemes_reused=reused,
     )
@@ -483,7 +514,10 @@ class EmpiricalStats:
     counts is a queries-by-contexts contingency table. max_tv_gap is the
     largest spread of the empirical conditional frequency of any query
     across the observed contexts. The chi-square fields test independence
-    of query and context in the bucket.
+    of query and context in the bucket. chi2_pvalue is computed on its
+    first read, and the first read of one whose chi2_dof is positive is the
+    only step of a simulation that loads scipy (scipy.special, about 25 MB),
+    so that a caller can free the trace before it.
     """
 
     delta: int
@@ -494,7 +528,17 @@ class EmpiricalStats:
     max_tv_gap: float
     chi2_stat: float
     chi2_dof: int
-    chi2_pvalue: float
+
+    @cached_property
+    def chi2_pvalue(self) -> float:
+        """The chi-square survival function at chi2_stat, as
+        scipy.stats.chi2.sf evaluates it; 1.0 when chi2_dof is 0."""
+        if self.chi2_dof == 0:
+            return 1.0
+        # imported here, so that importing onoffpriv loads no scipy module
+        from scipy.special import chdtrc
+
+        return float(chdtrc(self.chi2_dof, self.chi2_stat))
 
     def flags_dependence(self) -> bool:
         """True when the bucket looks dependent on the context.
@@ -625,17 +669,6 @@ def _independence(
     expected = np.outer(row_tot, col_tot) / total
     with np.errstate(invalid="ignore", divide="ignore"):
         cells = np.where(expected > 0, (counts - expected) ** 2 / expected, 0.0)
-    chi2_stat = float(cells.sum())
-    chi2_dof = (len(query_keys) - 1) * (len(context_ids) - 1)
-    if chi2_dof > 0:
-        # the survival function scipy.stats.chi2.sf evaluates; imported here,
-        # so that importing onoffpriv loads no scipy module
-        from scipy.special import chdtrc
-
-        chi2_pvalue = float(chdtrc(chi2_dof, chi2_stat))
-    else:
-        chi2_pvalue = 1.0
-
     return EmpiricalStats(
         delta=delta,
         n_samples=n_samples,
@@ -643,9 +676,8 @@ def _independence(
         context_ids=context_ids,
         counts=counts,
         max_tv_gap=max_tv_gap,
-        chi2_stat=chi2_stat,
-        chi2_dof=chi2_dof,
-        chi2_pvalue=chi2_pvalue,
+        chi2_stat=float(cells.sum()),
+        chi2_dof=(len(query_keys) - 1) * (len(context_ids) - 1),
     )
 
 
@@ -657,17 +689,24 @@ def empirical_composed_history(trace: SimTrace) -> dict:
     the largest conditional-frequency spread of the composed query tuple
     across the on-step request values. Informational only; callers do not
     gate on it.
+
+    The complete runs' starts are ordered by length once, so that each
+    length's runs are a slice of them; the work arrays hold at most four
+    int64 a run, and three unless the tuples must be ranked.
     """
     starts = np.flatnonzero(trace.flag)
     # the final run may be truncated by the horizon, so it is left out
     lengths = np.diff(starts)
-    starts = starts[:-1]
+    order = np.argsort(lengths)
+    runs_of = np.bincount(lengths)  # the number of runs of every length
+    del lengths
+    starts = starts[order]
+    del order
+    ends = np.cumsum(runs_of)
     n_queries = len(trace.query_keys)
     out = {}
-    for length in np.flatnonzero(np.bincount(lengths)).tolist():
-        first = starts[lengths == length]
-        if len(first) < MIN_BUCKET_SAMPLES:
-            continue
+    for length in np.flatnonzero(runs_of >= MIN_BUCKET_SAMPLES).tolist():
+        first = starts[ends[length] - runs_of[length]:ends[length]]
         # number each run's composed tuple by its query ids read as the
         # digits of a base-n_queries numeral, in place; the numbers are
         # ranked anew only where one more digit could overflow int64, and
@@ -709,12 +748,9 @@ def average_download_rate(trace: SimTrace) -> dict:
     """Empirical download rate overall and per gap bucket.
 
     The rate is messages wanted per message downloaded, the inverse of the
-    mean query size.
+    mean query size. The means divide Python ints, so that a size sum at
+    or above 2^53 is still rounded once.
     """
-    overall = 1.0 / float(trace.q_size.mean())
-    per_delta = {
-        d: 1.0 / mean_size for d, (_count, mean_size) in sorted(
-            trace.delta_buckets.items()
-        )
-    }
-    return {"overall": overall, "per_delta": per_delta}
+    counts, size_sums = trace.gap_counts.tolist(), trace.gap_size_sums.tolist()
+    per_delta = {d: 1.0 / (s / c) for d, (c, s) in enumerate(zip(counts, size_sums))}
+    return {"overall": 1.0 / (sum(size_sums) / trace.horizon), "per_delta": per_delta}

@@ -887,6 +887,46 @@ def import_probe(*steps):
     return result
 
 
+TRACE_FREED_PROBE = '''
+import gc, json, sys
+from onoffpriv.cli import main
+from onoffpriv.sim import SimTrace
+
+alive = []
+
+
+class Hook:
+    """Counts the SimTrace objects alive whenever a scipy module loads."""
+
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            alive.append(sum(isinstance(o, SimTrace) for o in gc.get_objects()))
+        return None
+
+
+sys.meta_path.insert(0, Hook())
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "alive": alive, "special": "scipy.special" in sys.modules}))
+'''
+
+
+def test_the_trace_is_freed_before_scipy_loads(tmp_path):
+    # gaps 0 and 1 have 2,000 samples each, and gap 1's p-value needs
+    # scipy.special; by then the trace and its CSV are done with
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACE_FREED_PROBE, "simulate", "--n", "3",
+         "--alpha", "0.6", "--schedule", "periodic:2", "--horizon", "4000",
+         "--out", str(tmp_path / "trace.csv")],
+        env=fresh_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0
+    assert result["special"] and result["alive"]
+    assert set(result["alive"]) == {0}
+    assert len((tmp_path / "trace.csv").read_text().splitlines()) == 4001
+
+
 ALL_STEPS = ("scheme+verify", "simulate", "lp")
 
 

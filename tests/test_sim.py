@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from math import isqrt
 from types import SimpleNamespace
@@ -769,10 +770,11 @@ class TestEmpiricalStats:
         assert empirical_composed_history(trace) == reference_composed_history(trace)
 
     def test_work_arrays_stay_within_their_budget(self):
-        # tracemalloc counts numpy's array buffers. Past the trace's own
-        # arrays the run holds block-long work arrays only, the privacy
-        # tests one int64 and one flag per step, and the composed history
-        # five int64 per run; each budget leaves some room above that
+        # tracemalloc counts numpy's array buffers. The trace keeps 34 bytes
+        # a step (four int64 and two flag arrays); past them the run holds
+        # block-long work arrays only, the privacy tests one int64 and one
+        # flag per step, and the composed history three int64 per run; each
+        # budget leaves some room above that
         T = 300_000
         trace = run(horizon=T, seed=2)  # and any one-time set-up with it
         empirical_privacy_tests(trace, [0, 1])
@@ -781,15 +783,29 @@ class TestEmpiricalStats:
         try:
             trace = run(horizon=T, seed=2)
             kept, peak = tracemalloc.get_traced_memory()
+            assert kept <= 34 * T + (1 << 15)
             assert peak - kept <= 64 * DRAW_BLOCK_STEPS
             tracemalloc.reset_peak()
             empirical_privacy_tests(trace, [0, 1])
             assert tracemalloc.get_traced_memory()[1] - kept <= 10 * T
             tracemalloc.reset_peak()
             empirical_composed_history(trace)
-            assert tracemalloc.get_traced_memory()[1] - kept <= 6 * 8 * runs
+            assert tracemalloc.get_traced_memory()[1] - kept <= 4 * 8 * runs
         finally:
             tracemalloc.stop()
+
+    def test_the_pvalue_alone_loads_scipy(self):
+        trace = run(horizon=4000)
+        # any import of scipy fails while these entries are None
+        with mock.patch.dict(sys.modules, {"scipy": None, "scipy.special": None}):
+            stats = empirical_privacy_tests(trace, [0, 1])
+            assert stats[0].chi2_dof == 0
+            assert stats[0].chi2_pvalue == 1.0
+            assert not stats[0].flags_dependence()
+            assert stats[1].chi2_dof > 0
+            with pytest.raises(ImportError):
+                stats[1].chi2_pvalue
+        assert stats[1].chi2_pvalue == reference_privacy_stats(trace, 1)["chi2_pvalue"]
 
 
 class TestAverageRate:
@@ -804,6 +820,24 @@ class TestAverageRate:
             <= rates["overall"]
             <= max(rates["per_delta"].values())
         )
+
+    def test_means_divide_the_exact_sums(self):
+        # a size sum past 2^53 has no exact float; dividing the ints rounds
+        # once, and float division would round twice to another value
+        size_sum, count = 2**54 + 1, 3
+        assert size_sum / count != float(size_sum) / float(count)
+        trace = SimTrace(
+            n=3, msg_len=1, x=np.zeros(count, dtype=np.int64),
+            flag=np.ones(count, dtype=bool), delta=np.zeros(count, dtype=np.int64),
+            u=np.zeros(count, dtype=np.int64), decode_ok=np.ones(count, dtype=bool),
+            query_ids=np.zeros(count, dtype=np.int64), query_keys=[(0, 1, 2)],
+            gap_counts=np.array([count]), gap_size_sums=np.array([size_sum]),
+        )
+        assert trace.delta_buckets == {0: (count, size_sum / count)}
+        rates = average_download_rate(trace)
+        assert rates["per_delta"] == {0: 1.0 / (size_sum / count)}
+        assert rates["overall"] == 1.0 / (size_sum / count)
+        assert trace.total_bytes() == size_sum
 
 
 def test_trace_exposes_consistent_lengths():
