@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -50,23 +51,33 @@ from onoffpriv.markov import (
 SYMMETRY_DETECT_TOL = 1e-12
 # the values of ONOFFPRIV_LOG, in any case; any other value means WARNING
 LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+# _write_json joins and writes this many of the encoder's chunks at a time
+JSON_BATCH_CHUNKS = 4096
 
 
 class ConfigError(Exception):
     """Bad flags or malformed input; maps to exit code 2."""
 
 
+def _log_level() -> str:
+    level = os.environ.get("ONOFFPRIV_LOG", "").upper()
+    return level if level in LOG_LEVELS else "WARNING"
+
+
+def _log(level: str, msg: str, *args) -> None:
+    """Emit a record at level, one of LOG_LEVELS, when ONOFFPRIV_LOG lets it
+    through. The level is read before logging is imported, so that a
+    command that emits no record never imports it."""
+    if LOG_LEVELS.index(level) >= LOG_LEVELS.index(_log_level()):
+        getattr(_logger(), level.lower())(msg, *args)
+
+
 @functools.cache
-def _log():
-    """The onoffpriv logger, configured from ONOFFPRIV_LOG on first use, so
-    that a command that emits no record never imports logging."""
+def _logger():
+    """The onoffpriv logger, configured from ONOFFPRIV_LOG on first use."""
     import logging
 
-    level = os.environ.get("ONOFFPRIV_LOG", "").upper()
-    logging.basicConfig(
-        level=level if level in LOG_LEVELS else "WARNING",
-        format="%(levelname)s %(message)s",
-    )
+    logging.basicConfig(level=_log_level(), format="%(levelname)s %(message)s")
     return logging.getLogger("onoffpriv")
 
 
@@ -146,8 +157,15 @@ def _csv_text(header: list, rows: list) -> str:
     return buf.getvalue()
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _write_json(obj, out: str | None) -> None:
+    """Write obj to out, or stdout, as json.dumps(obj, indent=2,
+    sort_keys=True) and a newline, JSON_BATCH_CHUNKS of the encoder's
+    chunks at a time, so that the whole text is never held."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
+    with _output(out) as fh:
+        while batch := list(itertools.islice(chunks, JSON_BATCH_CHUNKS)):
+            fh.write("".join(batch))
+        fh.write("\n")
 
 
 def _delta_range(args) -> list:
@@ -189,7 +207,7 @@ def cmd_bounds(args) -> int:
                 cf_inv_o, cf_inv_i = closed_form_small_alpha(n, alpha, delta)
                 vals += [1.0 / cf_inv_i, 1.0 / cf_inv_o]
         rows.append([str(delta)] + [_fmt(v) for v in vals] + [_raw(v) for v in vals])
-        _log().info("bounds delta=%d done", delta)
+        _log("INFO", "bounds delta=%d done", delta)
     _emit(_csv_text(header, rows), args.out)
     return 0
 
@@ -214,7 +232,7 @@ def cmd_sweep_alpha(args) -> int:
         try:
             profile = theta_profile(conditional_table(P, delta))
         except ZeroContextProbability:
-            _log().warning("alpha=%g skipped: context probability vanishes", alpha)
+            _log("WARNING", "alpha=%g skipped: context probability vanishes", alpha)
             continue
         r_i = 1.0 / rate_inner(profile)
         r_o = 1.0 / rate_outer(profile)
@@ -244,7 +262,7 @@ def cmd_scheme(args) -> int:
         "expected_size_set": expected_cost(setform, cond, prior),
         "achievable_cost": rate_inner(profile),
     }
-    # keys in sorted order, as _json_text writes them; the two forms write
+    # keys in sorted order, as _write_json writes them; the two forms write
     # their own text, a column at a time
     with _output(args.out) as fh:
         fh.write('{\n  "delta": %d,\n  "multiset": ' % cond.delta)
@@ -281,7 +299,7 @@ def cmd_verify(args) -> int:
     else:
         s = build_scheme(profile, cond)
     report = check_scheme(s, cond, profile, tol=tol)
-    _emit(_json_text(report.to_json_obj()), args.out)
+    _write_json(report.to_json_obj(), args.out)
     return 0 if report.passes() else 1
 
 
@@ -294,8 +312,9 @@ def cmd_lp(args) -> int:
     cond = conditional_table(P, args.delta)
     profile = theta_profile(cond)
     problem = formulate_lp(cond)
-    _log().info(
-        "lp has %d variables, %d rows", len(problem.var_keys), len(problem.row_keys)
+    _log(
+        "INFO", "lp has %d variables, %d rows",
+        len(problem.var_keys), len(problem.row_keys),
     )
     sol = solve_simplex(problem)
     obj = {
@@ -311,7 +330,7 @@ def cmd_lp(args) -> int:
         "inv_r_outer": rate_outer(profile),
         "solution": sol.to_json_obj(),
     }
-    _emit(_json_text(obj), args.out)
+    _write_json(obj, args.out)
     return 0
 
 
@@ -395,10 +414,7 @@ def cmd_simulate(args) -> int:
     stats_obj["privacy"] = [s.to_json_obj() for s in privacy]
     passed = decode_failures == 0 and not any(s.flags_dependence() for s in privacy)
     stats_obj["pass"] = passed
-    if csv_out:
-        sys.stdout.write(_json_text(stats_obj))
-    else:
-        _emit(_json_text(stats_obj), args.out)
+    _write_json(stats_obj, None if csv_out else args.out)
     return 0 if passed else 1
 
 

@@ -16,6 +16,9 @@ ROW_SUM_TOL = 1e-9
 # how far rounding may carry a likelihood below 0 or above 1
 LIKELIHOOD_BELOW_ZERO_TOL = 1e-15
 LIKELIHOOD_ABOVE_ONE_TOL = 1e-12
+# a power has mixed once each column spreads across its rows by at most
+# this share of its largest entry: 45 eps, as 4 eps misses a chain at 6.6 eps
+MIXED_TOL = 1e-14
 
 
 class ZeroContextProbability(ValueError):
@@ -174,33 +177,36 @@ def matrix_powers(P: TransitionMatrix, start: int, stop: int):
     """Yield (first, P^delta) for each delta in range(start, stop), where
     first is the smallest gap known to share P^delta bit for bit.
 
-    The powers are products taken one after another from the identity. Each
-    is a function of its input's bits, so once one repeats an earlier
-    product bit for bit, the rest repeat with that period. Brent's cycle
-    detection (R. P. Brent, "An improved Monte Carlo factorization
-    algorithm", BIT 1980) compares each product with the one saved at the
-    last power-of-two step. On a match with period lam, the lam powers of
-    the cycle are kept and yielded again with no further product: a mixing
-    chain ends at its fixed point (lam = 1), a periodic chain at its cycle,
-    and a start past the cycle lands on it at once. Squaring would be
-    cheaper for one large delta but would change the rounding.
+    The powers are products taken one after another from the identity. The
+    first to mix within MIXED_TOL is held for every later gap: the exact
+    powers past it keep each entry within its column's spread, a share of
+    the column's scale however small, while computed ones drift in their
+    last bits (N. J. Higham and P. A. Knight, SIAM J. Matrix Anal. Appl.
+    1995). A chain that never mixes, such as a periodic one, stops at a
+    bitwise repeat: Brent's check (R. P. Brent, BIT 1980) compares each
+    product with the one saved at the last power-of-two step, and on a
+    match with period lam the cycle's powers are yielded again, so a start
+    past the cycle lands on it at once. Squaring would be cheaper for one
+    large delta but would change the rounding.
     """
     if start < 0:
         raise ValueError("delta must be nonnegative")
     power, k = np.eye(P.n), 0  # power is P^k
-    saved, saved_at, cycle = power.tobytes(), 0, []
+    saved, saved_at, cycle, lam = power.tobytes(), 0, [], 1
     for delta in range(start, stop):
         while k < delta and not cycle:
             k += 1
             power = power @ P.entries
-            if power.tobytes() == saved:
-                cycle.append(power)  # cycle[i] is P^(saved_at + i)
+            if (np.ptp(power, axis=0) <= MIXED_TOL * power.max(axis=0)).all():
+                saved_at, cycle = k, [power]
+            elif power.tobytes() == saved:
+                cycle, lam = [power], k - saved_at  # cycle[i] is P^(saved_at + i)
             elif k & (k - 1) == 0:
                 saved, saved_at = power.tobytes(), k
         if not cycle:
             yield delta, power
             continue
-        i = (delta - saved_at) % (k - saved_at)
+        i = (delta - saved_at) % lam
         while len(cycle) <= i:
             cycle.append(cycle[-1] @ P.entries)
         yield saved_at + i, cycle[i]

@@ -23,9 +23,7 @@ from math import isqrt
 import numpy as np
 
 from onoffpriv.bounds import theta_profile
-from onoffpriv.markov import (
-    ConditionalTable, TransitionMatrix, conditional_table, matrix_powers,
-)
+from onoffpriv.markov import TransitionMatrix, conditional_table, matrix_powers
 from onoffpriv.scheme import (
     SchemeDistribution,
     ZeroLikelihoodContext,
@@ -41,6 +39,11 @@ DRAW_BLOCK_STEPS = 1 << 15
 # the gap and p-value thresholds of EmpiricalStats.flags_dependence
 DEPENDENCE_GAP_THRESHOLD = 0.05
 DEPENDENCE_P_THRESHOLD = 1e-6
+# a context seen fewer times is left out of the gate's chi-square and gap:
+# the chi-square approximation needs expected counts of about 5 a cell
+# (Cochran's rule), which this many samples give every query drawn at least
+# a sixth of the time, and a context seen once spreads by 1.0 from noise
+MIN_CONTEXT_SAMPLES = 30
 
 
 class InsufficientSamples(ValueError):
@@ -179,8 +182,8 @@ class SimTrace:
     steps with gap d and the sum of their query sizes; delta_buckets maps
     each observed gap to (sample count, mean query size). schemes_built
     counts the per-gap schemes constructed; schemes_reused counts the
-    honest gaps that took an earlier gap's scheme because their powers of
-    the chain, or else their likelihood tables, are bitwise equal.
+    honest gaps that took an earlier gap's scheme because matrix_powers
+    gave them that gap's power of the chain, held or in a cycle.
     """
 
     n: int
@@ -300,14 +303,13 @@ def _sample_path(P: TransitionMatrix, length: int, rng) -> np.ndarray:
 
 
 def build_scheme_for_gap(
-    P: TransitionMatrix, delta: int, cond: ConditionalTable | None = None
+    P: TransitionMatrix, delta: int, power: np.ndarray | None = None
 ) -> SchemeDistribution:
     """Set-form query distribution for one gap, built from scratch.
 
-    cond is the gap's likelihood table when the caller already holds it.
+    power is P^delta when the caller already holds it.
     """
-    if cond is None:
-        cond = conditional_table(P, delta)
+    cond = conditional_table(P, delta, power=power)
     profile = theta_profile(cond)
     return collapse_to_sets(build_scheme(profile, cond))
 
@@ -319,15 +321,13 @@ def _gap_schemes(P: TransitionMatrix, max_delta: int, overrides: dict):
     position in schemes of the scheme for that gap.
 
     The construction reads nothing of the chain but the likelihood table,
-    so a gap takes the scheme built from a table with the same bits. The
-    gaps are walked in order by matrix_powers: a gap whose power repeats an
-    earlier gap's takes that gap's scheme without computing its table, and
-    any other gap looks its table's bytes up among the tables built. An
-    override gap passes its scheme on to no other gap.
+    a function of the bits of P^delta. The gaps are walked in order by
+    matrix_powers: a gap whose power is an earlier gap's (held once mixed,
+    or repeated in a cycle) takes that gap's scheme without computing its
+    table. An override gap passes its scheme on to no other gap.
     """
     schemes: list = []
     honest: dict = {}  # first gap of a power -> position of its honest scheme
-    built: dict = {}  # bytes of a table -> position of the scheme built from it
     index = np.empty(max_delta + 1, dtype=np.int64)
     for delta, (first, power) in enumerate(matrix_powers(P, 0, max_delta + 1)):
         if delta in overrides:
@@ -335,14 +335,10 @@ def _gap_schemes(P: TransitionMatrix, max_delta: int, overrides: dict):
             schemes.append(overrides[delta])
             continue
         if first not in honest:
-            cond = conditional_table(P, delta, power=power)
-            key = cond.values.tobytes()
-            if key not in built:
-                built[key] = len(schemes)
-                schemes.append(build_scheme_for_gap(P, delta, cond))
-            honest[first] = built[key]
+            honest[first] = len(schemes)
+            schemes.append(build_scheme_for_gap(P, delta, power))
         index[delta] = honest[first]
-    return schemes, index, len(built), max_delta + 1 - len(schemes)
+    return schemes, index, len(honest), max_delta + 1 - len(schemes)
 
 
 def _draw_queries(schemes: list, scheme_of_gap, delta, x, u, n: int, rng):
@@ -514,10 +510,13 @@ class EmpiricalStats:
     counts is a queries-by-contexts contingency table. max_tv_gap is the
     largest spread of the empirical conditional frequency of any query
     across the observed contexts. The chi-square fields test independence
-    of query and context in the bucket. chi2_pvalue is computed on its
-    first read, and the first read of one whose chi2_dof is positive is the
-    only step of a simulation that loads scipy (scipy.special, about 25 MB),
-    so that a caller can free the trace before it.
+    of query and context in the bucket. The gate_* fields are the same
+    statistics over the contexts seen at least MIN_CONTEXT_SAMPLES times,
+    which flags_dependence reads; contexts_left_out and samples_left_out
+    count the rest. A p-value is computed on its first read, and the first
+    read of one whose dof is positive is the only step of a simulation that
+    loads scipy (scipy.special, about 25 MB), so that a caller can free the
+    trace before it.
     """
 
     delta: int
@@ -528,27 +527,34 @@ class EmpiricalStats:
     max_tv_gap: float
     chi2_stat: float
     chi2_dof: int
+    gate_max_tv_gap: float
+    gate_chi2_stat: float
+    gate_chi2_dof: int
+    contexts_left_out: int
+    samples_left_out: int
 
     @cached_property
     def chi2_pvalue(self) -> float:
         """The chi-square survival function at chi2_stat, as
         scipy.stats.chi2.sf evaluates it; 1.0 when chi2_dof is 0."""
-        if self.chi2_dof == 0:
-            return 1.0
-        # imported here, so that importing onoffpriv loads no scipy module
-        from scipy.special import chdtrc
+        return _chi2_sf(self.chi2_dof, self.chi2_stat)
 
-        return float(chdtrc(self.chi2_dof, self.chi2_stat))
+    @cached_property
+    def gate_chi2_pvalue(self) -> float:
+        """chi2_pvalue of the gate's table."""
+        return _chi2_sf(self.gate_chi2_dof, self.gate_chi2_stat)
 
     def flags_dependence(self) -> bool:
         """True when the bucket looks dependent on the context.
 
-        Requires both statistical significance (the chi-square p-value,
-        calibrated at any sample size) and a material effect (the gap).
-        Either alone misfires: small buckets show large gaps from noise,
-        and huge buckets reach tiny p-values on negligible effects.
+        Requires both statistical significance (the gate's chi-square
+        p-value, calibrated at any sample size once rare contexts are left
+        out) and a material effect (the gate's gap). Either alone misfires:
+        small buckets show large gaps from noise, and huge buckets reach
+        tiny p-values on negligible effects. A fault confined to contexts
+        seen fewer than MIN_CONTEXT_SAMPLES times goes unseen.
         """
-        p, gap = self.chi2_pvalue, self.max_tv_gap
+        p, gap = self.gate_chi2_pvalue, self.gate_max_tv_gap
         return p < DEPENDENCE_P_THRESHOLD and gap > DEPENDENCE_GAP_THRESHOLD
 
     def to_json_obj(self) -> dict:
@@ -559,10 +565,27 @@ class EmpiricalStats:
             "chi2_stat": self.chi2_stat,
             "chi2_dof": self.chi2_dof,
             "chi2_pvalue": self.chi2_pvalue,
+            "gate": {
+                "max_tv_gap": self.gate_max_tv_gap,
+                "chi2_stat": self.gate_chi2_stat,
+                "chi2_dof": self.gate_chi2_dof,
+                "chi2_pvalue": self.gate_chi2_pvalue,
+                "contexts_left_out": self.contexts_left_out,
+                "samples_left_out": self.samples_left_out,
+            },
             "query_keys": [list(q) for q in self.query_keys],
             "context_ids": self.context_ids,
             "counts": self.counts.tolist(),
         }
+
+
+def _chi2_sf(dof: int, stat: float) -> float:
+    if dof == 0:
+        return 1.0
+    # imported here, so that importing onoffpriv loads no scipy module
+    from scipy.special import chdtrc
+
+    return float(chdtrc(dof, stat))
 
 
 def empirical_privacy_test(trace: SimTrace, delta: int) -> EmpiricalStats:
@@ -657,9 +680,22 @@ def _independence(
 ) -> EmpiricalStats:
     """The statistics of one gap bucket's contingency table; query ids
     follow the sorted query keys, so its rows are in key order."""
-    query_keys = [all_keys[i] for i in qids.tolist()]
-    context_ids = contexts.tolist()
+    rare = counts.sum(axis=0) < MIN_CONTEXT_SAMPLES
+    gate_gap, gate_stat, gate_dof = _table_stats(counts[:, ~rare])
+    return EmpiricalStats(
+        delta, n_samples, [all_keys[i] for i in qids.tolist()],
+        contexts.tolist(), counts, *_table_stats(counts),
+        gate_max_tv_gap=gate_gap, gate_chi2_stat=gate_stat,
+        gate_chi2_dof=gate_dof, contexts_left_out=int(rare.sum()),
+        samples_left_out=int(counts[:, rare].sum()),
+    )
 
+
+def _table_stats(counts: np.ndarray) -> tuple:
+    """(max_tv_gap, chi2_stat, chi2_dof) of a contingency table; the dof
+    count the rows with a sample, and a table of no column gives zeros."""
+    if counts.shape[1] == 0:
+        return 0.0, 0.0, 0
     col_tot = counts.sum(axis=0)
     cond_freq = counts / col_tot[None, :]
     max_tv_gap = float((cond_freq.max(axis=1) - cond_freq.min(axis=1)).max())
@@ -669,16 +705,8 @@ def _independence(
     expected = np.outer(row_tot, col_tot) / total
     with np.errstate(invalid="ignore", divide="ignore"):
         cells = np.where(expected > 0, (counts - expected) ** 2 / expected, 0.0)
-    return EmpiricalStats(
-        delta=delta,
-        n_samples=n_samples,
-        query_keys=query_keys,
-        context_ids=context_ids,
-        counts=counts,
-        max_tv_gap=max_tv_gap,
-        chi2_stat=float(cells.sum()),
-        chi2_dof=(len(query_keys) - 1) * (len(context_ids) - 1),
-    )
+    rows = int(np.count_nonzero(row_tot))
+    return max_tv_gap, float(cells.sum()), (rows - 1) * (counts.shape[1] - 1)
 
 
 def empirical_composed_history(trace: SimTrace) -> dict:

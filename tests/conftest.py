@@ -84,19 +84,28 @@ def random_chain(rng, n: int) -> TransitionMatrix:
     return TransitionMatrix(entries=0.9 * rows + 0.1 / n)
 
 
-# a strictly positive Dirichlet(1) chain whose floating-point powers never
-# settle: from product 67 on they alternate between two arrays, and Brent's
-# check finds the period at product 130, against the one saved at 128
+# a strictly positive Dirichlet(1) chain whose plain products never settle:
+# from product 67 on they alternate between two arrays. The walk holds its
+# power from gap 60 on, once mixed, before the cycle begins
 ROUNDING_TWO_CYCLE = TransitionMatrix(
     np.random.default_rng(8).dirichlet(np.ones(3), size=3)
 )
 
 
-# a strictly positive Dirichlet(1) 2-state chain whose powers never repeat
-# bit for bit, while its likelihood tables do at gaps far apart: gap 23's
-# table recurs at gaps 32 and 41, and gaps 0-1999 hold 157 distinct tables
+# a strictly positive Dirichlet(1) 2-state chain whose plain products never
+# repeat bit for bit, while its likelihood tables do at gaps far apart (gap
+# 23's recurs at gaps 32 and 41). The walk holds its power from gap 19 on
 RECURRING_TABLES = TransitionMatrix(
     np.random.default_rng(3).dirichlet(np.ones(2), size=2)
+)
+
+
+# a strictly positive Dirichlet(0.2) 5-state chain whose plain products
+# neither repeat nor settle within 4 eps in 20,000 products, so a walk to a
+# bitwise repeat would build one scheme per gap. The walk holds its power
+# from gap 115 on
+DRIFTING_POWERS = TransitionMatrix(
+    np.random.default_rng(9).dirichlet(np.full(5, 0.2), size=5)
 )
 
 

@@ -8,14 +8,17 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
+from onoffpriv import cli
 from onoffpriv.cli import main, write_trace_csv
 from onoffpriv.markov import chain_to_dict, symmetric_chain
 from onoffpriv.scheme import COLUMNS, CSV_BLOCK_ROWS, SchemeDistribution, csv_digits
@@ -704,7 +707,37 @@ class TestSimulateCommand:
         stats = json.loads(out)
         assert code == 0
         assert stats["schemes_built"] + stats["schemes_reused"] == 500
-        assert stats["schemes_built"] == 43  # the tables settle after gap 42
+        assert stats["schemes_built"] == 38  # the power is held from gap 37 on
+
+    def test_statistics_are_written_as_one_dump_would(self, tmp_path):
+        # an off-after-0 run of 3,000 gaps gives one bucket and one rate a
+        # gap; batches of 7 chunks split every line of the text
+        out = tmp_path / "stats.json"
+        with mock.patch.object(cli, "JSON_BATCH_CHUNKS", 7), mock.patch.object(
+            cli, "_write_json", wraps=cli._write_json
+        ) as spy:
+            code = main([
+                "simulate", "--n", "3", "--alpha", "0.6", "--schedule",
+                "off-after-0", "--horizon", "3000", "--out", str(out),
+            ])
+        assert code == 0
+        stats = spy.call_args.args[0]
+        assert len(stats["delta_buckets"]) == 3000
+        text = json.dumps(stats, indent=2, sort_keys=True) + "\n"
+        assert out.read_text() == text
+
+    def test_the_statistics_text_is_never_held_whole(self, tmp_path):
+        # few keys, so that the encoder's own sorted items stay small
+        stats = {str(d): [d / 7] * 500 for d in range(400)}
+        size = len(json.dumps(stats, indent=2, sort_keys=True))
+        tracemalloc.start()
+        try:
+            cli._write_json(stats, str(tmp_path / "stats.json"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "stats.json").stat().st_size == size + 1
+        assert peak < size / 4
 
     def test_deterministic_given_seed(self, capsys):
         args = (
@@ -836,6 +869,7 @@ argvs = {
     ],
     "simulate": [["simulate", "--n", "3", "--alpha", "0.6", *sim, "--out", out]],
     "lp": [["lp", *chain, "--out", out]],
+    "bounds": [["bounds", *chain, "--out", out]],
 }
 loaded = {"import": loaded_now()}
 codes = []
@@ -958,11 +992,16 @@ class TestImportCost:
         assert "onoffpriv.verify" not in loaded["lp"]["onoffpriv"]
 
     def test_logging_and_csv_load_only_when_used(self):
-        loaded = import_probe("simulate", "lp")["loaded"]
+        loaded = import_probe("simulate", "lp", "bounds")["loaded"]
         assert not loaded["import"]["logging"]
         assert not loaded["import"]["csv"]
         assert not loaded["simulate"]["logging"]
         assert not loaded["simulate"]["csv"]
+        # lp and bounds have info records, which the default level drops
+        # before logging is imported
+        assert not loaded["lp"]["logging"]
+        assert not loaded["bounds"]["logging"]
+        assert loaded["bounds"]["csv"]
         assert not import_probe(*ALL_STEPS)["loaded"]["scheme+verify"]["logging"]
 
     def test_every_export_resolves(self):

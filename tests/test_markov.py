@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onoffpriv.markov import (
+    MIXED_TOL,
     ConditionalTable,
     TransitionMatrix,
     ZeroContextProbability,
@@ -81,6 +82,12 @@ BIPARTITE = TransitionMatrix(
 INTO_A_FLIP = TransitionMatrix([[0, 0.5, 0.5], [0, 0, 1], [0, 1, 0]])
 
 
+def has_mixed(power) -> bool:
+    """Each column of power spreads across its rows by at most MIXED_TOL
+    of its largest entry."""
+    return bool((np.ptp(power, axis=0) <= MIXED_TOL * power.max(axis=0)).all())
+
+
 def check_walk(P, start, stop, power_at):
     """matrix_powers over range(start, stop) yields power_at(delta) bit for
     bit, and its first names a gap with the same bits; returns the firsts."""
@@ -117,16 +124,19 @@ class TestMatrixPower:
         + [THREE_CYCLE, BIPARTITE, INTO_A_FLIP, ROUNDING_TWO_CYCLE],
     )
     def test_same_bits_as_every_product_taken(self, P):
-        # the walk stops once a product repeats the one saved at the last
-        # power-of-two step, and every later product repeats with the
+        # the walk takes products until one has mixed, which it holds for
+        # every later gap, or until one repeats the product saved at the
+        # last power-of-two step, and every later product repeats with the
         # period found
         taken = [np.eye(P.n)]
         for _ in range(1100):
-            taken.append(taken[-1] @ P.entries)
+            last = taken[-1]
+            taken.append(last if has_mixed(last) else last @ P.entries)
         for delta in range(201):
             assert matrix_power(P, delta).tobytes() == taken[delta].tobytes(), delta
-        # every chain here finds its period by product 1025; the windows
-        # start at the identity, near or inside the cycle, and past it
+        # every chain here is held, or finds its period, by product 1025;
+        # the windows start at the identity, near or inside the hold or
+        # the cycle, and past it
         for start in (0, 60, 131, 600, 1050):
             firsts = check_walk(P, start, 1101, taken.__getitem__)
             assert firsts[-1] < 1100
@@ -154,6 +164,33 @@ class TestMatrixPower:
     def test_rejects_negative_exponent(self):
         with pytest.raises(ValueError):
             matrix_power(symmetric_chain(2, 0.5), -1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=2, max_value=8),
+        concentration=st.sampled_from([0.2, 1.0, 5.0]),
+    )
+    def test_a_held_power_keeps_every_later_table(self, seed, n, concentration):
+        # the computed products past the hold drift in their last bits, the
+        # row sums too, but the likelihood tables they give stay within
+        # MIXED_TOL of the held power's
+        P = TransitionMatrix(
+            np.random.default_rng(seed).dirichlet(np.full(n, concentration), size=n)
+        )
+        taken = [np.eye(n)]
+        for _ in range(2000):
+            taken.append(taken[-1] @ P.entries)
+        held = None
+        for delta, (first, power) in enumerate(matrix_powers(P, 0, 2001)):
+            # up to the hold, or to a cycle, each power is a product taken
+            assert power.tobytes() == taken[first].tobytes(), delta
+            if first == delta or not has_mixed(power):
+                continue
+            if held is None:
+                held = conditional_table(P, first, power=power).values
+            walked = conditional_table(P, delta, power=taken[delta]).values
+            assert np.abs(walked - held).max() <= MIXED_TOL, delta
 
 
 class TestConditionalTable:
