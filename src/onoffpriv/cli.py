@@ -95,7 +95,8 @@ def _load_chain(args) -> TransitionMatrix:
                 text = fh.read()
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # RecursionError: nested deeper than the decoder's recursion limit
             raise ConfigError(f"--chain is not valid JSON: {exc}") from exc
         try:
             return chain_from_dict(obj)
@@ -110,17 +111,14 @@ def _load_chain(args) -> TransitionMatrix:
 
 
 def _symmetric_alpha(P: TransitionMatrix) -> float | None:
-    """Self-loop probability if every row is (alpha, rest uniform), else None."""
-    n = P.n
-    a = float(P.entries[0, 0])
-    off = (1.0 - a) / (n - 1)
-    diag = np.diag(P.entries)
-    mask = ~np.eye(n, dtype=bool)
-    if (np.abs(diag - a) > SYMMETRY_DETECT_TOL).any():
-        return None
-    if (np.abs(P.entries[mask] - off) > SYMMETRY_DETECT_TOL).any():
-        return None
-    return a
+    """P[0, 0] if P is symmetric_chain(n, P[0, 0]) within
+    SYMMETRY_DETECT_TOL, else None. A P[0, 0] that rounding carries past 1
+    is compared with alpha = 1."""
+    alpha = float(P.entries[0, 0])
+    reference = symmetric_chain(P.n, min(alpha, 1.0)).entries
+    if np.allclose(P.entries, reference, rtol=0.0, atol=SYMMETRY_DETECT_TOL):
+        return alpha
+    return None
 
 
 def _fmt(x: float) -> str:
@@ -141,20 +139,12 @@ def _output(out: str | None):
         yield fh
 
 
-def _emit(text: str, out: str | None) -> None:
+def _write_csv(rows: list, out: str | None) -> None:
+    """Write rows, the header first, to out, or stdout, as lines of cells
+    joined with ","; no cell needs quoting, since each is a column name or
+    a formatted number."""
     with _output(out) as fh:
-        fh.write(text)
-
-
-def _csv_text(header: list, rows: list) -> str:
-    import csv
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+        fh.writelines(",".join(row) + "\n" for row in rows)
 
 
 def _write_json(obj, out: str | None) -> None:
@@ -168,18 +158,21 @@ def _write_json(obj, out: str | None) -> None:
         fh.write("\n")
 
 
-def _delta_range(args) -> list:
+def _delta_range(args) -> range:
+    """The gaps from --delta, or 0, through --delta-max, or --delta."""
     if args.delta is None and args.delta_max is None:
         raise ConfigError("provide --delta and/or --delta-max")
-    if args.delta_max is not None and args.delta_max < 0:
-        raise ConfigError(f"--delta-max must be non-negative, got {args.delta_max}")
-    if args.delta is not None and args.delta_max is not None:
-        if args.delta > args.delta_max:
-            raise ConfigError("--delta must not exceed --delta-max")
-        return list(range(args.delta, args.delta_max + 1))
-    if args.delta is not None:
-        return [args.delta]
-    return list(range(0, args.delta_max + 1))
+    first = 0 if args.delta is None else args.delta
+    last = first if args.delta_max is None else args.delta_max
+    if first > last:
+        raise ConfigError(f"--delta-max {last} is below the first gap {first}")
+    return range(first, last + 1)
+
+
+def _gap_table(args):
+    """The likelihood table of the chain at --delta, and its theta profile."""
+    cond = conditional_table(_load_chain(args), args.delta)
+    return cond, theta_profile(cond)
 
 
 def cmd_bounds(args) -> int:
@@ -191,9 +184,9 @@ def cmd_bounds(args) -> int:
         header += ["cf_r_inner", "cf_r_outer"]
     raw_cols = [h for h in header if h != "delta"]
     header = header + ["raw_" + h for h in raw_cols]
-    rows = []
+    rows = [header]
     deltas = _delta_range(args)
-    for delta, (_, power) in zip(deltas, matrix_powers(P, deltas[0], deltas[-1] + 1)):
+    for delta, (_, power) in zip(deltas, matrix_powers(P, deltas.start, deltas.stop)):
         cond = conditional_table(P, delta, power=power)
         profile = theta_profile(cond)
         inv_i = rate_inner(profile)
@@ -208,7 +201,7 @@ def cmd_bounds(args) -> int:
                 vals += [1.0 / cf_inv_i, 1.0 / cf_inv_o]
         rows.append([str(delta)] + [_fmt(v) for v in vals] + [_raw(v) for v in vals])
         _log("INFO", "bounds delta=%d done", delta)
-    _emit(_csv_text(header, rows), args.out)
+    _write_csv(rows, args.out)
     return 0
 
 
@@ -218,19 +211,14 @@ def default_alpha_grid() -> list:
 
 
 def cmd_sweep_alpha(args) -> int:
-    if args.n is None:
-        raise ConfigError("sweep-alpha requires --n")
-    delta = args.delta if args.delta is not None else 1
-    n = args.n
-    header = [
+    rows = [[
         "alpha", "r_inner", "r_outer",
         "raw_alpha", "raw_r_inner", "raw_r_outer",
-    ]
-    rows = []
+    ]]
     for alpha in default_alpha_grid():
-        P = symmetric_chain(n, alpha)
+        P = symmetric_chain(args.n, alpha)
         try:
-            profile = theta_profile(conditional_table(P, delta))
+            profile = theta_profile(conditional_table(P, args.delta))
         except ZeroContextProbability:
             _log("WARNING", "alpha=%g skipped: context probability vanishes", alpha)
             continue
@@ -239,7 +227,7 @@ def cmd_sweep_alpha(args) -> int:
         rows.append(
             [_fmt(alpha), _fmt(r_i), _fmt(r_o), _raw(alpha), _raw(r_i), _raw(r_o)]
         )
-    _emit(_csv_text(header, rows), args.out)
+    _write_csv(rows, args.out)
     return 0
 
 
@@ -247,11 +235,7 @@ def cmd_scheme(args) -> int:
     from onoffpriv.scheme import build_scheme, collapse_to_sets
     from onoffpriv.verify import expected_cost
 
-    P = _load_chain(args)
-    if args.delta is None:
-        raise ConfigError("scheme requires --delta")
-    cond = conditional_table(P, args.delta)
-    profile = theta_profile(cond)
+    cond, profile = _gap_table(args)
     multiset = build_scheme(profile, cond)
     setform = collapse_to_sets(multiset)
     prior = np.full(cond.m, 1.0 / cond.m)
@@ -282,11 +266,7 @@ def cmd_verify(args) -> int:
     tol = VERIFY_TOL if args.tol is None else args.tol
     if not (math.isfinite(tol) and tol > 0):
         raise ConfigError(f"--tol must be finite and positive, got {tol}")
-    P = _load_chain(args)
-    if args.delta is None:
-        raise ConfigError("verify requires --delta")
-    cond = conditional_table(P, args.delta)
-    profile = theta_profile(cond)
+    cond, profile = _gap_table(args)
     if args.scheme:
         try:
             with open(args.scheme, "r", encoding="utf-8") as fh:
@@ -294,7 +274,7 @@ def cmd_verify(args) -> int:
             if isinstance(obj, dict):
                 obj = obj.get("multiset", obj.get("set", obj))
             s = SchemeDistribution.from_json_obj(obj)
-        except (ValueError, OSError, OverflowError) as exc:
+        except (ValueError, OSError, OverflowError, RecursionError) as exc:
             raise ConfigError(f"bad scheme file: {exc}") from exc
     else:
         s = build_scheme(profile, cond)
@@ -306,11 +286,7 @@ def cmd_verify(args) -> int:
 def cmd_lp(args) -> int:
     from onoffpriv.lp import formulate_lp, solve_simplex
 
-    P = _load_chain(args)
-    if args.delta is None:
-        raise ConfigError("lp requires --delta")
-    cond = conditional_table(P, args.delta)
-    profile = theta_profile(cond)
+    cond, profile = _gap_table(args)
     problem = formulate_lp(cond)
     _log(
         "INFO", "lp has %d variables, %d rows",
@@ -365,8 +341,6 @@ def cmd_simulate(args) -> int:
     )
 
     P = _load_chain(args)
-    if args.horizon is None:
-        raise ConfigError("simulate requires --horizon")
     try:
         schedule = PrivacySchedule.parse(args.schedule)
     except ValueError as exc:
@@ -426,47 +400,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
+    def add_common(sp, out_help):
         sp.add_argument("--chain", help="inline JSON or path to a chain file")
         sp.add_argument("--n", type=int, help="symmetric chain: number of states")
         sp.add_argument(
             "--alpha", type=float, help="symmetric chain: self-loop probability"
         )
-        sp.add_argument("--out", help="output path (.csv or .json); default stdout")
+        sp.add_argument("--out", help=out_help)
 
+    csv_out = "output path, written as CSV; default stdout"
+    json_out = "output path, written as JSON; default stdout"
     p = sub.add_parser("bounds", help="rate bounds per gap")
-    add_common(p)
+    add_common(p, csv_out)
     p.add_argument("--delta", type=int, help="first (or only) gap")
     p.add_argument("--delta-max", type=int, help="last gap of the range")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("sweep-alpha", help="bounds across symmetric chains")
-    p.add_argument("--n", type=int, help="number of states")
-    p.add_argument("--delta", type=int, help="gap since the flag was on (default 1)")
-    p.add_argument("--out", help="output path (.csv or .json); default stdout")
+    p.add_argument("--n", type=int, required=True, help="number of states")
+    p.add_argument(
+        "--delta", type=int, default=1, help="gap since the flag was on (default 1)"
+    )
+    p.add_argument("--out", help=csv_out)
     p.set_defaults(func=cmd_sweep_alpha)
 
-    p = sub.add_parser("scheme", help="construct a query distribution")
-    add_common(p)
-    p.add_argument("--delta", type=int, help="gap since the flag was on")
-    p.set_defaults(func=cmd_scheme)
+    def add_gap_command(name, func, help_text):
+        """A command of one gap, the --delta it requires; it writes JSON."""
+        sp = sub.add_parser(name, help=help_text)
+        add_common(sp, json_out)
+        sp.add_argument(
+            "--delta", type=int, required=True, help="gap since the flag was on"
+        )
+        sp.set_defaults(func=func)
+        return sp
 
-    p = sub.add_parser("verify", help="check a query distribution")
-    add_common(p)
-    p.add_argument("--delta", type=int, help="gap since the flag was on")
+    add_gap_command("scheme", cmd_scheme, "construct a query distribution")
+    p = add_gap_command("verify", cmd_verify, "check a query distribution")
     # default None: cmd_verify applies verify.VERIFY_TOL
     p.add_argument("--tol", type=float, help="pass threshold")
     p.add_argument("--scheme", help="scheme JSON to check instead of a fresh build")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("lp", help="exact optimal rate")
-    add_common(p)
-    p.add_argument("--delta", type=int, help="gap since the flag was on")
-    p.set_defaults(func=cmd_lp)
+    add_gap_command("lp", cmd_lp, "exact optimal rate")
 
     p = sub.add_parser("simulate", help="run the retrieval protocol")
-    add_common(p)
-    p.add_argument("--horizon", type=int, help="number of steps")
+    add_common(
+        p, "trace CSV path if it ends in .csv, the statistics JSON then going "
+        "to stdout; else the statistics JSON path; default stdout",
+    )
+    p.add_argument("--horizon", type=int, required=True, help="number of steps")
     p.add_argument("--seed", type=int, default=0, help="run seed")
     p.add_argument(
         "--schedule",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from onoffpriv.bounds import ThetaProfile
+from onoffpriv.bounds import ThetaProfile, rate_inner
 from onoffpriv.markov import ConditionalTable, u_pair
 
 # default pass threshold of check_scheme and of `onoffpriv verify --tol`
@@ -179,7 +179,6 @@ def check_scheme(
         ).max(axis=1)
 
     cost = expected_cost(s, cond, np.full(m, 1.0 / m))
-    inner = float(np.arange(1, n + 1) @ profile.theta)
 
     return VerificationReport(
         decodability_violations=violations,
@@ -187,7 +186,7 @@ def check_scheme(
         marginal_errors=marginal_errors,
         size_law_errors=size_law_errors,
         expected_cost=cost,
-        cost_slack=inner - cost,
+        cost_slack=rate_inner(profile) - cost,
         entry_count=s.entry_count,
         worst_privacy=worst_privacy,
         worst_marginal=worst_marginal,

@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
 from onoffpriv import cli
@@ -64,6 +64,13 @@ def parse_csv(text):
     return rows
 
 
+# the CI's non-symmetric 4-state chain
+CHAIN_4 = (
+    '{"rows": [[0.5, 0.2, 0.2, 0.1], [0.1, 0.6, 0.2, 0.1],'
+    ' [0.3, 0.1, 0.4, 0.2], [0.25, 0.25, 0.1, 0.4]]}'
+)
+
+
 class TestChainLoading:
     def test_requires_exactly_one_source(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--delta", "1")
@@ -90,6 +97,33 @@ class TestChainLoading:
         code, _, err = run_cli(capsys, "bounds", "--chain", "{oops", "--delta", "1")
         assert code == 2
         assert "JSON" in err
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        depth=hst.integers(1, 200_000),
+        flags=hst.sampled_from([
+            ["bounds", "--delta", "1", "--chain"],
+            ["verify", "--n", "3", "--alpha", "0.6", "--delta", "1", "--scheme"],
+        ]),
+    )
+    @example(depth=200_000, flags=["bounds", "--delta", "1", "--chain"])
+    @example(
+        depth=200_000,
+        flags=["verify", "--n", "3", "--alpha", "0.6", "--delta", "1", "--scheme"],
+    )
+    def test_nested_json_is_a_config_error(self, depth, flags):
+        # past the decoder's recursion limit json raises RecursionError;
+        # below it the nested lists are no chain and no scheme
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "nested.json"
+            path.write_text("[" * depth + "]" * depth)
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                with contextlib.redirect_stderr(err):
+                    code = main([*flags, str(path)])
+        assert (code, out.getvalue()) == (2, "")
+        assert err.getvalue().startswith("error: ")
+        assert "Traceback" not in err.getvalue()
 
     def test_bad_matrix_is_a_config_error(self, capsys):
         for rows in ("[[0.9, 0.2], [0.5, 0.5]]", "[[NaN, NaN], [0.5, 0.5]]"):
@@ -189,6 +223,50 @@ class TestChainLoading:
                     code = main([command, f"--chain={text}", *argv, "--out", out])
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "delta, delta_max, gaps",
+    [
+        (4, None, range(4, 5)),
+        (None, 3, range(0, 4)),
+        (2, 6, range(2, 7)),
+        (5, 2, "--delta-max 2 is below the first gap 5"),
+        (None, -3, "--delta-max -3 is below the first gap 0"),
+        (None, None, "provide --delta and/or --delta-max"),
+    ],
+)
+def test_delta_range(delta, delta_max, gaps):
+    args = SimpleNamespace(delta=delta, delta_max=delta_max)
+    if isinstance(gaps, str):
+        with pytest.raises(cli.ConfigError, match=f"^{gaps}$"):
+            cli._delta_range(args)
+    else:
+        assert cli._delta_range(args) == gaps
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--n", "3", "--alpha", "0.6", "--delta-max", "12"],
+        ["bounds", "--chain", CHAIN_4, "--delta", "1", "--delta-max", "5"],
+        ["sweep-alpha", "--n", "3"],
+        ["sweep-alpha", "--n", "5", "--delta", "2"],
+        ["sweep-alpha", "--n", "2"],  # skips alpha = 0
+    ],
+)
+def test_csv_is_what_a_csv_writer_writes(capsys, argv):
+    # every cell is a column name or a number, so joining the cells with
+    # "," gives the bytes of a csv.writer, which would quote nothing
+    with mock.patch.object(cli, "_write_csv", wraps=cli._write_csv) as spy:
+        code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    rows = spy.call_args.args[0]
+    assert all(isinstance(cell, str) for row in rows for cell in row)
+    reference = io.StringIO()
+    csv.writer(reference, lineterminator="\n").writerows(rows)
+    assert out == reference.getvalue()
+    assert len(rows) > 1 and len({len(row) for row in rows}) == 1
 
 
 class TestBoundsCommand:
@@ -313,6 +391,16 @@ class TestBoundsCommand:
         assert code == 0
         assert "cf_r_inner" not in parse_csv(out)[0]
 
+    def test_a_self_loop_rounded_past_one_is_no_symmetric_alpha(self, capsys):
+        # rows may sum to 1 within 1e-9, so P[0, 0] may exceed 1, which no
+        # symmetric chain takes as alpha
+        code, out, err = run_cli(
+            capsys, "bounds", "--chain",
+            '{"rows": [[1.0000000005, 1e-10], [0.5, 0.5]]}', "--delta", "1",
+        )
+        assert code == 0, err
+        assert "cf_r_inner" not in parse_csv(out)[0]
+
     def test_zero_gap_rate_is_one_over_n(self, capsys):
         code, out, _ = run_cli(
             capsys, "bounds", "--n", "4", "--alpha", "0.5", "--delta", "0"
@@ -350,8 +438,9 @@ class TestSweepAlphaCommand:
         assert out1 == out2
 
     def test_requires_n(self, capsys):
-        code, _, _ = run_cli(capsys, "sweep-alpha")
-        assert code == 2
+        code, out, err = run_cli(capsys, "sweep-alpha")
+        assert (code, out) == (2, "")
+        assert "error: the following arguments are required: --n" in err
 
     def test_alpha_is_not_an_option(self, capsys):
         # the sweep walks its own alpha grid
@@ -756,8 +845,9 @@ class TestSimulateCommand:
         assert code == 2
 
     def test_requires_horizon(self, capsys):
-        code, _, _ = run_cli(capsys, "simulate", "--n", "3", "--alpha", "0.6")
-        assert code == 2
+        code, out, err = run_cli(capsys, "simulate", "--n", "3", "--alpha", "0.6")
+        assert (code, out) == (2, "")
+        assert "error: the following arguments are required: --horizon" in err
 
     @pytest.mark.parametrize(
         "flags",
@@ -1001,7 +1091,8 @@ class TestImportCost:
         # before logging is imported
         assert not loaded["lp"]["logging"]
         assert not loaded["bounds"]["logging"]
-        assert loaded["bounds"]["csv"]
+        # bounds joins its cells itself
+        assert not loaded["bounds"]["csv"]
         assert not import_probe(*ALL_STEPS)["loaded"]["scheme+verify"]["logging"]
 
     def test_every_export_resolves(self):
@@ -1075,6 +1166,27 @@ RANDOM_ARGV_VALUES = {
 class TestTopLevel:
     def test_no_command_is_a_usage_error(self, capsys):
         assert main([]) == 2
+
+    @pytest.mark.parametrize("command", ["scheme", "verify", "lp"])
+    def test_a_gap_command_requires_delta(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--n", "3", "--alpha", "0.6")
+        assert (code, out) == (2, "")
+        assert "error: the following arguments are required: --delta" in err
+
+    @pytest.mark.parametrize(
+        "command, written_as",
+        [
+            ("bounds", "written as CSV"),
+            ("sweep-alpha", "written as CSV"),
+            ("scheme", "written as JSON"),
+            ("verify", "written as JSON"),
+            ("lp", "written as JSON"),
+            ("simulate", "ends in .csv"),
+        ],
+    )
+    def test_out_help_names_the_format_written(self, capsys, command, written_as):
+        assert main([command, "--help"]) == 0
+        assert written_as in " ".join(capsys.readouterr().out.split())
 
     def test_help_exits_cleanly(self, capsys):
         assert main(["--help"]) == 0
