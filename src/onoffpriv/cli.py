@@ -26,6 +26,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -149,13 +150,78 @@ def _write_csv(rows: list, out: str | None) -> None:
 
 def _write_json(obj, out: str | None) -> None:
     """Write obj to out, or stdout, as json.dumps(obj, indent=2,
-    sort_keys=True) and a newline, JSON_BATCH_CHUNKS of the encoder's
-    chunks at a time, so that the whole text is never held."""
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
+    sort_keys=True) and a newline, JSON_BATCH_CHUNKS chunks at a time, so
+    that the whole text is never held."""
+    chunks = _json_chunks(obj, "\n")
     with _output(out) as fh:
         while batch := list(itertools.islice(chunks, JSON_BATCH_CHUNKS)):
             fh.write("".join(batch))
         fh.write("\n")
+
+
+_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
+
+
+def _json_chunks(obj, pad: str):
+    """json.dumps(obj, indent=2, sort_keys=True) in chunks, with pad, a
+    newline and an indent, starting each line after the first. The dicts,
+    whose keys must be str or int, are walked here, so that a _PerGap
+    object's items are written as it makes them, and an item that is an
+    int or a finite float is written as its repr; any other value goes to
+    the encoder."""
+    if not (isinstance(obj, dict) and obj):
+        for chunk in _ENCODER.iterencode(obj):
+            yield chunk.replace("\n", pad)
+        return
+    items = obj.items() if isinstance(obj, _PerGap) else sorted(obj.items())
+    inner = pad + "  "
+    sep = "{"
+    for key, value in items:
+        head = f"{sep}{inner}{encode_basestring_ascii(str(key))}: "
+        if type(value) is int or type(value) is float and math.isfinite(value):
+            yield head + repr(value)
+        else:
+            yield head
+            yield from _json_chunks(value, inner)
+        sep = ","
+    yield pad + "}"
+
+
+class _PerGap(dict):
+    """A JSON object of one item per gap d of a run, keyed key(d) and
+    valued value(count, size_sum) from the gap's sample count and query
+    size sum, which holds no item: its items are made as they are read, in
+    the sorted order of their keys, as json.dumps(sort_keys=True) and
+    _json_chunks write them. The encoder that json.dumps takes without an
+    indent reads no item, and writes {}."""
+
+    def __init__(self, counts, size_sums, value, key=str):
+        super().__init__()
+        self.counts, self.size_sums, self.value, self.key = (
+            counts, size_sums, value, key
+        )
+
+    def __len__(self):
+        return len(self.counts)
+
+    def items(self):
+        gaps = _text_order(len(self)) if self.key is str else range(len(self))
+        for d in gaps:
+            count, size_sum = int(self.counts[d]), int(self.size_sums[d])
+            yield self.key(d), self.value(count, size_sum)
+
+
+def _text_order(size: int):
+    """0 .. size - 1 in the order of their decimal texts: a preorder walk
+    of the tree in which the children of d > 0 are 10 d .. 10 d + 9, since
+    a text sorts before the texts that extend it."""
+    if size > 0:
+        yield 0
+    stack = list(range(min(size, 10) - 1, 0, -1))
+    while stack:
+        d = stack.pop()
+        yield d
+        stack.extend(range(min(size, 10 * d + 10) - 1, 10 * d - 1, -1))
 
 
 def _delta_range(args) -> range:
@@ -313,8 +379,8 @@ def cmd_lp(args) -> int:
 def write_trace_csv(trace, fh) -> None:
     """Write the per-step trace as CSV to the binary file fh, formatting
     CSV_BLOCK_ROWS rows at a time, so the whole text is never held; the
-    columns the trace derives (tau, q_size, bytes) are derived a block at
-    a time too."""
+    columns the trace derives (f, tau, q_size, bytes, decode_ok) are
+    derived a block at a time too."""
     from onoffpriv.scheme import CSV_BLOCK_ROWS, csv_digits
 
     fh.write(b"t,x,f,tau,delta,q_size,bytes,decode_ok\n")
@@ -324,8 +390,8 @@ def write_trace_csv(trace, fh) -> None:
         t = np.arange(lo, lo + len(delta))
         q_size = trace.query_sizes[trace.query_ids[block]]
         fh.write(csv_digits([
-            t, trace.x[block], trace.flag[block], t - delta, delta,
-            q_size, q_size * trace.msg_len, trace.decode_ok[block],
+            t, trace.x[block], delta == 0, t - delta, delta,
+            q_size, q_size * trace.msg_len, trace.decodes(lo, lo + CSV_BLOCK_ROWS),
         ]))
 
 
@@ -334,7 +400,6 @@ def cmd_simulate(args) -> int:
         MIN_BUCKET_SAMPLES,
         PrivacySchedule,
         SimConfig,
-        average_download_rate,
         empirical_composed_history,
         empirical_privacy_tests,
         run_simulation,
@@ -353,11 +418,11 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
     )
     trace = run_simulation(cfg)
-    decode_failures = int((~trace.decode_ok).sum())
-    counts, size_sums = trace.gap_counts.tolist(), trace.gap_size_sums.tolist()
-    privacy = empirical_privacy_tests(trace, [
-        delta for delta, count in enumerate(counts) if count >= MIN_BUCKET_SAMPLES
-    ])
+    decode_failures = trace.decode_failures()
+    counts, size_sums = trace.gap_counts, trace.gap_size_sums
+    privacy = empirical_privacy_tests(
+        trace, np.flatnonzero(counts >= MIN_BUCKET_SAMPLES).tolist()
+    )
     stats_obj = {
         "n": trace.n,
         "horizon": trace.horizon,
@@ -368,11 +433,15 @@ def cmd_simulate(args) -> int:
         "total_bytes": trace.total_bytes(),
         "schemes_built": trace.schemes_built,
         "schemes_reused": trace.schemes_reused,
-        "rates": average_download_rate(trace),
-        "delta_buckets": {
-            str(d): {"count": c, "mean_q_size": s / c}
-            for d, (c, s) in enumerate(zip(counts, size_sums))
+        # the rates of sim.average_download_rate, and each gap's mean
+        # query size, made as they are written
+        "rates": {
+            "overall": 1.0 / (int(size_sums.sum()) / trace.horizon),
+            "per_delta": _PerGap(counts, size_sums, lambda c, s: 1.0 / (s / c), int),
         },
+        "delta_buckets": _PerGap(
+            counts, size_sums, lambda c, s: {"count": c, "mean_q_size": s / c}
+        ),
         "composed_history": {
             str(k): v for k, v in sorted(empirical_composed_history(trace).items())
         },

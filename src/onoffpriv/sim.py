@@ -137,9 +137,14 @@ class PrivacySchedule:
         elif self.kind == "off-after-0":
             out = np.zeros(horizon, dtype=bool)
         elif self.kind == "bernoulli":
-            out = rng.random(horizon) < self.p
+            # DRAW_BLOCK_STEPS draws at a time, the stream of one call
+            out = np.empty(horizon, dtype=bool)
+            for lo in range(0, horizon, DRAW_BLOCK_STEPS):
+                block = out[lo:lo + DRAW_BLOCK_STEPS]
+                np.less(rng.random(len(block)), self.p, out=block)
         else:
-            out = np.arange(horizon) % self.period == 0
+            out = np.zeros(horizon, dtype=bool)
+            out[::self.period] = True
         out[0] = True
         return out
 
@@ -172,27 +177,31 @@ class SimConfig:
 class SimTrace:
     """Per-step protocol record plus per-gap aggregates.
 
-    Arrays are indexed by step; the trace stores x, flag, delta, u,
-    query_ids and decode_ok, 34 bytes a step. query_keys holds the queries
-    of the run's schemes, sorted, each a sorted member tuple, and
-    query_ids[t] indexes the query of step t in it; queries lists those
-    keys step by step. tau (t - delta), q_size (the member count of each
-    step's query) and bytes_down (q_size * msg_len) are derived from them
-    on each read. gap_counts[d] and gap_size_sums[d] are the number of
-    steps with gap d and the sum of their query sizes; delta_buckets maps
-    each observed gap to (sample count, mean query size). schemes_built
-    counts the per-gap schemes constructed; schemes_reused counts the
-    honest gaps that took an earlier gap's scheme because matrix_powers
-    gave them that gap's power of the chain, held or in a cycle.
+    The trace stores three arrays indexed by step, 17 bytes a step when
+    n <= 8: path, the T + 1 requests with the one-step lookahead (int64);
+    delta, the gap t - tau since the flag was last on (int64); and
+    query_ids, in the narrowest unsigned dtype that holds
+    len(query_keys) - 1. query_keys holds the queries of the run's schemes,
+    sorted, each a sorted member tuple, and query_ids[t] indexes the query
+    of step t in it; queries lists those keys step by step.
+
+    The other per-step arrays are derived from them on each read: x (the
+    view path[:-1]), flag (delta == 0), tau (t - delta), u (the context
+    path[tau] * n + path[t + 1]), q_size (the member count of each step's
+    query), bytes_down (q_size * msg_len) and decode_ok (whether the query
+    names x). contexts and decodes derive u and decode_ok over a range of
+    steps. gap_counts[d] and gap_size_sums[d] are the number of steps with
+    gap d and the sum of their query sizes; delta_buckets maps each
+    observed gap to (sample count, mean query size). schemes_built counts
+    the per-gap schemes constructed; schemes_reused counts the honest gaps
+    that took an earlier gap's scheme because matrix_powers gave them that
+    gap's power of the chain, held or in a cycle.
     """
 
     n: int
     msg_len: int
-    x: np.ndarray
-    flag: np.ndarray
+    path: np.ndarray
     delta: np.ndarray
-    u: np.ndarray
-    decode_ok: np.ndarray
     query_ids: np.ndarray
     query_keys: list
     gap_counts: np.ndarray
@@ -202,7 +211,7 @@ class SimTrace:
 
     @property
     def horizon(self) -> int:
-        return self.x.shape[0]
+        return self.delta.shape[0]
 
     @cached_property
     def queries(self) -> list:
@@ -215,9 +224,28 @@ class SimTrace:
         """The member count of every query key."""
         return _query_sizes(self.query_keys)
 
+    @cached_property
+    def query_names(self) -> np.ndarray:
+        """query_names[i, s]: whether query_keys[i] names message s."""
+        return np.array(
+            [[s in q for s in range(self.n)] for q in self.query_keys], dtype=bool
+        )
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.path[:-1]
+
+    @property
+    def flag(self) -> np.ndarray:
+        return self.delta == 0
+
     @property
     def tau(self) -> np.ndarray:
         return np.arange(self.horizon) - self.delta
+
+    @property
+    def u(self) -> np.ndarray:
+        return self.contexts()
 
     @property
     def q_size(self) -> np.ndarray:
@@ -226,6 +254,28 @@ class SimTrace:
     @property
     def bytes_down(self) -> np.ndarray:
         return self.q_size * self.msg_len
+
+    @property
+    def decode_ok(self) -> np.ndarray:
+        return self.decodes()
+
+    def contexts(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """u of the steps lo..hi - 1, as a slice bounds them."""
+        return _contexts(self.path, self.delta, self.n, lo, hi)
+
+    def decodes(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """decode_ok of the steps lo..hi - 1, as a slice bounds them: the
+        server answers exactly the queried messages, so the client decodes
+        its wanted message iff the query names it."""
+        return self.query_names[self.query_ids[lo:hi], self.x[lo:hi]]
+
+    def decode_failures(self) -> int:
+        """The number of steps that do not decode, counted a block at a
+        time."""
+        return sum(
+            int(np.count_nonzero(~self.decodes(lo, lo + DRAW_BLOCK_STEPS)))
+            for lo in range(0, self.horizon, DRAW_BLOCK_STEPS)
+        )
 
     @property
     def delta_buckets(self) -> dict:
@@ -238,6 +288,18 @@ class SimTrace:
 
     def total_bytes(self) -> int:
         return self.msg_len * int(self.gap_size_sums.sum())
+
+
+def _contexts(path, delta, n: int, lo: int, hi: int | None) -> np.ndarray:
+    """The context path[tau] * n + path[t + 1] of every step t that the
+    slice lo:hi picks, where tau = t - delta[t]."""
+    gap = delta[lo:hi]
+    u = np.arange(lo, lo + len(gap))
+    u -= gap
+    u = path[u]
+    u *= n
+    u += path[lo + 1:lo + 1 + len(gap)]
+    return u
 
 
 def _query_sizes(keys) -> np.ndarray:
@@ -341,9 +403,10 @@ def _gap_schemes(P: TransitionMatrix, max_delta: int, overrides: dict):
     return schemes, index, len(honest), max_delta + 1 - len(schemes)
 
 
-def _draw_queries(schemes: list, scheme_of_gap, delta, x, u, n: int, rng):
-    """Query of every step, where step t has gap delta[t], request x[t],
-    context u[t] and the uniform draw that rng gives it.
+def _draw_queries(schemes: list, scheme_of_gap, path, delta, n: int, rng):
+    """Query of every step, where step t has gap delta[t], request path[t],
+    the context that _contexts derives from path and delta, and the uniform
+    draw that rng gives it.
 
     A step with draw r picks the first row of its (scheme, request,
     context) group, in query order, whose cumulative mass exceeds r times
@@ -358,7 +421,8 @@ def _draw_queries(schemes: list, scheme_of_gap, delta, x, u, n: int, rng):
     block bisects its group's range with searchsorted(side="right")
     semantics, one round for all of them at once.
     Returns (ids, keys): keys are the queries of all the schemes, sorted,
-    and ids[t] indexes the query of step t.
+    and ids[t] indexes the query of step t, in the narrowest unsigned dtype
+    that holds len(keys) - 1.
 
     Raises:
         ZeroLikelihoodContext: a step's group has no positive total mass;
@@ -367,10 +431,11 @@ def _draw_queries(schemes: list, scheme_of_gap, delta, x, u, n: int, rng):
     """
     keys = sorted(set().union(*(s.queries for s in schemes)))
     key_ids = {q: i for i, q in enumerate(keys)}
+    id_dtype = np.min_scalar_type(len(keys) - 1)
     m = n * n
     # the rows of all schemes: query (as a position in keys), group, mass
     row_key = np.concatenate([
-        np.array([key_ids[q] for q in s.queries], dtype=np.int64)[s.q]
+        np.array([key_ids[q] for q in s.queries], dtype=id_dtype)[s.q]
         for s in schemes
     ])
     group = np.concatenate([(i * n + s.x) * m + s.u for i, s in enumerate(schemes)])
@@ -384,14 +449,14 @@ def _draw_queries(schemes: list, scheme_of_gap, delta, x, u, n: int, rng):
         starts, sizes = starts[longer], sizes[longer]
         cum[starts + k] += cum[starts + k - 1]
 
-    ids = np.empty(len(delta), dtype=np.int64)
+    ids = np.empty(len(delta), dtype=id_dtype)
     for first in range(0, len(delta), DRAW_BLOCK_STEPS):
-        block = slice(first, first + DRAW_BLOCK_STEPS)
+        block = slice(first, min(first + DRAW_BLOCK_STEPS, len(delta)))
         step_group = scheme_of_gap[delta[block]]
         step_group *= n
-        step_group += x[block]
+        step_group += path[block]
         step_group *= m
-        step_group += u[block]
+        step_group += _contexts(path, delta, n, block.start, block.stop)
         lo = bounds[step_group]
         hi = bounds[1:][step_group]
         hi -= 1  # each step's last row
@@ -402,8 +467,9 @@ def _draw_queries(schemes: list, scheme_of_gap, delta, x, u, n: int, rng):
             empty = target <= 0.0
         if empty.any():
             t = first + int(np.flatnonzero(empty)[0])
+            u = _contexts(path, delta, n, t, t + 1)[0]
             raise ZeroLikelihoodContext(
-                f"gap {delta[t]}: no mass for request {x[t]} in context {u[t]}"
+                f"gap {delta[t]}: no mass for request {path[t]} in context {u}"
             )
         target *= rng.random(len(lo))
         # searchsorted(side="right") over each step's rows but the last, in
@@ -438,8 +504,9 @@ def run_simulation(cfg: SimConfig, scheme_overrides: dict | None = None) -> SimT
     the trace of a seed is the one the step-by-step protocol would produce.
     The cost is linear in the horizon T: the request path takes O(n T)
     array work and about 2 sqrt(T / n) + sqrt(n T) Python steps, with no
-    n x T table. Past the trace's own arrays, only the path's T cells are
-    held at once; every other work array is a block long.
+    n x T table. Past the trace's own arrays, only the path's T cells and
+    the schedule's T flags are held at once; every other work array is a
+    block long.
     """
     P = cfg.chain
     if not P.is_strictly_positive():
@@ -452,18 +519,14 @@ def run_simulation(cfg: SimConfig, scheme_overrides: dict | None = None) -> SimT
     query_rng = np.random.default_rng(query_ss)
 
     # one extra state so the lookahead at the final step exists
-    x = _sample_path(P, T + 1, path_rng)
-    flags = cfg.schedule.realize(T, flag_rng)
+    path = _sample_path(P, T + 1, path_rng)
 
     # derived in place: tau keeps the steps whose flag is on, then carries
-    # the last of them forward; once the contexts are read at tau, the same
-    # buffer becomes the gap t - tau, a block at a time
+    # the last of them forward, and the same buffer becomes the gap t - tau,
+    # a block at a time
     delta = np.arange(T)
-    delta *= flags
+    delta *= cfg.schedule.realize(T, flag_rng)
     np.maximum.accumulate(delta, out=delta)
-    u = x[delta]
-    u *= n
-    u += x[1:]
     for lo in range(0, T, DRAW_BLOCK_STEPS):
         block = delta[lo:lo + DRAW_BLOCK_STEPS]
         np.subtract(np.arange(lo, lo + len(block)), block, out=block)
@@ -471,12 +534,8 @@ def run_simulation(cfg: SimConfig, scheme_overrides: dict | None = None) -> SimT
         P, int(delta.max()), scheme_overrides or {}
     )
     query_ids, query_keys = _draw_queries(
-        schemes, scheme_of_gap, delta, x[:T], u, n, query_rng
+        schemes, scheme_of_gap, path, delta, n, query_rng
     )
-    # the server answers exactly the queried messages, so the client
-    # decodes its wanted message iff the query names it
-    names = np.array([[s in q for s in range(n)] for q in query_keys], dtype=bool)
-    decode_ok = names[query_ids, x[:T]]
 
     gap_counts = np.bincount(delta)
     # summed in place a block at a time: a weighted bincount would take a
@@ -489,11 +548,8 @@ def run_simulation(cfg: SimConfig, scheme_overrides: dict | None = None) -> SimT
     return SimTrace(
         n=n,
         msg_len=cfg.msg_len,
-        x=x[:T],
-        flag=flags,
+        path=path,
         delta=delta,
-        u=u,
-        decode_ok=decode_ok,
         query_ids=query_ids,
         query_keys=query_keys,
         gap_counts=gap_counts,
@@ -625,11 +681,13 @@ def _gap_tables(trace: SimTrace, gaps) -> dict:
 
     Each step becomes one integer, its (gap slot, query id, context) read
     as the digits of a mixed-radix numeral; the steps of unlisted gaps
-    share the slot after the listed ones. Sorting these integers in place
-    puts equal cells next to each other, in (gap, query, context) order,
-    so one scan gives every cell and its count. The cost is one sort of T
-    integers plus each table's cells, however many gaps are listed, and
-    the work arrays take 9 bytes a step and 8 a gap.
+    share the slot after the listed ones. The contexts come from
+    trace.contexts a block at a time, into the numerals' buffer, and the
+    higher digits are added to them a block at a time. Sorting these
+    integers in place puts equal cells next to each other, in (gap, query,
+    context) order, so one scan gives every cell and its count. The cost
+    is one sort of T integers plus each table's cells, however many gaps
+    are listed, and the work arrays take 9 bytes a step and 8 a gap.
 
     Returns {gap: (query ids, contexts, counts)}: the distinct query ids and
     contexts of the gap's steps, each sorted, and the float table that
@@ -640,7 +698,15 @@ def _gap_tables(trace: SimTrace, gaps) -> dict:
     """
     gaps = np.unique(gaps)
     n_queries = len(trace.query_keys)
-    m = int(trace.u.max()) + 1
+    steps = len(trace.delta)
+    blocks = [
+        slice(lo, min(lo + DRAW_BLOCK_STEPS, steps))
+        for lo in range(0, steps, DRAW_BLOCK_STEPS)
+    ]
+    cells = np.empty(steps, dtype=np.int64)
+    for block in blocks:
+        cells[block] = trace.contexts(block.start, block.stop)
+    m = int(cells.max()) + 1
     width = n_queries * m  # the numerals of one slot
     if (len(gaps) + 1) * width > 2**63:
         raise OverflowError(
@@ -649,12 +715,13 @@ def _gap_tables(trace: SimTrace, gaps) -> dict:
         )
     slot = np.full(max(int(trace.delta.max()), int(gaps[-1])) + 1, len(gaps))
     slot[gaps] = np.arange(len(gaps))
-    cells = slot[trace.delta]
+    for block in blocks:
+        high = slot[trace.delta[block]]
+        high *= n_queries
+        high += trace.query_ids[block]
+        high *= m
+        cells[block] += high
     del slot
-    cells *= n_queries
-    cells += trace.query_ids
-    cells *= m
-    cells += trace.u
     cells.sort()
     new = np.empty(len(cells), dtype=bool)
     new[0] = True
@@ -720,7 +787,8 @@ def empirical_composed_history(trace: SimTrace) -> dict:
 
     The complete runs' starts are ordered by length once, so that each
     length's runs are a slice of them; the work arrays hold at most four
-    int64 a run, and three unless the tuples must be ranked.
+    int64 a run, and three unless the tuples must be ranked. The query ids
+    are widened to int64 before the tuples are numbered in place.
     """
     starts = np.flatnonzero(trace.flag)
     # the final run may be truncated by the horizon, so it is left out
@@ -739,7 +807,7 @@ def empirical_composed_history(trace: SimTrace) -> dict:
         # digits of a base-n_queries numeral, in place; the numbers are
         # ranked anew only where one more digit could overflow int64, and
         # at the end when they could exceed the run count
-        tuple_ids = trace.query_ids[first]
+        tuple_ids = trace.query_ids[first].astype(np.int64)
         bound = n_queries  # every number lies below it
         for _ in range(1, length):
             if bound > (2**63 - 1) // n_queries:

@@ -22,7 +22,12 @@ from onoffpriv import cli
 from onoffpriv.cli import main, write_trace_csv
 from onoffpriv.markov import chain_to_dict, symmetric_chain
 from onoffpriv.scheme import COLUMNS, CSV_BLOCK_ROWS, SchemeDistribution, csv_digits
-from onoffpriv.sim import PrivacySchedule, SimConfig, run_simulation
+from onoffpriv.sim import (
+    PrivacySchedule,
+    SimConfig,
+    average_download_rate,
+    run_simulation,
+)
 
 from conftest import json_slots, reference_trace_csv, schema1_json_obj, section_text
 
@@ -815,6 +820,35 @@ class TestSimulateCommand:
         text = json.dumps(stats, indent=2, sort_keys=True) + "\n"
         assert out.read_text() == text
 
+    def test_rates_and_buckets_match_the_trace(self, capsys):
+        # a bernoulli run of a few dozen gaps, some past 10, so that the
+        # text order of the bucket keys differs from the gaps' order
+        argv = ["--schedule", "bernoulli:0.1", "--horizon", "3000", "--seed", "4"]
+        code, out, _ = run_cli(
+            capsys, "simulate", "--n", "3", "--alpha", "0.6", *argv
+        )
+        assert code == 0
+        stats = json.loads(out)
+        trace = run_simulation(SimConfig(
+            chain=symmetric_chain(3, 0.6), schedule=PrivacySchedule.bernoulli(0.1),
+            horizon=3000, seed=4,
+        ))
+        assert len(trace.gap_counts) > 11
+        rates = average_download_rate(trace)
+        assert stats["rates"]["overall"] == rates["overall"]
+        assert list(stats["rates"]["per_delta"]) == [str(d) for d in rates["per_delta"]]
+        assert list(stats["rates"]["per_delta"].values()) == list(
+            rates["per_delta"].values()
+        )
+        assert list(stats["delta_buckets"]) == sorted(
+            str(d) for d in trace.delta_buckets
+        )
+        for d, (count, mean) in trace.delta_buckets.items():
+            assert stats["delta_buckets"][str(d)] == {
+                "count": count, "mean_q_size": mean
+            }
+        assert stats["decode_failures"] == int((~trace.decode_ok).sum())
+
     def test_the_statistics_text_is_never_held_whole(self, tmp_path):
         # few keys, so that the encoder's own sorted items stay small
         stats = {str(d): [d / 7] * 500 for d in range(400)}
@@ -881,6 +915,47 @@ class TestSimulateCommand:
             horizon=20000, msg_len=333333334, seed=7,
         ))
         assert path.read_bytes() == reference_trace_csv(trace).encode()
+
+
+json_values = hst.recursive(
+    hst.none() | hst.booleans() | hst.integers() | hst.floats() | hst.text(),
+    lambda inner: hst.lists(inner, max_size=4)
+    | hst.dictionaries(hst.text(max_size=6), inner, max_size=4)
+    | hst.dictionaries(hst.integers(-20, 20), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(obj=json_values, batch=hst.integers(min_value=1, max_value=9))
+    def test_the_text_is_one_dump(self, tmp_path_factory, obj, batch):
+        # nan and the infinities too, and int keys, sorted as ints
+        path = tmp_path_factory.mktemp("json") / "out.json"
+        with mock.patch.object(cli, "JSON_BATCH_CHUNKS", batch):
+            cli._write_json(obj, str(path))
+        assert path.read_text() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("size", [0, 1, 9, 10, 11, 99, 100, 101, 1234, 20001])
+    def test_text_order_sorts_the_decimal_texts(self, size):
+        order = list(cli._text_order(size))
+        assert [str(d) for d in order] == sorted(str(d) for d in range(size))
+
+    def test_a_per_gap_object_is_written_as_its_dict(self, tmp_path):
+        counts, sums = np.array([3, 1, 2] * 5), np.array([7, 1, 5] * 5)
+        for key, value in ((str, lambda c, s: {"c": c, "m": s / c}), (int, divmod)):
+            lazy = cli._PerGap(counts, sums, value, key)
+            plain = {
+                key(d): value(int(c), int(s))
+                for d, (c, s) in enumerate(zip(counts, sums))
+            }
+            obj = {"a": [1.5], "gaps": lazy, "z": {"gaps": lazy}}
+            want = {"a": [1.5], "gaps": plain, "z": {"gaps": plain}}
+            cli._write_json(obj, str(tmp_path / "out.json"))
+            text = json.dumps(want, indent=2, sort_keys=True) + "\n"
+            assert (tmp_path / "out.json").read_text() == text
+            assert len(lazy) == 15
+            assert json.dumps(obj, indent=2, sort_keys=True) + "\n" == text
 
 
 class TestTraceCsv:

@@ -85,6 +85,23 @@ def reference_run(cfg, scheme_overrides=None):
     return arrays, queries, {d: (c, s / c) for d, (c, s) in buckets.items()}
 
 
+def reference_flags(schedule, horizon, rng):
+    """PrivacySchedule.realize with one expression a kind and one draw
+    for all the steps: the flags a seed must give."""
+    if schedule.kind == "explicit":
+        out = np.array(schedule.flags[:horizon], dtype=bool)
+    elif schedule.kind == "always-on":
+        out = np.ones(horizon, dtype=bool)
+    elif schedule.kind == "off-after-0":
+        out = np.zeros(horizon, dtype=bool)
+    elif schedule.kind == "bernoulli":
+        out = rng.random(horizon) < schedule.p
+    else:
+        out = np.arange(horizon) % schedule.period == 0
+    out[0] = True
+    return out
+
+
 def run(n=3, alpha=0.6, schedule="periodic:2", horizon=4000, seed=5, **kw):
     cfg = SimConfig(
         chain=symmetric_chain(n, alpha),
@@ -159,6 +176,31 @@ class TestPrivacySchedule:
         sch = PrivacySchedule.periodic(3)
         flags = sch.realize(7, np.random.default_rng(0))
         assert flags.tolist() == [True, False, False, True, False, False, True]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        schedule=hst.one_of(
+            hst.sampled_from(["always-on", "off-after-0"]),
+            hst.integers(min_value=1, max_value=12).map(lambda k: f"periodic:{k}"),
+            hst.floats(min_value=0.0, max_value=1.0).map(lambda p: f"bernoulli:{p}"),
+            hst.lists(hst.booleans(), min_size=150, max_size=150).map(
+                lambda f: "explicit:1," + ",".join("1" if b else "0" for b in f)
+            ),
+        ),
+        horizon=hst.integers(min_value=1, max_value=150),
+        seed=hst.integers(min_value=0, max_value=2**32 - 1),
+        block=hst.integers(min_value=1, max_value=64),
+    )
+    def test_realize_gives_the_flags_of_one_call(self, schedule, horizon, seed, block):
+        sch = PrivacySchedule.parse(schedule)
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        with mock.patch.object(sim, "DRAW_BLOCK_STEPS", block):
+            got = sch.realize(horizon, got_rng)
+        want = reference_flags(sch, horizon, want_rng)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        # and the draws leave the generator where one call leaves it
+        assert got_rng.random() == want_rng.random()
 
 
 class TestRunSimulation:
@@ -479,13 +521,24 @@ class TestDrawQueries:
                 picks = sample_query_indices(s, x, u, draws)
                 want += [s.queries[i] for i in picks.tolist()]
                 steps += [(delta, x, u, r) for r in draws.tolist()]
-        delta, x, u, draws = (np.array(c) for c in zip(*steps))
+        # every step in a frame of four steps whose first is its tau, so
+        # that the path gives it its request and context; the other steps
+        # of a frame take gap 0 and draw 0
+        path = np.zeros(4 * len(steps) + 1, dtype=np.int64)
+        delta = np.zeros(4 * len(steps), dtype=np.int64)
+        draws = np.zeros(4 * len(steps))
+        at = []
+        for k, (gap, x, u, r) in enumerate(steps):
+            t = 4 * k + gap
+            path[4 * k], path[t], path[t + 1] = u // n, x, u % n
+            delta[t], draws[t] = gap, r
+            at.append(t)
         ids, keys = _draw_queries(
-            schemes, scheme_of_gap, delta.astype(np.int64), x.astype(np.int64),
-            u.astype(np.int64), n, StubDraws(draws),
+            schemes, scheme_of_gap, path, delta, n, StubDraws(draws)
         )
         assert keys == sorted(set(schemes[0].queries) | set(schemes[1].queries))
-        assert [keys[i] for i in ids.tolist()] == want
+        assert ids.dtype == np.min_scalar_type(len(keys) - 1)
+        assert [keys[i] for i in ids[at].tolist()] == want
 
     @pytest.mark.parametrize("fault", ["no rows", "zero mass"])
     def test_an_override_without_mass_names_gap_request_and_context(self, fault):
@@ -555,19 +608,34 @@ def label_pairs(draw):
     return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
 
 
-def label_trace(delta, rows, cols):
+def label_trace(delta, rows, cols, query_keys=None):
     """A stand-in trace with the fields that _gap_tables reads: row labels
     as query ids and column labels as contexts."""
     return SimpleNamespace(
-        delta=delta, query_ids=rows, u=cols, query_keys=range(int(rows.max()) + 1)
+        delta=delta, query_ids=rows, contexts=lambda lo, hi: cols[lo:hi],
+        query_keys=range(int(rows.max()) + 1) if query_keys is None else query_keys,
     )
 
 
 class TestContingency:
     @settings(max_examples=150, deadline=None)
-    @given(labels=label_pairs(), data=hst.data())
-    def test_one_pass_tables_match_the_sorting_reference(self, labels, data):
+    @given(
+        labels=label_pairs(),
+        # None keeps the int64 labels; else the rows count down from
+        # n_queries - 1, in the narrow dtype of a trace's query ids
+        n_queries=hst.sampled_from([None, 255, 256, 257]),
+        # the block length of the numerals' digits
+        block=hst.integers(min_value=1, max_value=64),
+        data=hst.data(),
+    )
+    def test_one_pass_tables_match_the_sorting_reference(
+        self, labels, n_queries, block, data
+    ):
         rows, cols = labels
+        keys = None
+        if n_queries is not None:
+            keys = range(n_queries)
+            rows = n_queries - 1 - rows
         size = len(rows)
         delta = np.array(
             data.draw(hst.lists(hst.integers(0, 4), min_size=size, max_size=size)),
@@ -578,7 +646,9 @@ class TestContingency:
         listed = data.draw(
             hst.lists(hst.sampled_from(present), min_size=1, unique=True)
         )
-        tables = _gap_tables(label_trace(delta, rows, cols), listed)
+        ids = rows if keys is None else rows.astype(np.min_scalar_type(keys[-1]))
+        with mock.patch.object(sim, "DRAW_BLOCK_STEPS", block):
+            tables = _gap_tables(label_trace(delta, ids, cols, keys), listed)
         assert sorted(tables) == sorted(listed)
         for gap in listed:
             mask = delta == gap
@@ -687,11 +757,9 @@ class TestEmpiricalStats:
         counts = np.array([[650, 500, 0], [350, 500, 0], [0, 0, 10]])
         qids, us = np.nonzero(counts)
         reps = counts[qids, us]
-        trace = SimpleNamespace(
-            delta=np.zeros(reps.sum(), dtype=np.int64),
-            query_ids=np.repeat(qids, reps),
-            u=np.repeat(us, reps),
-            query_keys=[(0,), (1,), (0, 1)],
+        trace = label_trace(
+            np.zeros(reps.sum(), dtype=np.int64), np.repeat(qids, reps),
+            np.repeat(us, reps), [(0,), (1,), (0, 1)],
         )
         stats = empirical_privacy_test(trace, 0)
         assert (stats.max_tv_gap, stats.chi2_dof) == (1.0, 4)
@@ -744,11 +812,9 @@ class TestEmpiricalStats:
         assume(counts.sum() >= MIN_BUCKET_SAMPLES)
         qids, us = np.nonzero(counts)
         reps = counts[qids, us]
-        trace = SimpleNamespace(
-            delta=np.zeros(reps.sum(), dtype=np.int64),
-            query_ids=np.repeat(qids, reps),
-            u=np.repeat(us, reps),
-            query_keys=[(i,) for i in range(counts.shape[0])],
+        trace = label_trace(
+            np.zeros(reps.sum(), dtype=np.int64), np.repeat(qids, reps),
+            np.repeat(us, reps), [(i,) for i in range(counts.shape[0])],
         )
         stats = empirical_privacy_test(trace, 0)
         assert stats.chi2_dof == (counts.shape[0] - 1) * (counts.shape[1] - 1)
@@ -820,14 +886,17 @@ class TestEmpiricalStats:
     @given(
         n=hst.integers(min_value=2, max_value=6),
         # 2^40 queries renumber the tuples at every position, and 2^21 at
-        # every third; 7 never before the end
-        n_queries=hst.sampled_from([1, 2, 7, 2**21, 2**40]),
+        # every third; 7 never before the end. 255, 256 and 257 queries
+        # take uint8 and uint16 ids, which one more digit would wrap
+        n_queries=hst.sampled_from([1, 2, 7, 255, 256, 257, 2**21, 2**40]),
+        # the ids in the narrow dtype of a trace's, up to 2^16 queries
+        narrow=hst.booleans(),
         period=hst.integers(min_value=1, max_value=8),
         p_on=hst.floats(min_value=0.0, max_value=1.0),
         seed=hst.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_composed_history_matches_the_tuple_reference(
-        self, n, n_queries, period, p_on, seed
+        self, n, n_queries, narrow, period, p_on, seed
     ):
         # flags on at every multiple of the period and, besides, at random
         horizon = 9000
@@ -835,6 +904,8 @@ class TestEmpiricalStats:
         flag = (np.arange(horizon) % period == 0) | (gen.random(horizon) < p_on / 4)
         # few distinct queries at each position, so that tuples repeat
         pool = gen.integers(0, n_queries, size=3)
+        if narrow and n_queries <= 2**16:
+            pool = pool.astype(np.min_scalar_type(n_queries - 1))
         trace = SimpleNamespace(
             n=n,
             flag=flag,
@@ -845,11 +916,11 @@ class TestEmpiricalStats:
         assert empirical_composed_history(trace) == reference_composed_history(trace)
 
     def test_work_arrays_stay_within_their_budget(self):
-        # tracemalloc counts numpy's array buffers. The trace keeps 34 bytes
-        # a step (four int64 and two flag arrays); past them the run holds
-        # block-long work arrays only, the privacy tests one int64 and one
-        # flag per step, and the composed history three int64 per run; each
-        # budget leaves some room above that
+        # tracemalloc counts numpy's array buffers. The trace keeps 17 bytes
+        # a step (the path, the gaps and uint8 query ids); past them the run
+        # holds block-long work arrays only, the privacy tests one int64 and
+        # one flag per step, and the composed history three int64 per run;
+        # each budget leaves some room above that
         T = 300_000
         trace = run(horizon=T, seed=2)  # and any one-time set-up with it
         empirical_privacy_tests(trace, [0, 1])
@@ -858,7 +929,7 @@ class TestEmpiricalStats:
         try:
             trace = run(horizon=T, seed=2)
             kept, peak = tracemalloc.get_traced_memory()
-            assert kept <= 34 * T + (1 << 15)
+            assert kept <= 17 * T + (1 << 15)
             assert peak - kept <= 64 * DRAW_BLOCK_STEPS
             tracemalloc.reset_peak()
             empirical_privacy_tests(trace, [0, 1])
@@ -902,17 +973,28 @@ class TestAverageRate:
         size_sum, count = 2**54 + 1, 3
         assert size_sum / count != float(size_sum) / float(count)
         trace = SimTrace(
-            n=3, msg_len=1, x=np.zeros(count, dtype=np.int64),
-            flag=np.ones(count, dtype=bool), delta=np.zeros(count, dtype=np.int64),
-            u=np.zeros(count, dtype=np.int64), decode_ok=np.ones(count, dtype=bool),
-            query_ids=np.zeros(count, dtype=np.int64), query_keys=[(0, 1, 2)],
+            n=3, msg_len=1, path=np.zeros(count + 1, dtype=np.int64),
+            delta=np.zeros(count, dtype=np.int64),
+            query_ids=np.zeros(count, dtype=np.uint8), query_keys=[(0, 1, 2)],
             gap_counts=np.array([count]), gap_size_sums=np.array([size_sum]),
         )
+        assert trace.flag.all() and trace.decode_ok.all()
         assert trace.delta_buckets == {0: (count, size_sum / count)}
         rates = average_download_rate(trace)
         assert rates["per_delta"] == {0: 1.0 / (size_sum / count)}
         assert rates["overall"] == 1.0 / (size_sum / count)
         assert trace.total_bytes() == size_sum
+
+
+def test_the_trace_stores_17_bytes_a_step():
+    # at n = 3 the queries number at most 7, so their ids take one byte;
+    # the path holds one state more than the horizon
+    trace = run(horizon=1000)
+    assert trace.query_ids.dtype == np.uint8
+    assert trace.path.dtype == trace.delta.dtype == np.int64
+    stored = trace.path.nbytes + trace.delta.nbytes + trace.query_ids.nbytes
+    assert stored == 17 * 1000 + 8
+    assert np.shares_memory(trace.x, trace.path)
 
 
 def test_trace_exposes_consistent_lengths():
