@@ -44,7 +44,7 @@ _EXPORTS = {
     "sim": (
         "EmpiricalStats", "InsufficientSamples", "PrivacySchedule", "SimConfig",
         "SimTrace", "average_download_rate", "empirical_privacy_test",
-        "run_simulation",
+        "run_simulation", "simulate",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -165,15 +165,15 @@ _ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
 def _json_chunks(obj, pad: str):
     """json.dumps(obj, indent=2, sort_keys=True) in chunks, with pad, a
     newline and an indent, starting each line after the first. The dicts,
-    whose keys must be str or int, are walked here, so that a _PerGap
-    object's items are written as it makes them, and an item that is an
-    int or a finite float is written as its repr; any other value goes to
-    the encoder."""
+    whose keys must be str or int, are walked here, so that a dict subclass
+    (simulate's per-gap sections) has its items written in its own order as
+    it makes them, and an item that is an int or a finite float is written
+    as its repr; any other value goes to the encoder."""
     if not (isinstance(obj, dict) and obj):
         for chunk in _ENCODER.iterencode(obj):
             yield chunk.replace("\n", pad)
         return
-    items = obj.items() if isinstance(obj, _PerGap) else sorted(obj.items())
+    items = sorted(obj.items()) if type(obj) is dict else obj.items()
     inner = pad + "  "
     sep = "{"
     for key, value in items:
@@ -185,43 +185,6 @@ def _json_chunks(obj, pad: str):
             yield from _json_chunks(value, inner)
         sep = ","
     yield pad + "}"
-
-
-class _PerGap(dict):
-    """A JSON object of one item per gap d of a run, keyed key(d) and
-    valued value(count, size_sum) from the gap's sample count and query
-    size sum, which holds no item: its items are made as they are read, in
-    the sorted order of their keys, as json.dumps(sort_keys=True) and
-    _json_chunks write them. The encoder that json.dumps takes without an
-    indent reads no item, and writes {}."""
-
-    def __init__(self, counts, size_sums, value, key=str):
-        super().__init__()
-        self.counts, self.size_sums, self.value, self.key = (
-            counts, size_sums, value, key
-        )
-
-    def __len__(self):
-        return len(self.counts)
-
-    def items(self):
-        gaps = _text_order(len(self)) if self.key is str else range(len(self))
-        for d in gaps:
-            count, size_sum = int(self.counts[d]), int(self.size_sums[d])
-            yield self.key(d), self.value(count, size_sum)
-
-
-def _text_order(size: int):
-    """0 .. size - 1 in the order of their decimal texts: a preorder walk
-    of the tree in which the children of d > 0 are 10 d .. 10 d + 9, since
-    a text sorts before the texts that extend it."""
-    if size > 0:
-        yield 0
-    stack = list(range(min(size, 10) - 1, 0, -1))
-    while stack:
-        d = stack.pop()
-        yield d
-        stack.extend(range(min(size, 10 * d + 10) - 1, 10 * d - 1, -1))
 
 
 def _delta_range(args) -> range:
@@ -376,34 +339,8 @@ def cmd_lp(args) -> int:
     return 0
 
 
-def write_trace_csv(trace, fh) -> None:
-    """Write the per-step trace as CSV to the binary file fh, formatting
-    CSV_BLOCK_ROWS rows at a time, so the whole text is never held; the
-    columns the trace derives (f, tau, q_size, bytes, decode_ok) are
-    derived a block at a time too."""
-    from onoffpriv.scheme import CSV_BLOCK_ROWS, csv_digits
-
-    fh.write(b"t,x,f,tau,delta,q_size,bytes,decode_ok\n")
-    for lo in range(0, trace.horizon, CSV_BLOCK_ROWS):
-        block = slice(lo, lo + CSV_BLOCK_ROWS)
-        delta = trace.delta[block]
-        t = np.arange(lo, lo + len(delta))
-        q_size = trace.query_sizes[trace.query_ids[block]]
-        fh.write(csv_digits([
-            t, trace.x[block], delta == 0, t - delta, delta,
-            q_size, q_size * trace.msg_len, trace.decodes(lo, lo + CSV_BLOCK_ROWS),
-        ]))
-
-
 def cmd_simulate(args) -> int:
-    from onoffpriv.sim import (
-        MIN_BUCKET_SAMPLES,
-        PrivacySchedule,
-        SimConfig,
-        empirical_composed_history,
-        empirical_privacy_tests,
-        run_simulation,
-    )
+    from onoffpriv.sim import PrivacySchedule, SimConfig, simulate
 
     P = _load_chain(args)
     try:
@@ -411,54 +348,13 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"bad schedule: {exc}") from exc
     cfg = SimConfig(
-        chain=P,
-        schedule=schedule,
-        horizon=args.horizon,
-        msg_len=args.msg_len,
-        seed=args.seed,
+        P, schedule, horizon=args.horizon, msg_len=args.msg_len, seed=args.seed
     )
-    trace = run_simulation(cfg)
-    decode_failures = trace.decode_failures()
-    counts, size_sums = trace.gap_counts, trace.gap_size_sums
-    privacy = empirical_privacy_tests(
-        trace, np.flatnonzero(counts >= MIN_BUCKET_SAMPLES).tolist()
-    )
-    stats_obj = {
-        "n": trace.n,
-        "horizon": trace.horizon,
-        "seed": args.seed,
-        "schedule": schedule.spec_string(),
-        "msg_len": trace.msg_len,
-        "decode_failures": decode_failures,
-        "total_bytes": trace.total_bytes(),
-        "schemes_built": trace.schemes_built,
-        "schemes_reused": trace.schemes_reused,
-        # the rates of sim.average_download_rate, and each gap's mean
-        # query size, made as they are written
-        "rates": {
-            "overall": 1.0 / (int(size_sums.sum()) / trace.horizon),
-            "per_delta": _PerGap(counts, size_sums, lambda c, s: 1.0 / (s / c), int),
-        },
-        "delta_buckets": _PerGap(
-            counts, size_sums, lambda c, s: {"count": c, "mean_q_size": s / c}
-        ),
-        "composed_history": {
-            str(k): v for k, v in sorted(empirical_composed_history(trace).items())
-        },
-    }
+    # simulate opens the trace file only once the run has succeeded
     csv_out = args.out and args.out.endswith(".csv")
-    if csv_out:
-        with open(args.out, "wb") as fh:
-            write_trace_csv(trace, fh)
-    # the p-values come last: their first read loads scipy.special, and
-    # the trace is freed before it, so that the two do not add up in the
-    # peak memory
-    del trace
-    stats_obj["privacy"] = [s.to_json_obj() for s in privacy]
-    passed = decode_failures == 0 and not any(s.flags_dependence() for s in privacy)
-    stats_obj["pass"] = passed
-    _write_json(stats_obj, None if csv_out else args.out)
-    return 0 if passed else 1
+    stats = simulate(cfg, functools.partial(open, args.out, "wb") if csv_out else None)
+    _write_json(stats, None if csv_out else args.out)
+    return 0 if stats["pass"] else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -25,10 +25,12 @@ import numpy as np
 from onoffpriv.bounds import theta_profile
 from onoffpriv.markov import TransitionMatrix, conditional_table, matrix_powers
 from onoffpriv.scheme import (
+    CSV_BLOCK_ROWS,
     SchemeDistribution,
     ZeroLikelihoodContext,
     build_scheme,
     collapse_to_sets,
+    csv_digits,
 )
 
 MIN_BUCKET_SAMPLES = 1000
@@ -571,7 +573,7 @@ class EmpiricalStats:
     which flags_dependence reads; contexts_left_out and samples_left_out
     count the rest. A p-value is computed on its first read, and the first
     read of one whose dof is positive is the only step of a simulation that
-    loads scipy (scipy.special, about 25 MB), so that a caller can free the
+    loads scipy (scipy.special, about 25 MB), so that simulate frees the
     trace before it.
     """
 
@@ -653,14 +655,17 @@ def empirical_privacy_test(trace: SimTrace, delta: int) -> EmpiricalStats:
     return empirical_privacy_tests(trace, [delta])[0]
 
 
-def empirical_privacy_tests(trace: SimTrace, deltas: list) -> list:
-    """The EmpiricalStats of every gap bucket in deltas, in that order,
-    with all the buckets' contingency tables counted in one pass.
+def empirical_privacy_tests(trace: SimTrace, deltas: list | None = None) -> list:
+    """The EmpiricalStats of every gap bucket in deltas, in that order, or
+    by default of every bucket of at least MIN_BUCKET_SAMPLES steps, with
+    all the buckets' contingency tables counted in one pass.
 
     Raises:
         InsufficientSamples: fewer than 1000 steps have one of the gaps.
     """
-    sizes = np.bincount(trace.delta)
+    sizes = trace.gap_counts
+    if deltas is None:
+        deltas = np.flatnonzero(sizes >= MIN_BUCKET_SAMPLES).tolist()
     for delta in deltas:
         size = int(sizes[delta]) if 0 <= delta < len(sizes) else 0
         if size < MIN_BUCKET_SAMPLES:
@@ -850,3 +855,100 @@ def average_download_rate(trace: SimTrace) -> dict:
     counts, size_sums = trace.gap_counts.tolist(), trace.gap_size_sums.tolist()
     per_delta = {d: 1.0 / (s / c) for d, (c, s) in enumerate(zip(counts, size_sums))}
     return {"overall": 1.0 / (sum(size_sums) / trace.horizon), "per_delta": per_delta}
+
+
+def write_trace_csv(trace: SimTrace, fh) -> None:
+    """Write the per-step trace as CSV to the binary file fh, formatting
+    CSV_BLOCK_ROWS rows at a time, so the whole text is never held; the
+    columns the trace derives (f, tau, q_size, bytes, decode_ok) are
+    derived a block at a time too."""
+    fh.write(b"t,x,f,tau,delta,q_size,bytes,decode_ok\n")
+    for lo in range(0, trace.horizon, CSV_BLOCK_ROWS):
+        block = slice(lo, lo + CSV_BLOCK_ROWS)
+        delta = trace.delta[block]
+        t = np.arange(lo, lo + len(delta))
+        q_size = trace.query_sizes[trace.query_ids[block]]
+        fh.write(csv_digits([
+            t, trace.x[block], delta == 0, t - delta, delta,
+            q_size, q_size * trace.msg_len, trace.decodes(lo, lo + CSV_BLOCK_ROWS),
+        ]))
+
+
+class _PerGap(dict):
+    """A JSON object of one item per gap d of a run, keyed key(d) and
+    valued value(count, mean query size) from the gap's sample count and
+    query size sum, which holds no item: its items are made as they are
+    read, in the sorted order of their keys, as json.dumps(sort_keys=True)
+    writes them. The encoder that json.dumps takes without an indent reads
+    no item, and writes {}."""
+
+    def __init__(self, counts, sums, value, key=str):
+        self.counts, self.sums, self.value, self.key = counts, sums, value, key
+
+    def __len__(self):
+        return len(self.counts)
+
+    def items(self):
+        gaps = _text_order(len(self)) if self.key is str else range(len(self))
+        for d in gaps:
+            count = int(self.counts[d])
+            yield self.key(d), self.value(count, int(self.sums[d]) / count)
+
+
+def _text_order(size: int):
+    """0 .. size - 1 in the order of their decimal texts: a preorder walk
+    of the tree in which the children of d > 0 are 10 d .. 10 d + 9, since
+    a text sorts before the texts that extend it."""
+    if size > 0:
+        yield 0
+    stack = list(range(min(size, 10) - 1, 0, -1))
+    while stack:
+        d = stack.pop()
+        yield d
+        stack.extend(range(min(size, 10 * d + 10) - 1, 10 * d - 1, -1))
+
+
+def simulate(cfg: SimConfig, open_trace_csv=None) -> dict:
+    """Run cfg and return the statistics that `onoffpriv simulate` writes
+    as JSON. "pass" holds when no step failed to decode and no bucket of
+    MIN_BUCKET_SAMPLES steps or more looks dependent on the context.
+
+    open_trace_csv() is called, if given, once every statistic but the
+    p-values is known, so that a failed run opens no file, and the binary
+    file it returns gets the trace CSV. The p-values are read last, after
+    the trace is freed, since their first read loads scipy.special.
+    """
+    trace = run_simulation(cfg)
+    counts, size_sums = trace.gap_counts, trace.gap_size_sums
+    decode_failures = trace.decode_failures()
+    privacy = empirical_privacy_tests(trace)
+    stats = {
+        "n": trace.n,
+        "horizon": trace.horizon,
+        "seed": cfg.seed,
+        "schedule": cfg.schedule.spec_string(),
+        "msg_len": trace.msg_len,
+        "decode_failures": decode_failures,
+        "total_bytes": trace.total_bytes(),
+        "schemes_built": trace.schemes_built,
+        "schemes_reused": trace.schemes_reused,
+        # the rates of average_download_rate and the means of delta_buckets
+        "rates": {
+            "overall": 1.0 / (int(size_sums.sum()) / trace.horizon),
+            "per_delta": _PerGap(counts, size_sums, lambda c, mean: 1.0 / mean, int),
+        },
+        "delta_buckets": _PerGap(
+            counts, size_sums, lambda c, mean: {"count": c, "mean_q_size": mean}
+        ),
+        "composed_history": {
+            str(k): v for k, v in empirical_composed_history(trace).items()
+        },
+    }
+    if open_trace_csv is not None:
+        with open_trace_csv() as fh:
+            write_trace_csv(trace, fh)
+    del trace
+    stats["privacy"] = [s.to_json_obj() for s in privacy]
+    dependent = any(s.flags_dependence() for s in privacy)
+    stats["pass"] = decode_failures == 0 and not dependent
+    return stats

@@ -195,8 +195,9 @@ def section_text(s: SchemeDistribution) -> str:
 
 
 def reference_trace_csv(trace) -> str:
-    """The one-string trace CSV formatter that cli.write_trace_csv
-    replaced, kept as a reference: the text a trace file must hold."""
+    """The one-string trace CSV formatter that sim.write_trace_csv
+    replaced, kept as a reference: the text a trace file that sim.simulate
+    writes must hold."""
     header = ["t", "x", "f", "tau", "delta", "q_size", "bytes", "decode_ok"]
     columns = (
         np.arange(trace.horizon), trace.x, trace.flag, trace.tau, trace.delta,

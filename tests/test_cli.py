@@ -18,8 +18,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
-from onoffpriv import cli
-from onoffpriv.cli import main, write_trace_csv
+from onoffpriv import cli, sim
+from onoffpriv.cli import main
 from onoffpriv.markov import chain_to_dict, symmetric_chain
 from onoffpriv.scheme import COLUMNS, CSV_BLOCK_ROWS, SchemeDistribution, csv_digits
 from onoffpriv.sim import (
@@ -27,6 +27,7 @@ from onoffpriv.sim import (
     SimConfig,
     average_download_rate,
     run_simulation,
+    write_trace_csv,
 )
 
 from conftest import json_slots, reference_trace_csv, schema1_json_obj, section_text
@@ -820,20 +821,33 @@ class TestSimulateCommand:
         text = json.dumps(stats, indent=2, sort_keys=True) + "\n"
         assert out.read_text() == text
 
-    def test_rates_and_buckets_match_the_trace(self, capsys):
-        # a bernoulli run of a few dozen gaps, some past 10, so that the
-        # text order of the bucket keys differs from the gaps' order
-        argv = ["--schedule", "bernoulli:0.1", "--horizon", "3000", "--seed", "4"]
-        code, out, _ = run_cli(
-            capsys, "simulate", "--n", "3", "--alpha", "0.6", *argv
-        )
-        assert code == 0
-        stats = json.loads(out)
+    @settings(max_examples=12, deadline=None)
+    @given(
+        kind=hst.sampled_from(["periodic", "bernoulli", "explicit", "off-after-0"]),
+        p=hst.floats(min_value=0.0, max_value=1.0),
+        horizon=hst.integers(min_value=1, max_value=3000),
+        seed=hst.integers(min_value=0, max_value=2**32 - 1),
+    )
+    # a bernoulli run of a few dozen gaps, some past 10, so that the text
+    # order of the bucket keys differs from the gaps' order
+    @example(kind="bernoulli", p=0.1, horizon=3000, seed=4)
+    def test_rates_and_buckets_match_the_trace(self, kind, p, horizon, seed):
+        flags = np.random.default_rng(seed).random(horizon) < p
+        schedule = {
+            "periodic": f"periodic:{1 + int(40 * p)}",
+            "bernoulli": f"bernoulli:{p}",
+            "explicit": "explicit:1" + "".join(",%d" % f for f in flags[1:]),
+            "off-after-0": "off-after-0",
+        }[kind]
+        argv = ["--schedule", schedule, "--horizon", str(horizon), "--seed", str(seed)]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(["simulate", "--n", "3", "--alpha", "0.6", *argv])
+        assert code in (0, 1)
+        stats = json.loads(out.getvalue())
         trace = run_simulation(SimConfig(
-            chain=symmetric_chain(3, 0.6), schedule=PrivacySchedule.bernoulli(0.1),
-            horizon=3000, seed=4,
+            chain=symmetric_chain(3, 0.6), schedule=PrivacySchedule.parse(schedule),
+            horizon=horizon, seed=seed,
         ))
-        assert len(trace.gap_counts) > 11
         rates = average_download_rate(trace)
         assert stats["rates"]["overall"] == rates["overall"]
         assert list(stats["rates"]["per_delta"]) == [str(d) for d in rates["per_delta"]]
@@ -887,14 +901,17 @@ class TestSimulateCommand:
         "flags",
         [
             # 3 messages of this length over 5 steps wrap an int64
-            ["--msg-len", "4000000000000000000"],
-            ["--schedule", "explicit:1,0,2,1,1"],
-            ["--schedule", "explicit:1,0,-1,1,1"],
+            ["--n", "3", "--alpha", "0.6", "--msg-len", "4000000000000000000"],
+            ["--n", "3", "--alpha", "0.6", "--schedule", "explicit:1,0,2,1,1"],
+            ["--n", "3", "--alpha", "0.6", "--schedule", "explicit:1,0,-1,1,1"],
+            # a valid config whose run fails: the trace file is opened only
+            # once the run has succeeded
+            ["--chain", '{"rows": [[1.0, 0.0], [0.5, 0.5]]}'],
         ],
     )
     def test_unrepresentable_runs_are_config_errors(self, capsys, tmp_path, flags):
         code, out, err = run_cli(
-            capsys, "simulate", "--n", "3", "--alpha", "0.6", "--horizon", "5",
+            capsys, "simulate", "--horizon", "5",
             "--out", str(tmp_path / "trace.csv"), *flags,
         )
         assert (code, out) == (2, "")
@@ -938,15 +955,15 @@ class TestJsonWriter:
 
     @pytest.mark.parametrize("size", [0, 1, 9, 10, 11, 99, 100, 101, 1234, 20001])
     def test_text_order_sorts_the_decimal_texts(self, size):
-        order = list(cli._text_order(size))
+        order = list(sim._text_order(size))
         assert [str(d) for d in order] == sorted(str(d) for d in range(size))
 
     def test_a_per_gap_object_is_written_as_its_dict(self, tmp_path):
         counts, sums = np.array([3, 1, 2] * 5), np.array([7, 1, 5] * 5)
-        for key, value in ((str, lambda c, s: {"c": c, "m": s / c}), (int, divmod)):
-            lazy = cli._PerGap(counts, sums, value, key)
+        for key, value in ((str, lambda c, m: {"c": c, "m": m}), (int, divmod)):
+            lazy = sim._PerGap(counts, sums, value, key)
             plain = {
-                key(d): value(int(c), int(s))
+                key(d): value(int(c), int(s) / int(c))
                 for d, (c, s) in enumerate(zip(counts, sums))
             }
             obj = {"a": [1.5], "gaps": lazy, "z": {"gaps": lazy}}

@@ -609,10 +609,11 @@ def label_pairs(draw):
 
 
 def label_trace(delta, rows, cols, query_keys=None):
-    """A stand-in trace with the fields that _gap_tables reads: row labels
-    as query ids and column labels as contexts."""
+    """A stand-in trace with the fields that empirical_privacy_tests reads:
+    row labels as query ids and column labels as contexts."""
     return SimpleNamespace(
-        delta=delta, query_ids=rows, contexts=lambda lo, hi: cols[lo:hi],
+        delta=delta, gap_counts=np.bincount(delta), query_ids=rows,
+        contexts=lambda lo, hi: cols[lo:hi],
         query_keys=range(int(rows.max()) + 1) if query_keys is None else query_keys,
     )
 
@@ -881,6 +882,8 @@ class TestEmpiricalStats:
         with pytest.raises(InsufficientSamples, match="^gap 3 has 0 samples"):
             empirical_privacy_tests(trace, [0, 1, 3])
         assert empirical_privacy_tests(trace, []) == []
+        # by default, every bucket of at least MIN_BUCKET_SAMPLES steps
+        assert [s.delta for s in empirical_privacy_tests(trace)] == [0, 1, 2]
 
     @settings(max_examples=40, deadline=None)
     @given(
