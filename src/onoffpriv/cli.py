@@ -26,6 +26,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Mapping
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -46,8 +47,8 @@ from onoffpriv.markov import (
     symmetric_chain,
 )
 
-# scheme, verify, lp and sim, and csv and logging, are imported by the
-# commands that use them, so that a command compiles only the modules it runs
+# scheme, verify, lp and sim are imported by the commands that use them, so
+# that a command compiles only the modules it runs
 
 SYMMETRY_DETECT_TOL = 1e-12
 # the values of ONOFFPRIV_LOG, in any case; any other value means WARNING
@@ -60,26 +61,18 @@ class ConfigError(Exception):
     """Bad flags or malformed input; maps to exit code 2."""
 
 
-def _log_level() -> str:
-    level = os.environ.get("ONOFFPRIV_LOG", "").upper()
-    return level if level in LOG_LEVELS else "WARNING"
-
-
 def _log(level: str, msg: str, *args) -> None:
-    """Emit a record at level, one of LOG_LEVELS, when ONOFFPRIV_LOG lets it
-    through. The level is read before logging is imported, so that a
-    command that emits no record never imports it."""
-    if LOG_LEVELS.index(level) >= LOG_LEVELS.index(_log_level()):
-        getattr(_logger(), level.lower())(msg, *args)
-
-
-@functools.cache
-def _logger():
-    """The onoffpriv logger, configured from ONOFFPRIV_LOG on first use."""
-    import logging
-
-    logging.basicConfig(level=_log_level(), format="%(levelname)s %(message)s")
-    return logging.getLogger("onoffpriv")
+    """Write the record "LEVEL message" to stderr when level, one of
+    LOG_LEVELS, is at or above ONOFFPRIV_LOG's. A record that cannot be
+    written is dropped, as logging's handlers drop it, so that no record
+    ends a command."""
+    shown = os.environ.get("ONOFFPRIV_LOG", "").upper()
+    least = LOG_LEVELS.index(shown if shown in LOG_LEVELS else "WARNING")
+    if LOG_LEVELS.index(level) >= least:
+        record = f"{level} {msg % args}\n"
+        # sys.stderr is None when the process started with fd 2 closed
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            sys.stderr.write(record)
 
 
 def _load_chain(args) -> TransitionMatrix:
@@ -164,12 +157,14 @@ _ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
 
 def _json_chunks(obj, pad: str):
     """json.dumps(obj, indent=2, sort_keys=True) in chunks, with pad, a
-    newline and an indent, starting each line after the first. The dicts,
-    whose keys must be str or int, are walked here, so that a dict subclass
-    (simulate's per-gap sections) has its items written in its own order as
-    it makes them, and an item that is an int or a finite float is written
-    as its repr; any other value goes to the encoder."""
-    if not (isinstance(obj, dict) and obj):
+    newline and an indent, starting each line after the first. The maps,
+    whose keys must be str or int, are walked here: a plain dict in the
+    sorted order of its keys, and any other Mapping (simulate's per-gap
+    sections) in its own order, its items made as they are written. An item
+    that is an int or a finite float is written as its repr; any other value
+    goes to the encoder."""
+    # dict first: the check that a plain dict passes fastest
+    if not (isinstance(obj, (dict, Mapping)) and obj):
         for chunk in _ENCODER.iterencode(obj):
             yield chunk.replace("\n", pad)
         return

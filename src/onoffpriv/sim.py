@@ -16,6 +16,7 @@ chi-square contingency statistic.
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt
@@ -99,8 +100,10 @@ class PrivacySchedule:
     @classmethod
     def parse(cls, text: str) -> "PrivacySchedule":
         """Parse a schedule spec such as 'periodic:2' or 'explicit:1,0,1'."""
-        head, _, arg = text.partition(":")
+        head, colon, arg = text.partition(":")
         head = head.strip().lower()
+        if head in ("always-on", "off-after-0") and colon:
+            raise ValueError(f"{head} takes no argument, got {text!r}")
         if head == "always-on":
             return cls.always_on()
         if head == "off-after-0":
@@ -280,13 +283,10 @@ class SimTrace:
         )
 
     @property
-    def delta_buckets(self) -> dict:
-        return {
-            d: (count, size_sum / count)
-            for d, (count, size_sum) in enumerate(
-                zip(self.gap_counts.tolist(), self.gap_size_sums.tolist())
-            )
-        }
+    def delta_buckets(self) -> Mapping:
+        return _PerGap(
+            self.gap_counts, self.gap_size_sums, lambda c, mean: (c, mean), int
+        )
 
     def total_bytes(self) -> int:
         return self.msg_len * int(self.gap_size_sums.sum())
@@ -850,11 +850,14 @@ def average_download_rate(trace: SimTrace) -> dict:
 
     The rate is messages wanted per message downloaded, the inverse of the
     mean query size. The means divide Python ints, so that a size sum at
-    or above 2^53 is still rounded once.
+    or above 2^53 is still rounded once. per_delta maps each gap to its
+    rate, an item made as it is read.
     """
-    counts, size_sums = trace.gap_counts.tolist(), trace.gap_size_sums.tolist()
-    per_delta = {d: 1.0 / (s / c) for d, (c, s) in enumerate(zip(counts, size_sums))}
-    return {"overall": 1.0 / (sum(size_sums) / trace.horizon), "per_delta": per_delta}
+    sums = trace.gap_size_sums
+    return {
+        "overall": 1.0 / (int(sums.sum()) / trace.horizon),
+        "per_delta": _PerGap(trace.gap_counts, sums, lambda c, mean: 1.0 / mean, int),
+    }
 
 
 def write_trace_csv(trace: SimTrace, fh) -> None:
@@ -874,25 +877,45 @@ def write_trace_csv(trace: SimTrace, fh) -> None:
         ]))
 
 
-class _PerGap(dict):
-    """A JSON object of one item per gap d of a run, keyed key(d) and
-    valued value(count, mean query size) from the gap's sample count and
-    query size sum, which holds no item: its items are made as they are
-    read, in the sorted order of their keys, as json.dumps(sort_keys=True)
-    writes them. The encoder that json.dumps takes without an indent reads
-    no item, and writes {}."""
+class _PerGap(Mapping):
+    """A read-only map of one item per gap d of a run, keyed key(d), str or
+    int, and valued value(count, mean query size) from the gap's sample
+    count and query size sum. It holds no item: each is made as it is read.
+    Its keys come in the order json.dumps(sort_keys=True) writes them, and
+    items() makes each item once, in that order, without looking it up."""
 
     def __init__(self, counts, sums, value, key=str):
         self.counts, self.sums, self.value, self.key = counts, sums, value, key
+        self.order = _text_order if key is str else range
 
     def __len__(self):
         return len(self.counts)
 
+    def __iter__(self):
+        return map(self.key, self.order(len(self)))
+
+    def __getitem__(self, key):
+        try:
+            d = int(key)
+        except (TypeError, ValueError, OverflowError):
+            raise KeyError(key) from None
+        # int() also reads "01", " 1" and 1.5, which are no key
+        if not (0 <= d < len(self) and self.key(d) == key):
+            raise KeyError(key)
+        count = int(self.counts[d])
+        return self.value(count, int(self.sums[d]) / count)
+
     def items(self):
-        gaps = _text_order(len(self)) if self.key is str else range(len(self))
-        for d in gaps:
-            count = int(self.counts[d])
-            yield self.key(d), self.value(count, int(self.sums[d]) / count)
+        return _PerGapItems(self)
+
+
+class _PerGapItems(ItemsView):
+    def __iter__(self):
+        gaps = self._mapping
+        key, value, counts, sums = gaps.key, gaps.value, gaps.counts, gaps.sums
+        for d in gaps.order(len(gaps)):
+            count = int(counts[d])
+            yield key(d), value(count, int(sums[d]) / count)
 
 
 def _text_order(size: int):
@@ -919,7 +942,6 @@ def simulate(cfg: SimConfig, open_trace_csv=None) -> dict:
     the trace is freed, since their first read loads scipy.special.
     """
     trace = run_simulation(cfg)
-    counts, size_sums = trace.gap_counts, trace.gap_size_sums
     decode_failures = trace.decode_failures()
     privacy = empirical_privacy_tests(trace)
     stats = {
@@ -932,13 +954,10 @@ def simulate(cfg: SimConfig, open_trace_csv=None) -> dict:
         "total_bytes": trace.total_bytes(),
         "schemes_built": trace.schemes_built,
         "schemes_reused": trace.schemes_reused,
-        # the rates of average_download_rate and the means of delta_buckets
-        "rates": {
-            "overall": 1.0 / (int(size_sums.sum()) / trace.horizon),
-            "per_delta": _PerGap(counts, size_sums, lambda c, mean: 1.0 / mean, int),
-        },
+        "rates": average_download_rate(trace),
         "delta_buckets": _PerGap(
-            counts, size_sums, lambda c, mean: {"count": c, "mean_q_size": mean}
+            trace.gap_counts, trace.gap_size_sums,
+            lambda c, mean: {"count": c, "mean_q_size": mean},
         ),
         "composed_history": {
             str(k): v for k, v in empirical_composed_history(trace).items()

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
+import onoffpriv
 from onoffpriv import cli, sim
 from onoffpriv.cli import main
 from onoffpriv.markov import chain_to_dict, symmetric_chain
@@ -25,7 +26,6 @@ from onoffpriv.scheme import COLUMNS, CSV_BLOCK_ROWS, SchemeDistribution, csv_di
 from onoffpriv.sim import (
     PrivacySchedule,
     SimConfig,
-    average_download_rate,
     run_simulation,
     write_trace_csv,
 )
@@ -775,6 +775,18 @@ class TestLpCommand:
         assert "TooLarge" in err
 
 
+def reads_as(section, written, key):
+    """section answers every read as the JSON object written does, each of
+    whose keys key makes from its text."""
+    want = {key(k): v for k, v in written.items()}
+    assert len(section) == len(want)
+    assert list(section) == list(want)
+    assert all(k in section and section[k] == v for k, v in want.items())
+    assert dict(section) == want
+    assert list(section.items()) == list(want.items())
+    assert section == want and want == section
+
+
 class TestSimulateCommand:
     def test_stats_and_trace(self, capsys, tmp_path):
         trace_path = tmp_path / "trace.csv"
@@ -818,7 +830,7 @@ class TestSimulateCommand:
         assert code == 0
         stats = spy.call_args.args[0]
         assert len(stats["delta_buckets"]) == 3000
-        text = json.dumps(stats, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(stats, indent=2, sort_keys=True, default=dict) + "\n"
         assert out.read_text() == text
 
     @settings(max_examples=12, deadline=None)
@@ -844,16 +856,26 @@ class TestSimulateCommand:
             code = main(["simulate", "--n", "3", "--alpha", "0.6", *argv])
         assert code in (0, 1)
         stats = json.loads(out.getvalue())
-        trace = run_simulation(SimConfig(
+        cfg = SimConfig(
             chain=symmetric_chain(3, 0.6), schedule=PrivacySchedule.parse(schedule),
             horizon=horizon, seed=seed,
-        ))
-        rates = average_download_rate(trace)
-        assert stats["rates"]["overall"] == rates["overall"]
-        assert list(stats["rates"]["per_delta"]) == [str(d) for d in rates["per_delta"]]
-        assert list(stats["rates"]["per_delta"].values()) == list(
-            rates["per_delta"].values()
         )
+        trace = run_simulation(cfg)
+        # the library's result reads as the text the command wrote
+        lib = onoffpriv.simulate(cfg)
+        text = json.dumps(lib, indent=2, sort_keys=True, default=dict) + "\n"
+        assert text == out.getvalue()
+        with pytest.raises(TypeError):
+            json.dumps(lib)
+        buckets, per_delta = lib["delta_buckets"], lib["rates"]["per_delta"]
+        reads_as(buckets, stats["delta_buckets"], str)
+        reads_as(per_delta, stats["rates"]["per_delta"], int)
+        for key in ("01", " 1", "-1", str(len(buckets)), 1):
+            with pytest.raises(KeyError):
+                buckets[key]
+        for key in ("1", -1, len(per_delta)):
+            with pytest.raises(KeyError):
+                per_delta[key]
         assert list(stats["delta_buckets"]) == sorted(
             str(d) for d in trace.delta_buckets
         )
@@ -886,11 +908,13 @@ class TestSimulateCommand:
         assert out1 == out2
 
     def test_bad_schedule_is_a_config_error(self, capsys):
-        code, _, _ = run_cli(
-            capsys, "simulate", "--n", "3", "--alpha", "0.6",
-            "--schedule", "never", "--horizon", "10",
-        )
-        assert code == 2
+        # the two kinds that take no argument refuse one
+        for spec in ("never", "always-on:banana", "off-after-0:7"):
+            code, out, _ = run_cli(
+                capsys, "simulate", "--n", "3", "--alpha", "0.6",
+                "--schedule", spec, "--horizon", "10",
+            )
+            assert (code, out) == (2, ""), spec
 
     def test_requires_horizon(self, capsys):
         code, out, err = run_cli(capsys, "simulate", "--n", "3", "--alpha", "0.6")
@@ -972,7 +996,7 @@ class TestJsonWriter:
             text = json.dumps(want, indent=2, sort_keys=True) + "\n"
             assert (tmp_path / "out.json").read_text() == text
             assert len(lazy) == 15
-            assert json.dumps(obj, indent=2, sort_keys=True) + "\n" == text
+            assert json.dumps(obj, indent=2, sort_keys=True, default=dict) + "\n" == text
 
 
 class TestTraceCsv:
@@ -1203,6 +1227,17 @@ class TestLogging:
         code, _, err = run_fresh(*argv, log="info")
         assert code == 0
         assert err == "INFO lp has 6 variables, 7 rows\n"
+
+    def test_a_record_that_cannot_be_written_is_dropped(self):
+        # with fd 2 closed, sys.stderr is None: the warnings are dropped, and
+        # the table is written as ever
+        proc = subprocess.run(
+            ["sh", "-c", '"$0" -m onoffpriv.cli sweep-alpha --n 2 2>&-',
+             sys.executable],
+            env=fresh_env(), stdout=subprocess.PIPE, text=True, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == run_fresh("sweep-alpha", "--n", "2")[1]
 
     @pytest.mark.parametrize("value", ["basic_format", "_styles", "bogus", "5", ""])
     def test_a_value_that_is_no_level_name_means_warning(self, value):

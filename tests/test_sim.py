@@ -122,8 +122,11 @@ class TestPrivacySchedule:
         assert PrivacySchedule.parse("explicit:1,0,1").flags == (True, False, True)
 
     def test_parse_rejects_unknown(self):
-        # off-after-0 has one spelling
-        for spec in ("sometimes", "always-off-after-0"):
+        # off-after-0 has one spelling, and neither it nor always-on takes
+        # an argument
+        for spec in (
+            "sometimes", "always-off-after-0", "always-on:banana", "off-after-0:7"
+        ):
             with pytest.raises(ValueError):
                 PrivacySchedule.parse(spec)
 
