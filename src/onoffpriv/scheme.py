@@ -363,11 +363,9 @@ def build_scheme(profile: ThetaProfile, cond: ConditionalTable) -> SchemeDistrib
             edges = np.concatenate(([0.0], cuts, [need]))
             widths = np.diff(edges)
             # each row names the state whose interval holds a segment's left
-            # edge; a row short by up to EXTRACTION_TOL names its last
-            cols = np.empty((ell - 1, widths.size), dtype=np.int64)
-            for i, r in enumerate(rel):
-                cols[i] = np.searchsorted(r, edges[:-1], side="right")
-            cols = np.minimum(cols, n - 1).T
+            # edge, the count of its boundaries at or below that edge; a row
+            # short by up to EXTRACTION_TOL names its last
+            cols = np.minimum((rel <= edges[:-1, None, None]).sum(axis=2), n - 1)
             qids = [
                 ids.setdefault(tuple(sorted((x, *z))), len(ids)) for z in cols.tolist()
             ]

@@ -324,16 +324,14 @@ def _sample_path(P: TransitionMatrix, length: int, rng) -> np.ndarray:
     more from its start: about 2L + B Python steps instead of one a step.
     """
     n = P.n
-    initial = np.full(n, 1.0 / n)
     start = rng.random(1)[0]
-    first = min(int(np.searchsorted(np.cumsum(initial), start, "right")), n - 1)
+    first = int((np.cumsum(np.full(n, 1.0 / n))[:-1] <= start).sum())
     cum = np.cumsum(P.entries, axis=1)[:, :-1]
     edges = np.sort(cum, axis=None)
-    # table[c * n + s]: the state after s on a draw in cell c
-    table = np.zeros((len(edges) + 1, n), dtype=np.intp)
-    for s, row in enumerate(cum):
-        table[1:, s] = np.searchsorted(row, edges, "right")
-    table = table.ravel()
+    # table[c * n + s]: the state after s on a draw in cell c, whose lower
+    # end is -inf for c = 0 and edges[c - 1] after
+    lower = np.concatenate(([-np.inf], edges))
+    table = (cum <= lower[:, None, None]).sum(axis=2).ravel()
 
     steps = length - 1
     L = max(1, isqrt(steps // n))

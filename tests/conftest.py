@@ -389,27 +389,6 @@ def distribution_cases(draw, size: int):
     return vector, valid
 
 
-@pytest.fixture(autouse=True)
-def dict_entries_for_the_release_gate(request, monkeypatch):
-    """Lend test_acceptance.py, the release gate, the dict form it was
-    written against: `s.entries` and `SchemeDistribution(..., entries=...)`.
-    The gate stays as written; every other test reads the columns."""
-    if request.path.name != "test_acceptance.py":
-        return
-    columns_init = SchemeDistribution.__init__
-
-    def init(self, n, delta, form, *columns, entries=None):
-        if entries is not None:
-            made = scheme_from_entries(n, delta, form, entries)
-            columns = (made.queries, made.q, made.x, made.u, made.mass)
-        columns_init(self, n, delta, form, *columns)
-
-    monkeypatch.setattr(SchemeDistribution, "__init__", init)
-    monkeypatch.setattr(
-        SchemeDistribution, "entries", property(entries_of), raising=False
-    )
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_chain
+from conftest import entries_of, random_chain, scheme_from_entries
 from onoffpriv.bounds import (
     closed_form_symmetric,
     rate_inner,
@@ -308,10 +308,10 @@ def test_criterion_8_end_to_end_simulation_with_fault_injection(announce):
     # shift 0.1 probability mass between two queries of one context: the
     # marginals survive, so only the frequency test can catch it
     honest = build_scheme_for_gap(P, 1)
-    entries = dict(honest.entries)
+    entries = entries_of(honest)
     entries[((0, 1, 2), 0, 0)] -= 0.1
     entries[((0,), 0, 0)] = entries.get(((0,), 0, 0), 0.0) + 0.1
-    bad = honest.__class__(n=3, delta=1, form="set", entries=entries)
+    bad = scheme_from_entries(3, 1, "set", entries)
     faulty = run_simulation(cfg, scheme_overrides={1: bad})
     assert faulty.decode_ok.all()
     fault_stats = empirical_privacy_test(faulty, 1)

@@ -1315,6 +1315,27 @@ class TestTopLevel:
         assert main([command, "--help"]) == 0
         assert written_as in " ".join(capsys.readouterr().out.split())
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--n", "3", "--alpha", "0.6", "--schedule", "off-after-0",
+             "--horizon", "3000"],
+            ["bounds", "--n", "3", "--alpha", "0.6", "--delta-max", "3000"],
+        ],
+    )
+    def test_a_reader_that_stops_early_is_no_error(self, argv):
+        # each writes hundreds of kB, more than a pipe holds, so the writer
+        # is still writing when the reader closes its end
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "onoffpriv.cli", *argv], env=fresh_env(),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=120), err) == (141, b"")
+
     def test_help_exits_cleanly(self, capsys):
         assert main(["--help"]) == 0
         out = capsys.readouterr().out
