@@ -21,9 +21,9 @@ import importlib
 _EXPORTS = {
     "markov": (
         "ConditionalTable", "SymmetricSigmas", "TransitionMatrix",
-        "ZeroContextProbability", "chain_from_dict", "chain_to_dict",
-        "conditional_table", "matrix_power", "matrix_powers",
-        "symmetric_chain", "symmetric_sigmas", "u_index", "u_pair",
+        "ZeroContextProbability", "chain_from_dict", "conditional_table",
+        "matrix_power", "matrix_powers", "symmetric_chain", "symmetric_sigmas",
+        "u_index", "u_pair",
     ),
     "bounds": (
         "NegativeTheta", "OutOfRegime", "ThetaProfile", "WrongArity",

@@ -321,8 +321,3 @@ def chain_from_dict(spec) -> TransitionMatrix:
     if "n" in spec and as_index(spec["n"], "n") != rows.shape[0]:
         raise ValueError("declared n does not match row count")
     return TransitionMatrix(rows)
-
-
-def chain_to_dict(P: TransitionMatrix) -> dict:
-    """JSON representation of a chain; inverse of chain_from_dict."""
-    return {"n": P.n, "rows": P.entries.tolist()}

@@ -169,6 +169,8 @@ class SimConfig:
             raise ValueError("horizon must be at least 1")
         if self.msg_len < 1:
             raise ValueError("messages need at least 1 byte")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         # a step downloads at most n messages, so every per-step byte count
         # and their sum over the run fit in an int64 below this bound
         if self.chain.n * self.msg_len * self.horizon >= 2**63:
@@ -188,19 +190,18 @@ class SimTrace:
     query_ids, in the narrowest unsigned dtype that holds
     len(query_keys) - 1. query_keys holds the queries of the run's schemes,
     sorted, each a sorted member tuple, and query_ids[t] indexes the query
-    of step t in it; queries lists those keys step by step.
+    of step t in it; query_sizes and query_names give each key's member
+    count and members.
 
-    The other per-step arrays are derived from them on each read: x (the
-    view path[:-1]), flag (delta == 0), tau (t - delta), u (the context
-    path[tau] * n + path[t + 1]), q_size (the member count of each step's
-    query), bytes_down (q_size * msg_len) and decode_ok (whether the query
-    names x). contexts and decodes derive u and decode_ok over a range of
-    steps. gap_counts[d] and gap_size_sums[d] are the number of steps with
-    gap d and the sum of their query sizes; delta_buckets maps each
-    observed gap to (sample count, mean query size). schemes_built counts
-    the per-gap schemes constructed; schemes_reused counts the honest gaps
-    that took an earlier gap's scheme because matrix_powers gave them that
-    gap's power of the chain, held or in a cycle.
+    x is the view path[:-1] and flag is delta == 0. contexts and decodes
+    derive, over a range of steps, the context u = path[tau] * n +
+    path[t + 1] and whether the query names x; write_trace_csv alone
+    derives tau, the query size and the bytes of every step. gap_counts[d]
+    and gap_size_sums[d] are the number of steps with gap d and the sum of
+    their query sizes. schemes_built counts the per-gap schemes
+    constructed; schemes_reused counts the honest gaps that took an earlier
+    gap's scheme because matrix_powers gave them that gap's power of the
+    chain, held or in a cycle.
     """
 
     n: int
@@ -217,12 +218,6 @@ class SimTrace:
     @property
     def horizon(self) -> int:
         return self.delta.shape[0]
-
-    @cached_property
-    def queries(self) -> list:
-        """The sampled query of every step, as its member tuple."""
-        keys = self.query_keys
-        return [keys[i] for i in self.query_ids.tolist()]
 
     @cached_property
     def query_sizes(self) -> np.ndarray:
@@ -244,34 +239,14 @@ class SimTrace:
     def flag(self) -> np.ndarray:
         return self.delta == 0
 
-    @property
-    def tau(self) -> np.ndarray:
-        return np.arange(self.horizon) - self.delta
-
-    @property
-    def u(self) -> np.ndarray:
-        return self.contexts()
-
-    @property
-    def q_size(self) -> np.ndarray:
-        return self.query_sizes[self.query_ids]
-
-    @property
-    def bytes_down(self) -> np.ndarray:
-        return self.q_size * self.msg_len
-
-    @property
-    def decode_ok(self) -> np.ndarray:
-        return self.decodes()
-
     def contexts(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """u of the steps lo..hi - 1, as a slice bounds them."""
         return _contexts(self.path, self.delta, self.n, lo, hi)
 
     def decodes(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """decode_ok of the steps lo..hi - 1, as a slice bounds them: the
-        server answers exactly the queried messages, so the client decodes
-        its wanted message iff the query names it."""
+        """Whether each step lo..hi - 1, as a slice bounds them, decodes:
+        the server answers exactly the queried messages, so the client
+        decodes its wanted message iff the query names it."""
         return self.query_names[self.query_ids[lo:hi], self.x[lo:hi]]
 
     def decode_failures(self) -> int:
@@ -280,12 +255,6 @@ class SimTrace:
         return sum(
             int(np.count_nonzero(~self.decodes(lo, lo + DRAW_BLOCK_STEPS)))
             for lo in range(0, self.horizon, DRAW_BLOCK_STEPS)
-        )
-
-    @property
-    def delta_buckets(self) -> Mapping:
-        return _PerGap(
-            self.gap_counts, self.gap_size_sums, lambda c, mean: (c, mean), int
         )
 
     def total_bytes(self) -> int:
@@ -861,7 +830,7 @@ def average_download_rate(trace: SimTrace) -> dict:
 def write_trace_csv(trace: SimTrace, fh) -> None:
     """Write the per-step trace as CSV to the binary file fh, formatting
     CSV_BLOCK_ROWS rows at a time, so the whole text is never held; the
-    columns the trace derives (f, tau, q_size, bytes, decode_ok) are
+    columns the trace does not store (f, tau, q_size, bytes, decode_ok) are
     derived a block at a time too."""
     fh.write(b"t,x,f,tau,delta,q_size,bytes,decode_ok\n")
     for lo in range(0, trace.horizon, CSV_BLOCK_ROWS):

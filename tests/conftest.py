@@ -13,9 +13,7 @@ from onoffpriv.markov import (
     ConditionalTable, SymmetricSigmas, TransitionMatrix, as_index, as_number,
     u_index,
 )
-from onoffpriv.scheme import (
-    COLUMNS, CSV_BLOCK_ROWS, SchemeDistribution, ZeroLikelihoodContext,
-)
+from onoffpriv.scheme import COLUMNS, SchemeDistribution, ZeroLikelihoodContext
 from onoffpriv.sim import MIN_BUCKET_SAMPLES
 
 
@@ -194,21 +192,25 @@ def section_text(s: SchemeDistribution) -> str:
     return buf.getvalue()
 
 
+def reference_steps(trace):
+    """Every step's (t, x, tau, delta, query id, u), derived one step at a
+    time in plain Python from the arrays the trace stores."""
+    path, n = trace.path.tolist(), trace.n
+    for t, (d, i) in enumerate(zip(trace.delta.tolist(), trace.query_ids.tolist())):
+        tau = t - d
+        yield t, path[t], tau, d, i, path[tau] * n + path[t + 1]
+
+
 def reference_trace_csv(trace) -> str:
-    """The one-string trace CSV formatter that sim.write_trace_csv
-    replaced, kept as a reference: the text a trace file that sim.simulate
-    writes must hold."""
-    header = ["t", "x", "f", "tau", "delta", "q_size", "bytes", "decode_ok"]
-    columns = (
-        np.arange(trace.horizon), trace.x, trace.flag, trace.tau, trace.delta,
-        trace.q_size, trace.bytes_down, trace.decode_ok,
-    )
-    row_fmt = ",".join(["%d"] * len(header)) + "\n"
-    parts = [",".join(header) + "\n"]
-    for lo in range(0, trace.horizon, CSV_BLOCK_ROWS):
-        block = np.column_stack([c[lo : lo + CSV_BLOCK_ROWS] for c in columns])
-        parts.append(row_fmt * len(block) % tuple(block.ravel().tolist()))
-    return "".join(parts)
+    """The text a trace file that sim.simulate writes must hold, one row
+    a step from reference_steps."""
+    keys = trace.query_keys
+    rows = [
+        f"{t},{x},{int(d == 0)},{tau},{d},{len(keys[i])},"
+        f"{len(keys[i]) * trace.msg_len},{int(x in keys[i])}\n"
+        for t, x, tau, d, i, _ in reference_steps(trace)
+    ]
+    return "t,x,f,tau,delta,q_size,bytes,decode_ok\n" + "".join(rows)
 
 
 def reference_gap_table(trace, delta: int):
@@ -216,11 +218,7 @@ def reference_gap_table(trace, delta: int):
     ids and the contexts of its steps, each sorted, and the float table of
     their pair counts in that order."""
     pairs = Counter(
-        (q, u)
-        for d, q, u in zip(
-            trace.delta.tolist(), trace.query_ids.tolist(), trace.u.tolist()
-        )
-        if d == delta
+        (q, u) for _, _, _, d, q, u in reference_steps(trace) if d == delta
     )
     qids = sorted({q for q, _ in pairs})
     contexts = sorted({u for _, u in pairs})

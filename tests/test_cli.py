@@ -21,7 +21,7 @@ from hypothesis import strategies as hst
 import onoffpriv
 from onoffpriv import cli, sim
 from onoffpriv.cli import main
-from onoffpriv.markov import chain_to_dict, symmetric_chain
+from onoffpriv.markov import symmetric_chain
 from onoffpriv.scheme import COLUMNS, CSV_BLOCK_ROWS, SchemeDistribution, csv_digits
 from onoffpriv.sim import (
     PrivacySchedule,
@@ -189,8 +189,8 @@ class TestChainLoading:
         self, form, mutation, pick, value, command
     ):
         obj = (
-            chain_to_dict(symmetric_chain(3, 0.6)) if form == "rows"
-            else {"symmetric": {"n": 3, "alpha": 0.6}}
+            {"n": 3, "rows": symmetric_chain(3, 0.6).entries.tolist()}
+            if form == "rows" else {"symmetric": {"n": 3, "alpha": 0.6}}
         )
         if mutation == "wrap":
             obj = [obj]
@@ -646,7 +646,8 @@ class TestSchemeAndVerifyCommands:
             chain, what = {"symmetric": {"n": 3, "alpha": 0.6}}, "scheme file"
         else:
             obj = None
-            chain, what = chain_to_dict(symmetric_chain(3, 0.6)), "chain spec"
+            chain = {"n": 3, "rows": symmetric_chain(3, 0.6).entries.tolist()}
+            what = "chain spec"
             if where == "alpha":
                 chain = {"symmetric": {"n": 3, "alpha": spoil(0.6)}}
             else:
@@ -736,7 +737,7 @@ class TestSchemeAndVerifyCommands:
         elif field in ("n", "delta"):
             form[field] = bad
         elif field == "chain n":
-            chain = chain_to_dict(symmetric_chain(3, 0.6))
+            chain = {"n": 3, "rows": symmetric_chain(3, 0.6).entries.tolist()}
             chain["n"] = bad
         else:
             chain["symmetric"]["n"] = bad
@@ -876,14 +877,13 @@ class TestSimulateCommand:
         for key in ("1", -1, len(per_delta)):
             with pytest.raises(KeyError):
                 per_delta[key]
-        assert list(stats["delta_buckets"]) == sorted(
-            str(d) for d in trace.delta_buckets
-        )
-        for d, (count, mean) in trace.delta_buckets.items():
+        counts, sums = trace.gap_counts.tolist(), trace.gap_size_sums.tolist()
+        assert list(stats["delta_buckets"]) == sorted(map(str, range(len(counts))))
+        for d, (count, size_sum) in enumerate(zip(counts, sums)):
             assert stats["delta_buckets"][str(d)] == {
-                "count": count, "mean_q_size": mean
+                "count": count, "mean_q_size": size_sum / count
             }
-        assert stats["decode_failures"] == int((~trace.decode_ok).sum())
+        assert stats["decode_failures"] == int((~trace.decodes()).sum())
 
     def test_the_statistics_text_is_never_held_whole(self, tmp_path):
         # few keys, so that the encoder's own sorted items stay small
@@ -920,6 +920,14 @@ class TestSimulateCommand:
         code, out, err = run_cli(capsys, "simulate", "--n", "3", "--alpha", "0.6")
         assert (code, out) == (2, "")
         assert "error: the following arguments are required: --horizon" in err
+
+    def test_a_negative_seed_is_a_config_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--n", "3", "--alpha", "0.6", "--horizon", "10",
+            "--seed", "-1",
+        )
+        assert (code, out) == (2, "")
+        assert "error: ValueError: seed must be non-negative, got -1" in err
 
     @pytest.mark.parametrize(
         "flags",
@@ -1038,7 +1046,8 @@ class TestTraceCsv:
             schedule=PrivacySchedule.parse(schedule),
             horizon=horizon, msg_len=msg_len, seed=seed,
         ))
-        assert trace.total_bytes() == msg_len * sum(trace.q_size.tolist())
+        sizes = [len(trace.query_keys[i]) for i in trace.query_ids.tolist()]
+        assert trace.total_bytes() == msg_len * sum(sizes)
         buf = io.BytesIO()
         write_trace_csv(trace, buf)
         assert buf.getvalue() == reference_trace_csv(trace).encode()

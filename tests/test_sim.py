@@ -45,8 +45,6 @@ from conftest import (
     scheme_from_entries,
 )
 
-TRACE_ARRAYS = ("x", "flag", "tau", "delta", "u", "q_size", "bytes_down", "decode_ok")
-
 
 def reference_run(cfg, scheme_overrides=None):
     """The protocol one step at a time, with a fresh scheme per gap: the
@@ -74,15 +72,15 @@ def reference_run(cfg, scheme_overrides=None):
         ids, cum = mass_by_context(schemes[delta], x[t], u)
         j = int(np.searchsorted(cum, query_rng.random() * cum[-1], side="right"))
         q = schemes[delta].queries[ids[min(j, len(ids) - 1)]]
-        rows.append((x[t], tau, delta, u, len(q), len(q) * cfg.msg_len, x[t] in q))
+        rows.append((x[t], delta, u, x[t] in q))
         queries.append(q)
         agg = buckets.setdefault(delta, [0, 0])
         agg[0] += 1
         agg[1] += len(q)
-    cols = np.array(rows, dtype=np.int64).reshape(T, 7).T
-    arrays = dict(zip(("x", "tau", "delta", "u", "q_size", "bytes_down"), cols))
-    arrays.update(flag=flags, decode_ok=cols[6].astype(bool))
-    return arrays, queries, {d: (c, s / c) for d, (c, s) in buckets.items()}
+    cols = np.array(rows, dtype=np.int64).reshape(T, 4).T
+    arrays = dict(zip(("x", "delta", "contexts"), cols))
+    arrays.update(flag=flags, decodes=cols[3].astype(bool))
+    return arrays, queries, [tuple(buckets[d]) for d in range(len(buckets))]
 
 
 def reference_flags(schedule, horizon, rng):
@@ -100,6 +98,11 @@ def reference_flags(schedule, horizon, rng):
         out = np.arange(horizon) % schedule.period == 0
     out[0] = True
     return out
+
+
+def query_sizes(trace):
+    """The member count of every step's query."""
+    return np.array([len(trace.query_keys[i]) for i in trace.query_ids.tolist()])
 
 
 def run(n=3, alpha=0.6, schedule="periodic:2", horizon=4000, seed=5, **kw):
@@ -211,10 +214,10 @@ class TestRunSimulation:
         a = run(horizon=500, seed=11)
         b = run(horizon=500, seed=11)
         assert np.array_equal(a.x, b.x)
-        assert np.array_equal(a.q_size, b.q_size)
-        assert a.queries == b.queries
+        assert a.query_keys == b.query_keys
+        assert a.query_ids.tobytes() == b.query_ids.tobytes()
         c = run(horizon=500, seed=12)
-        assert not np.array_equal(a.q_size, c.q_size)
+        assert not np.array_equal(query_sizes(a), query_sizes(c))
 
     def test_request_path_ignores_the_schedule(self):
         a = run(horizon=300, seed=9, schedule="always-on")
@@ -223,30 +226,31 @@ class TestRunSimulation:
 
     def test_always_on_downloads_everything(self):
         trace = run(horizon=100, schedule="always-on")
-        assert set(trace.q_size.tolist()) == {3}
-        assert trace.decode_ok.all()
+        assert set(query_sizes(trace).tolist()) == {3}
+        assert trace.decodes().all()
         assert average_download_rate(trace)["overall"] == pytest.approx(1 / 3)
 
     def test_uniform_chain_downloads_singletons_when_off(self):
         trace = run(alpha=1 / 3, horizon=200, schedule="off-after-0")
-        assert trace.q_size[0] == 3  # flag on at the first step
-        assert set(trace.q_size[1:].tolist()) == {1}
-        assert trace.decode_ok.all()
+        sizes = query_sizes(trace)
+        assert sizes[0] == 3  # flag on at the first step
+        assert set(sizes[1:].tolist()) == {1}
+        assert trace.decodes().all()
 
     def test_gap_counter_follows_the_flags(self):
         trace = run(horizon=20, schedule="periodic:4")
         assert np.array_equal(trace.delta, np.arange(20) % 4)
-        assert np.array_equal(trace.tau, np.arange(20) - np.arange(20) % 4)
+        assert np.array_equal(trace.flag, np.arange(20) % 4 == 0)
 
     def test_every_query_contains_the_request(self):
         trace = run(horizon=2000, schedule="bernoulli:0.3", seed=3)
-        assert trace.decode_ok.all()
-        for t, q in enumerate(trace.queries):
-            assert int(trace.x[t]) in q
+        assert trace.decodes().all()
+        for t, i in enumerate(trace.query_ids.tolist()):
+            assert int(trace.x[t]) in trace.query_keys[i]
 
     def test_bytes_scale_with_message_length(self):
         trace = run(horizon=50, msg_len=32)
-        assert np.array_equal(trace.bytes_down, trace.q_size * 32)
+        assert trace.total_bytes() == 32 * int(query_sizes(trace).sum())
 
     def test_requires_strict_positivity(self):
         cfg = SimConfig(
@@ -271,9 +275,9 @@ class TestRunSimulation:
             seed=2,
         )
         trace = run_simulation(cfg, scheme_overrides={1: bad})
-        failures = int((~trace.decode_ok).sum())
+        failures = trace.decode_failures()
         assert failures > 0
-        mask = (trace.delta == 1) & (trace.x == 0) & (trace.u == 0)
+        mask = (trace.delta == 1) & (trace.x == 0) & (trace.contexts() == 0)
         assert failures == int(mask.sum())
 
     def test_config_validation(self):
@@ -286,6 +290,17 @@ class TestRunSimulation:
                 schedule=PrivacySchedule.always_on(),
                 horizon=5,
                 msg_len=0,
+            )
+        with pytest.raises(ValueError, match="seed"):
+            SimConfig(chain=P, schedule=PrivacySchedule.always_on(), horizon=5, seed=-1)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=hst.integers(max_value=-1))
+    def test_a_negative_seed_is_refused(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be non-negative, got {seed}"):
+            SimConfig(
+                chain=symmetric_chain(3, 0.6), schedule=PrivacySchedule.always_on(),
+                horizon=5, seed=seed,
             )
 
 
@@ -371,12 +386,16 @@ class TestSeedContract:
         with mock.patch.object(sim, "DRAW_BLOCK_STEPS", block or DRAW_BLOCK_STEPS):
             trace = run_simulation(cfg, scheme_overrides=swapped)
         arrays, queries, buckets = reference_run(cfg, scheme_overrides=swapped)
-        for name in TRACE_ARRAYS:
-            got = getattr(trace, name)
-            assert got.dtype == arrays[name].dtype, name
-            assert np.array_equal(got, arrays[name]), name
-        assert trace.queries == queries
-        assert list(trace.delta_buckets.items()) == list(buckets.items())
+        got = {
+            "x": trace.x, "flag": trace.flag, "delta": trace.delta,
+            "contexts": trace.contexts(), "decodes": trace.decodes(),
+        }
+        for name, want in arrays.items():
+            assert got[name].dtype == want.dtype, name
+            assert np.array_equal(got[name], want), name
+        assert [trace.query_keys[i] for i in trace.query_ids.tolist()] == queries
+        sums = trace.gap_size_sums.tolist()
+        assert list(zip(trace.gap_counts.tolist(), sums)) == buckets
 
     def test_long_off_runs_build_a_bounded_number_of_schemes(self):
         # one gap per step: each chain's power is held once it has mixed,
@@ -409,9 +428,9 @@ class TestSeedContract:
             chain=P, schedule=PrivacySchedule.periodic(60), horizon=30000, seed=1
         )
         trace = run_simulation(cfg, scheme_overrides={50: bad})
-        hit = (trace.delta == 50) & (trace.x == 0) & (trace.u == 0)
+        hit = (trace.delta == 50) & (trace.x == 0) & (trace.contexts() == 0)
         assert hit.sum() > 0
-        assert np.array_equal(~trace.decode_ok, hit)
+        assert np.array_equal(~trace.decodes(), hit)
 
 
 @hst.composite
@@ -569,7 +588,7 @@ class TestDrawQueries:
         honest = run_simulation(cfg)
         # the (request, context) pair of gap 1 that occurs first the latest
         gap1 = np.flatnonzero(honest.delta == 1)
-        pairs = list(zip(honest.x[gap1].tolist(), honest.u[gap1].tolist()))
+        pairs = list(zip(honest.x[gap1].tolist(), honest.contexts()[gap1].tolist()))
         first_step = {}
         for t, pair in zip(gap1.tolist(), pairs):
             first_step.setdefault(pair, t)
@@ -861,10 +880,7 @@ class TestEmpiricalStats:
             seed=seed,
         )
         trace = run_simulation(cfg)
-        tested = [
-            d for d, (count, _) in sorted(trace.delta_buckets.items())
-            if count >= MIN_BUCKET_SAMPLES
-        ]
+        tested = np.flatnonzero(trace.gap_counts >= MIN_BUCKET_SAMPLES).tolist()
         assume(tested)
         got = empirical_privacy_tests(trace, tested)
         assert [stats.delta for stats in got] == tested
@@ -984,8 +1000,7 @@ class TestAverageRate:
             query_ids=np.zeros(count, dtype=np.uint8), query_keys=[(0, 1, 2)],
             gap_counts=np.array([count]), gap_size_sums=np.array([size_sum]),
         )
-        assert trace.flag.all() and trace.decode_ok.all()
-        assert trace.delta_buckets == {0: (count, size_sum / count)}
+        assert trace.flag.all() and trace.decodes().all()
         rates = average_download_rate(trace)
         assert rates["per_delta"] == {0: 1.0 / (size_sum / count)}
         assert rates["overall"] == 1.0 / (size_sum / count)
@@ -1006,9 +1021,8 @@ def test_the_trace_stores_17_bytes_a_step():
 def test_trace_exposes_consistent_lengths():
     trace = run(horizon=123)
     assert isinstance(trace, SimTrace)
-    for arr in (trace.x, trace.flag, trace.tau, trace.delta, trace.u,
-                trace.q_size, trace.bytes_down, trace.decode_ok):
+    for arr in (trace.x, trace.flag, trace.delta, trace.query_ids,
+                trace.contexts(), trace.decodes()):
         assert arr.shape == (123,)
-    assert len(trace.queries) == 123
     assert trace.horizon == 123
-    assert trace.total_bytes() == int(trace.bytes_down.sum())
+    assert trace.total_bytes() == trace.msg_len * int(query_sizes(trace).sum())
