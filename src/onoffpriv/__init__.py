@@ -20,10 +20,9 @@ import importlib
 # only the modules it runs
 _EXPORTS = {
     "markov": (
-        "ConditionalTable", "SymmetricSigmas", "TransitionMatrix",
-        "ZeroContextProbability", "chain_from_dict", "conditional_table",
-        "matrix_power", "matrix_powers", "symmetric_chain", "symmetric_sigmas",
-        "u_index", "u_pair",
+        "ConditionalTable", "TransitionMatrix", "ZeroContextProbability",
+        "chain_from_dict", "conditional_table", "matrix_power", "matrix_powers",
+        "symmetric_chain", "symmetric_sigmas", "u_index", "u_pair",
     ),
     "bounds": (
         "NegativeTheta", "OutOfRegime", "ThetaProfile", "WrongArity",

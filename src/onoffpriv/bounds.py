@@ -136,8 +136,7 @@ def closed_form_symmetric(n: int, alpha: float, delta: int) -> float:
         raise OutOfRegime(f"requires alpha >= 1/n, got alpha={alpha}, n={n}")
     if delta == 0:
         return float(n)
-    s = symmetric_sigmas(n, alpha, delta)
-    return n * s.sigma1
+    return n * symmetric_sigmas(n, alpha, delta)[0]
 
 
 def closed_form_small_alpha(
@@ -158,11 +157,11 @@ def closed_form_small_alpha(
         raise OutOfRegime(f"requires alpha < 1/n, got alpha={alpha}, n={n}")
     if delta == 0:
         return float(n), float(n)
-    s = symmetric_sigmas(n, alpha, delta)
+    s1, s2, s3, _, s5 = symmetric_sigmas(n, alpha, delta)
     if delta % 2 == 0:
-        inv_outer = n * s.sigma2
-        inv_inner = n * s.sigma3 + n - n * n * s.sigma3
+        inv_outer = n * s2
+        inv_inner = n * s3 + n - n * n * s3
     else:
-        inv_outer = n * s.sigma5
-        inv_inner = s.sigma3 * (2 * n - n * n) - n * s.sigma1 + n
+        inv_outer = n * s5
+        inv_inner = s3 * (2 * n - n * n) - n * s1 + n
     return float(inv_outer), float(inv_inner)

@@ -133,30 +133,6 @@ class ConditionalTable:
         return self.n * self.n
 
 
-@dataclass(frozen=True)
-class SymmetricSigmas:
-    """The five distinct likelihood values of a symmetric chain.
-
-    For a symmetric chain, p(x | u) with u = (xtau, xnext) takes only five
-    values, determined by the equality pattern among xtau, x, and xnext:
-
-        sigma1: xtau = x = xnext
-        sigma2: xtau = x, x != xnext
-        sigma3: xtau != x, x = xnext
-        sigma4: xtau = xnext, x different
-        sigma5: all three distinct (needs n >= 3)
-    """
-
-    n: int
-    alpha: float
-    delta: int
-    sigma1: float
-    sigma2: float
-    sigma3: float
-    sigma4: float
-    sigma5: float
-
-
 def symmetric_chain(n: int, alpha: float) -> TransitionMatrix:
     """Chain that stays put with probability alpha, else moves uniformly.
 
@@ -250,8 +226,18 @@ def conditional_table(
     return ConditionalTable(n=n, delta=delta, values=values)
 
 
-def symmetric_sigmas(n: int, alpha: float, delta: int) -> SymmetricSigmas:
+def symmetric_sigmas(n: int, alpha: float, delta: int) -> tuple:
     """Closed-form likelihood values for a symmetric chain at gap delta >= 1.
+
+    For a symmetric chain, p(x | u) with u = (xtau, xnext) takes only five
+    values, determined by the equality pattern among xtau, x, and xnext;
+    they are returned as the floats (sigma1, ..., sigma5):
+
+        sigma1: xtau = x = xnext
+        sigma2: xtau = x, x != xnext
+        sigma3: xtau != x, x = xnext
+        sigma4: xtau = xnext, x different
+        sigma5: all three distinct (needs n >= 3)
 
     Writing r = ((n*alpha - 1) / (n-1))^delta, which lies in [-1, 1], the
     common denominators, divided by (n-1)^delta, are
@@ -280,16 +266,7 @@ def symmetric_sigmas(n: int, alpha: float, delta: int) -> SymmetricSigmas:
     sigma3 = alpha * (n - 1.0) * (1.0 - r) / d_minus
     sigma4 = (1.0 - alpha) * (1.0 - r) / (d_plus * (n - 1.0))
     sigma5 = (1.0 - alpha) * (1.0 - r) / d_minus
-    return SymmetricSigmas(
-        n=n,
-        alpha=alpha,
-        delta=delta,
-        sigma1=float(sigma1),
-        sigma2=float(sigma2),
-        sigma3=float(sigma3),
-        sigma4=float(sigma4),
-        sigma5=float(sigma5),
-    )
+    return tuple(map(float, (sigma1, sigma2, sigma3, sigma4, sigma5)))
 
 
 def chain_from_dict(spec) -> TransitionMatrix:

@@ -20,6 +20,7 @@ from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -55,101 +56,85 @@ class InsufficientSamples(ValueError):
 
 @dataclass(frozen=True)
 class PrivacySchedule:
-    """When the privacy flag is on. The flag at step 0 is always on.
-
-    kinds:
-        explicit: a caller-provided flag sequence.
-        always-on: every step.
-        off-after-0: only step 0.
-        bernoulli: independently on with probability p each step.
-        periodic: on at every multiple of `period`.
+    """When the privacy flag is on, as a kind and its arg: explicit, the
+    flag tuple; always-on and off-after-0 (on at step 0 only), None;
+    bernoulli, the probability p that a step is on, drawn independently;
+    periodic, the period, on at its multiples. Step 0 is always on.
     """
 
     kind: str
-    flags: tuple = ()
-    p: float = 0.0
-    period: int = 1
+    arg: object = None
 
-    @classmethod
-    def explicit(cls, flags) -> "PrivacySchedule":
-        flags = tuple(bool(f) for f in flags)
-        if not flags or not flags[0]:
-            raise ValueError("the flag at step 0 must be on")
-        return cls(kind="explicit", flags=flags)
-
-    @classmethod
-    def always_on(cls) -> "PrivacySchedule":
-        return cls(kind="always-on")
-
-    @classmethod
-    def off_after_0(cls) -> "PrivacySchedule":
-        return cls(kind="off-after-0")
-
-    @classmethod
-    def bernoulli(cls, p: float) -> "PrivacySchedule":
-        if not 0.0 <= p <= 1.0:
-            raise ValueError("p must lie in [0, 1]")
-        return cls(kind="bernoulli", p=p)
-
-    @classmethod
-    def periodic(cls, period: int) -> "PrivacySchedule":
-        if period < 1:
-            raise ValueError("period must be at least 1")
-        return cls(kind="periodic", period=period)
+    def __post_init__(self):
+        kind, arg = self.kind, self.arg
+        if kind in ("always-on", "off-after-0"):
+            if arg is not None:
+                raise ValueError(f"{kind} takes no argument, got {arg!r}")
+        elif kind == "bernoulli":
+            if isinstance(arg, bool) or not isinstance(arg, Real):
+                raise ValueError(f"p must be a real number, got {arg!r}")
+            if not 0.0 <= arg <= 1.0:
+                raise ValueError("p must lie in [0, 1]")
+            object.__setattr__(self, "arg", float(arg))
+        elif kind == "periodic":
+            if isinstance(arg, bool) or not isinstance(arg, Integral):
+                raise ValueError(f"period must be an integer, got {arg!r}")
+            if arg < 1:
+                raise ValueError("period must be at least 1")
+            object.__setattr__(self, "arg", int(arg))
+        elif kind == "explicit":
+            if not isinstance(arg, (tuple, list)) or not all(f in (0, 1) for f in arg):
+                raise ValueError(f"explicit flags must be a 0/1 list, got {arg!r}")
+            if not arg or not arg[0]:
+                raise ValueError("the flag at step 0 must be on")
+            object.__setattr__(self, "arg", tuple(map(bool, arg)))
+        else:
+            raise ValueError(f"unknown schedule {kind!r}")
 
     @classmethod
     def parse(cls, text: str) -> "PrivacySchedule":
         """Parse a schedule spec such as 'periodic:2' or 'explicit:1,0,1'."""
         head, colon, arg = text.partition(":")
-        head = head.strip().lower()
-        if head in ("always-on", "off-after-0") and colon:
-            raise ValueError(f"{head} takes no argument, got {text!r}")
-        if head == "always-on":
-            return cls.always_on()
-        if head == "off-after-0":
-            return cls.off_after_0()
-        if head == "bernoulli":
-            return cls.bernoulli(float(arg))
-        if head == "periodic":
-            return cls.periodic(int(arg))
-        if head == "explicit":
+        kind = head.strip().lower()
+        if kind in ("always-on", "off-after-0"):
+            if colon:
+                raise ValueError(f"{kind} takes no argument, got {text!r}")
+            return cls(kind)
+        if kind == "bernoulli":
+            return cls(kind, float(arg))
+        if kind == "periodic":
+            return cls(kind, int(arg))
+        if kind == "explicit":
             tokens = [tok.strip() for tok in arg.split(",")]
             if set(tokens) - {"0", "1"}:
                 raise ValueError(f"explicit flags must each be 0 or 1, got {arg!r}")
-            return cls.explicit(tok == "1" for tok in tokens)
+            return cls(kind, tuple(tok == "1" for tok in tokens))
         raise ValueError(f"unknown schedule {text!r}")
 
     def spec_string(self) -> str:
         if self.kind == "explicit":
-            return "explicit:" + ",".join("1" if f else "0" for f in self.flags)
-        if self.kind == "bernoulli":
-            return f"bernoulli:{self.p}"
-        if self.kind == "periodic":
-            return f"periodic:{self.period}"
-        return self.kind
+            return "explicit:" + ",".join("1" if f else "0" for f in self.arg)
+        return self.kind if self.arg is None else f"{self.kind}:{self.arg}"
 
     def realize(self, horizon: int, rng) -> np.ndarray:
         """Flag vector for the whole run; forces the step-0 flag on."""
         if self.kind == "explicit":
-            if len(self.flags) < horizon:
+            if len(self.arg) < horizon:
                 raise ValueError(
-                    f"explicit schedule covers {len(self.flags)} steps, "
+                    f"explicit schedule covers {len(self.arg)} steps, "
                     f"horizon is {horizon}"
                 )
-            out = np.array(self.flags[:horizon], dtype=bool)
-        elif self.kind == "always-on":
-            out = np.ones(horizon, dtype=bool)
-        elif self.kind == "off-after-0":
-            out = np.zeros(horizon, dtype=bool)
+            out = np.array(self.arg[:horizon], dtype=bool)
         elif self.kind == "bernoulli":
             # DRAW_BLOCK_STEPS draws at a time, the stream of one call
             out = np.empty(horizon, dtype=bool)
             for lo in range(0, horizon, DRAW_BLOCK_STEPS):
                 block = out[lo:lo + DRAW_BLOCK_STEPS]
-                np.less(rng.random(len(block)), self.p, out=block)
+                np.less(rng.random(len(block)), self.arg, out=block)
         else:
+            period = {"always-on": 1, "off-after-0": horizon}.get(self.kind, self.arg)
             out = np.zeros(horizon, dtype=bool)
-            out[::self.period] = True
+            out[::period] = True
         out[0] = True
         return out
 
@@ -668,7 +653,7 @@ def _gap_tables(trace: SimTrace, gaps) -> dict:
     Raises:
         OverflowError: the numerals do not fit in an int64.
     """
-    gaps = np.unique(gaps)
+    gaps = np.array(sorted(set(gaps)), dtype=np.int64)
     n_queries = len(trace.query_keys)
     steps = len(trace.delta)
     blocks = [
@@ -808,8 +793,8 @@ def empirical_composed_history(trace: SimTrace) -> dict:
 
 def _dense_ids(labels: np.ndarray):
     """Each label's rank among the distinct labels, and their count."""
-    distinct = np.unique(labels)
-    return np.searchsorted(distinct, labels), len(distinct)
+    distinct, ranks = np.unique(labels, return_inverse=True)
+    return ranks, len(distinct)
 
 
 def average_download_rate(trace: SimTrace) -> dict:

@@ -10,7 +10,7 @@ from hypothesis import strategies as hst
 
 from onoffpriv.lp import all_subsets
 from onoffpriv.markov import (
-    ConditionalTable, SymmetricSigmas, TransitionMatrix, as_index, as_number,
+    ConditionalTable, TransitionMatrix, as_index, as_number,
     u_index,
 )
 from onoffpriv.scheme import COLUMNS, SchemeDistribution, ZeroLikelihoodContext
@@ -158,18 +158,18 @@ def sample_query_indices(s: SchemeDistribution, x: int, u: int, draws):
     return ids[np.minimum(j, len(ids) - 1)]
 
 
-def symmetric_table(s: SymmetricSigmas) -> ConditionalTable:
-    """The five case values of a symmetric chain expanded into a full
-    likelihood table."""
-    n = s.n
+def symmetric_table(n: int, delta: int, sigmas: tuple) -> ConditionalTable:
+    """The five case values of a symmetric chain at gap delta expanded into
+    a full likelihood table."""
+    s1, s2, s3, s4, s5 = sigmas
     # row u = xtau * n + xnext, column x
     xtau, xnext, x = np.indices((n, n, n)).reshape(3, -1)
     values = np.select(
         [(xtau == x) & (x == xnext), xtau == x, x == xnext, xtau == xnext],
-        [s.sigma1, s.sigma2, s.sigma3, s.sigma4],
-        s.sigma5,
+        [s1, s2, s3, s4],
+        s5,
     )
-    return ConditionalTable(n=n, delta=s.delta, values=values.reshape(n * n, n))
+    return ConditionalTable(n=n, delta=delta, values=values.reshape(n * n, n))
 
 
 def json_slots(node):

@@ -255,7 +255,7 @@ def test_criterion_6_lp_is_sandwiched_and_never_beaten_by_the_scheme(announce):
 def test_criterion_7_always_on_schedule_downloads_everything(announce):
     cfg = SimConfig(
         chain=symmetric_chain(3, 0.6),
-        schedule=PrivacySchedule.always_on(),
+        schedule=PrivacySchedule("always-on"),
         horizon=100,
         seed=7,
     )
@@ -277,7 +277,7 @@ def test_criterion_8_end_to_end_simulation_with_fault_injection(announce):
     small = run_simulation(
         SimConfig(
             chain=P,
-            schedule=PrivacySchedule.off_after_0(),
+            schedule=PrivacySchedule("off-after-0"),
             horizon=200,
             seed=0,
         )
@@ -290,7 +290,7 @@ def test_criterion_8_end_to_end_simulation_with_fault_injection(announce):
     # 1e5 samples at the same gap value for the frequency tests
     cfg = SimConfig(
         chain=P,
-        schedule=PrivacySchedule.periodic(2),
+        schedule=PrivacySchedule("periodic", 2),
         horizon=200_000,
         seed=0,
     )

@@ -960,7 +960,7 @@ class TestSimulateCommand:
         assert code == 0
         trace = run_simulation(SimConfig(
             chain=symmetric_chain(3, 0.6),
-            schedule=PrivacySchedule.bernoulli(0.3),
+            schedule=PrivacySchedule("bernoulli", 0.3),
             horizon=20000, msg_len=333333334, seed=7,
         ))
         assert path.read_bytes() == reference_trace_csv(trace).encode()
@@ -1083,6 +1083,11 @@ argvs = {
         ["verify", *chain, "--scheme", scheme, "--out", out],
     ],
     "simulate": [["simulate", "--n", "3", "--alpha", "0.6", *sim, "--out", out]],
+    # every step in gap 0, one bucket tested, whose one query needs no p-value
+    "always-on": [
+        ["simulate", "--n", "3", "--alpha", "0.6", "--schedule", "always-on",
+         "--horizon", "5000", "--out", out],
+    ],
     "lp": [["lp", *chain, "--out", out]],
     "bounds": [["bounds", *chain, "--out", out]],
 }
@@ -1199,6 +1204,13 @@ class TestImportCost:
         assert not loaded["scheme+verify"]["numpy.ma"]
         assert "onoffpriv.sim" in loaded["simulate"]["onoffpriv"]
         assert not loaded["simulate"]["numpy.ma"]
+
+    def test_a_tested_bucket_loads_neither_numpy_ma_nor_scipy(self):
+        loaded = import_probe("always-on")["loaded"]["always-on"]
+        assert "onoffpriv.sim" in loaded["onoffpriv"]
+        # a plain np.unique over the gaps or labels imports numpy.ma
+        assert not loaded["numpy.ma"]
+        assert loaded["scipy"] == []
 
     def test_simulate_and_lp_load_no_checker(self):
         loaded = import_probe("simulate", "lp")["loaded"]

@@ -267,12 +267,12 @@ class TestNonFinite:
 class TestSymmetricSigmas:
     def test_frozen_values_for_one_step_gap(self):
         # frozen: n=3, alpha=0.6, delta=1 in exact fractions
-        s = symmetric_sigmas(3, 0.6, 1)
-        assert s.sigma1 == pytest.approx(9 / 11, abs=1e-12)
-        assert s.sigma2 == pytest.approx(3 / 7, abs=1e-12)
-        assert s.sigma3 == pytest.approx(3 / 7, abs=1e-12)
-        assert s.sigma4 == pytest.approx(1 / 11, abs=1e-12)
-        assert s.sigma5 == pytest.approx(1 / 7, abs=1e-12)
+        s1, s2, s3, s4, s5 = symmetric_sigmas(3, 0.6, 1)
+        assert s1 == pytest.approx(9 / 11, abs=1e-12)
+        assert s2 == pytest.approx(3 / 7, abs=1e-12)
+        assert s3 == pytest.approx(3 / 7, abs=1e-12)
+        assert s4 == pytest.approx(1 / 11, abs=1e-12)
+        assert s5 == pytest.approx(1 / 7, abs=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -283,7 +283,7 @@ class TestSymmetricSigmas:
     def test_pattern_matches_general_table(self, n, alpha_frac, delta):
         # the five-case pattern must agree with the general computation
         alpha = alpha_frac
-        table = symmetric_table(symmetric_sigmas(n, alpha, delta))
+        table = symmetric_table(n, delta, symmetric_sigmas(n, alpha, delta))
         cond = conditional_table(symmetric_chain(n, alpha), delta)
         assert np.allclose(table.values, cond.values, atol=1e-10)
 

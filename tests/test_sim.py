@@ -87,15 +87,15 @@ def reference_flags(schedule, horizon, rng):
     """PrivacySchedule.realize with one expression a kind and one draw
     for all the steps: the flags a seed must give."""
     if schedule.kind == "explicit":
-        out = np.array(schedule.flags[:horizon], dtype=bool)
+        out = np.array(schedule.arg[:horizon], dtype=bool)
     elif schedule.kind == "always-on":
         out = np.ones(horizon, dtype=bool)
     elif schedule.kind == "off-after-0":
         out = np.zeros(horizon, dtype=bool)
     elif schedule.kind == "bernoulli":
-        out = rng.random(horizon) < schedule.p
+        out = rng.random(horizon) < schedule.arg
     else:
-        out = np.arange(horizon) % schedule.period == 0
+        out = np.arange(horizon) % schedule.arg == 0
     out[0] = True
     return out
 
@@ -118,11 +118,11 @@ def run(n=3, alpha=0.6, schedule="periodic:2", horizon=4000, seed=5, **kw):
 
 class TestPrivacySchedule:
     def test_parse_forms(self):
-        assert PrivacySchedule.parse("always-on").kind == "always-on"
-        assert PrivacySchedule.parse("off-after-0").kind == "off-after-0"
-        assert PrivacySchedule.parse("bernoulli:0.3").p == 0.3
-        assert PrivacySchedule.parse("periodic:4").period == 4
-        assert PrivacySchedule.parse("explicit:1,0,1").flags == (True, False, True)
+        assert PrivacySchedule.parse("always-on") == PrivacySchedule("always-on")
+        assert PrivacySchedule.parse(" Off-After-0") == PrivacySchedule("off-after-0")
+        assert PrivacySchedule.parse("bernoulli:0.3").arg == 0.3
+        assert PrivacySchedule.parse("periodic:4").arg == 4
+        assert PrivacySchedule.parse("explicit:1,0,1").arg == (True, False, True)
 
     def test_parse_rejects_unknown(self):
         # off-after-0 has one spelling, and neither it nor always-on takes
@@ -149,7 +149,7 @@ class TestPrivacySchedule:
         flags = [tok.strip() for tok in tokens]
         if set(flags) <= {"0", "1"} and flags[0] == "1":
             sch = PrivacySchedule.parse(spec)
-            assert sch.flags == tuple(f == "1" for f in flags)
+            assert sch.arg == tuple(f == "1" for f in flags)
             assert PrivacySchedule.parse(sch.spec_string()) == sch
         else:
             with pytest.raises(ValueError):
@@ -160,26 +160,79 @@ class TestPrivacySchedule:
             sch = PrivacySchedule.parse(text)
             assert PrivacySchedule.parse(sch.spec_string()) == sch
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sch=hst.one_of(
+            hst.sampled_from(["always-on", "off-after-0"]).map(PrivacySchedule),
+            hst.floats(0.0, 1.0).map(lambda p: PrivacySchedule("bernoulli", p)),
+            hst.integers(0, 1).map(lambda p: PrivacySchedule("bernoulli", p)),
+            hst.integers(1, 2**70).map(lambda k: PrivacySchedule("periodic", k)),
+            hst.lists(hst.booleans(), max_size=20).map(
+                lambda f: PrivacySchedule("explicit", [True, *f])
+            ),
+        )
+    )
+    def test_every_schedule_round_trips_its_spec(self, sch):
+        again = PrivacySchedule.parse(sch.spec_string())
+        assert again == sch
+        assert type(again.arg) is type(sch.arg)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        text=hst.one_of(
+            hst.text(max_size=30),
+            hst.tuples(
+                hst.sampled_from(
+                    ["always-on", "off-after-0", "bernoulli", "periodic",
+                     "explicit", " Periodic ", "BERNOULLI", "nope", ""]
+                ),
+                hst.sampled_from(["", ":"]),
+                hst.one_of(
+                    hst.text(max_size=12),
+                    hst.from_regex(r"[-+ ]?[0-9._e]{0,6}( ?, ?[0-9.]{0,3}){0,3}"),
+                    hst.sampled_from(["nan", "inf", "-0.0", "1e400", "0x1"]),
+                ),
+            ).map("".join),
+        )
+    )
+    def test_parse_gives_a_schedule_or_a_value_error(self, text):
+        try:
+            sch = PrivacySchedule.parse(text)
+        except ValueError:
+            return
+        assert PrivacySchedule.parse(sch.spec_string()) == sch
+
+    @pytest.mark.parametrize(
+        "kind, arg",
+        [("periodic", True), ("periodic", 2.5), ("bernoulli", "0.3"),
+         ("bernoulli", False), ("bernoulli", float("nan")), ("always-on", 1),
+         ("explicit", "101"), ("explicit", (1, 2)), ("explicit", None),
+         ("sometimes", None)],
+    )
+    def test_construction_refuses_a_bad_argument(self, kind, arg):
+        with pytest.raises(ValueError):
+            PrivacySchedule(kind, arg)
+
     def test_first_step_is_always_on(self):
         rng = np.random.default_rng(0)
         for sch in (
-            PrivacySchedule.off_after_0(),
-            PrivacySchedule.bernoulli(0.0),
-            PrivacySchedule.periodic(7),
+            PrivacySchedule("off-after-0"),
+            PrivacySchedule("bernoulli", 0.0),
+            PrivacySchedule("periodic", 7),
         ):
             assert sch.realize(10, rng)[0]
 
     def test_explicit_must_start_on(self):
         with pytest.raises(ValueError):
-            PrivacySchedule.explicit([0, 1])
+            PrivacySchedule("explicit", (0, 1))
 
     def test_explicit_must_cover_horizon(self):
-        sch = PrivacySchedule.explicit([1, 0, 1])
+        sch = PrivacySchedule("explicit", (1, 0, 1))
         with pytest.raises(ValueError):
             sch.realize(5, np.random.default_rng(0))
 
     def test_periodic_pattern(self):
-        sch = PrivacySchedule.periodic(3)
+        sch = PrivacySchedule("periodic", 3)
         flags = sch.realize(7, np.random.default_rng(0))
         assert flags.tolist() == [True, False, False, True, False, False, True]
 
@@ -255,7 +308,7 @@ class TestRunSimulation:
     def test_requires_strict_positivity(self):
         cfg = SimConfig(
             chain=symmetric_chain(3, 0.0),
-            schedule=PrivacySchedule.always_on(),
+            schedule=PrivacySchedule("always-on"),
             horizon=10,
         )
         with pytest.raises(ValueError):
@@ -270,7 +323,7 @@ class TestRunSimulation:
         bad = scheme_from_entries(3, 1, "set", entries)
         cfg = SimConfig(
             chain=symmetric_chain(3, 1 / 3),
-            schedule=PrivacySchedule.periodic(2),
+            schedule=PrivacySchedule("periodic", 2),
             horizon=3000,
             seed=2,
         )
@@ -283,23 +336,25 @@ class TestRunSimulation:
     def test_config_validation(self):
         P = symmetric_chain(3, 0.6)
         with pytest.raises(ValueError):
-            SimConfig(chain=P, schedule=PrivacySchedule.always_on(), horizon=0)
+            SimConfig(chain=P, schedule=PrivacySchedule("always-on"), horizon=0)
         with pytest.raises(ValueError):
             SimConfig(
                 chain=P,
-                schedule=PrivacySchedule.always_on(),
+                schedule=PrivacySchedule("always-on"),
                 horizon=5,
                 msg_len=0,
             )
         with pytest.raises(ValueError, match="seed"):
-            SimConfig(chain=P, schedule=PrivacySchedule.always_on(), horizon=5, seed=-1)
+            SimConfig(
+                chain=P, schedule=PrivacySchedule("always-on"), horizon=5, seed=-1
+            )
 
     @settings(max_examples=50, deadline=None)
     @given(seed=hst.integers(max_value=-1))
     def test_a_negative_seed_is_refused(self, seed):
         with pytest.raises(ValueError, match=f"seed must be non-negative, got {seed}"):
             SimConfig(
-                chain=symmetric_chain(3, 0.6), schedule=PrivacySchedule.always_on(),
+                chain=symmetric_chain(3, 0.6), schedule=PrivacySchedule("always-on"),
                 horizon=5, seed=seed,
             )
 
@@ -320,7 +375,7 @@ def test_byte_counts_must_fit_in_int64(n, msg_len, horizon, below):
         msg_len = min(msg_len, (2**63 - 1) // (n * horizon))
         assume(msg_len >= 1)
     kw = dict(
-        chain=symmetric_chain(n, 0.5), schedule=PrivacySchedule.always_on(),
+        chain=symmetric_chain(n, 0.5), schedule=PrivacySchedule("always-on"),
         horizon=horizon, msg_len=msg_len,
     )
     if n * msg_len * horizon < 2**63:
@@ -425,7 +480,7 @@ class TestSeedContract:
         )
         bad = scheme_from_entries(3, 50, "set", entries)
         cfg = SimConfig(
-            chain=P, schedule=PrivacySchedule.periodic(60), horizon=30000, seed=1
+            chain=P, schedule=PrivacySchedule("periodic", 60), horizon=30000, seed=1
         )
         trace = run_simulation(cfg, scheme_overrides={50: bad})
         hit = (trace.delta == 50) & (trace.x == 0) & (trace.contexts() == 0)
@@ -573,7 +628,7 @@ class TestDrawQueries:
                 entries[key] = 0.0
         bad = scheme_from_entries(3, 1, "set", entries)
         cfg = SimConfig(
-            chain=P, schedule=PrivacySchedule.periodic(2), horizon=2000, seed=4
+            chain=P, schedule=PrivacySchedule("periodic", 2), horizon=2000, seed=4
         )
         with pytest.raises(
             ZeroLikelihoodContext, match=r"^gap 1: no mass for request 0 in context 0$"
@@ -583,7 +638,7 @@ class TestDrawQueries:
     def test_an_empty_context_first_met_in_a_later_block_is_named(self):
         P = symmetric_chain(3, 0.6)
         cfg = SimConfig(
-            chain=P, schedule=PrivacySchedule.periodic(2), horizon=2000, seed=4
+            chain=P, schedule=PrivacySchedule("periodic", 2), horizon=2000, seed=4
         )
         honest = run_simulation(cfg)
         # the (request, context) pair of gap 1 that occurs first the latest
@@ -730,7 +785,7 @@ class TestEmpiricalStats:
         bad = scheme_from_entries(3, 1, "set", entries)
         cfg = SimConfig(
             chain=P,
-            schedule=PrivacySchedule.periodic(2),
+            schedule=PrivacySchedule("periodic", 2),
             horizon=60000,
             seed=0,
         )
@@ -765,7 +820,7 @@ class TestEmpiricalStats:
         entries[to, x, u] = entries.get((to, x, u), 0.0) + 0.1
         bad = scheme_from_entries(n, 1, "set", entries)
         cfg = SimConfig(
-            chain=P, schedule=PrivacySchedule.periodic(2), horizon=100_000, seed=0
+            chain=P, schedule=PrivacySchedule("periodic", 2), horizon=100_000, seed=0
         )
         trace = run_simulation(cfg, scheme_overrides={1: bad})
         stats = empirical_privacy_test(trace, 1)
@@ -800,7 +855,7 @@ class TestEmpiricalStats:
         # the threshold from noise alone
         P = TransitionMatrix(np.random.default_rng(20).dirichlet(np.ones(20), size=20))
         cfg = SimConfig(
-            chain=P, schedule=PrivacySchedule.bernoulli(0.3), horizon=150_000,
+            chain=P, schedule=PrivacySchedule("bernoulli", 0.3), horizon=150_000,
             seed=0,
         )
         trace = run_simulation(cfg)
