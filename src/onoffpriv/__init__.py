@@ -30,8 +30,8 @@ _EXPORTS = {
         "closed_form_two_states", "rate_inner", "rate_outer", "theta_profile",
     ),
     "scheme": (
-        "ExtractionInfeasible", "SchemeDistribution", "ZeroLikelihoodContext",
-        "build_scheme", "collapse_to_sets",
+        "ExtractionInfeasible", "SchemeDistribution", "TooManyEntries",
+        "ZeroLikelihoodContext", "build_scheme", "collapse_to_sets",
     ),
     "verify": (
         "DimensionMismatch", "VerificationReport", "check_scheme", "expected_cost",

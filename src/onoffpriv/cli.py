@@ -133,10 +133,10 @@ def _output(out: str | None):
         yield fh
 
 
-def _write_csv(rows: list, out: str | None) -> None:
-    """Write rows, the header first, to out, or stdout, as lines of cells
-    joined with ","; no cell needs quoting, since each is a column name or
-    a formatted number."""
+def _write_csv(rows, out: str | None) -> None:
+    """Write rows, an iterable whose first row is the header, to out, or
+    stdout, as lines of cells joined with ",", each as it comes; no cell
+    needs quoting, since each is a column name or a formatted number."""
     with _output(out) as fh:
         fh.writelines(",".join(row) + "\n" for row in rows)
 
@@ -202,14 +202,22 @@ def _gap_table(args):
 def cmd_bounds(args) -> int:
     P = _load_chain(args)
     alpha = _symmetric_alpha(P)
-    n = P.n
     header = ["delta", "inv_r_inner", "inv_r_outer", "r_inner", "r_outer"]
     if alpha is not None:
         header += ["cf_r_inner", "cf_r_outer"]
-    raw_cols = [h for h in header if h != "delta"]
-    header = header + ["raw_" + h for h in raw_cols]
-    rows = [header]
-    deltas = _delta_range(args)
+    header += ["raw_" + h for h in header[1:]]
+    rows = _bounds_rows(P, alpha, _delta_range(args))
+    # the first gap's row is made before --out is opened, so that a run that
+    # fails at its first gap writes nothing; the rest are written as made
+    first = next(rows)
+    _write_csv(itertools.chain([header, first], rows), args.out)
+    return 0
+
+
+def _bounds_rows(P: TransitionMatrix, alpha: float | None, deltas: range):
+    """The CSV row of every gap in deltas, made as it is read; alpha, when
+    not None, adds the symmetric chain's closed forms."""
+    n = P.n
     for delta, (_, power) in zip(deltas, matrix_powers(P, deltas.start, deltas.stop)):
         cond = conditional_table(P, delta, power=power)
         profile = theta_profile(cond)
@@ -223,10 +231,8 @@ def cmd_bounds(args) -> int:
             else:
                 cf_inv_o, cf_inv_i = closed_form_small_alpha(n, alpha, delta)
                 vals += [1.0 / cf_inv_i, 1.0 / cf_inv_o]
-        rows.append([str(delta)] + [_fmt(v) for v in vals] + [_raw(v) for v in vals])
         _log("INFO", "bounds delta=%d done", delta)
-    _write_csv(rows, args.out)
-    return 0
+        yield [str(delta)] + [_fmt(v) for v in vals] + [_raw(v) for v in vals]
 
 
 def default_alpha_grid() -> list:

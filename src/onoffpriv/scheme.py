@@ -38,6 +38,9 @@ from onoffpriv.markov import ConditionalTable, as_index
 
 EXTRACTION_TOL = 1e-12
 MASS_DROP_LIMIT = 1e-15
+# the most rows build_scheme makes: the n = 40 gap-1 scheme of 2.6M rows
+# peaks at 317 MB in `onoffpriv scheme`, so this many peak near 2 GB
+MAX_ENTRIES = 16_000_000
 # rows of a scheme file column or of a trace CSV formatted and written at
 # once; bounds the memory a writer takes
 CSV_BLOCK_ROWS = 8192
@@ -58,6 +61,10 @@ class ExtractionInfeasible(ArithmeticError):
 
 class ZeroLikelihoodContext(ValueError):
     """Sampling was requested for an (x, u) pair with p(x | u) = 0."""
+
+
+class TooManyEntries(ValueError):
+    """A construction would make more than MAX_ENTRIES rows."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,6 +321,8 @@ def build_scheme(profile: ThetaProfile, cond: ConditionalTable) -> SchemeDistrib
     Raises:
         ExtractionInfeasible: a residual row could not supply its increment;
             cannot happen on a profile/table pair that actually match.
+        TooManyEntries: the rows made pass MAX_ENTRIES; raised as they do,
+            before the rows are joined.
     """
     n, m = cond.n, cond.m
     values = cond.values
@@ -338,6 +347,7 @@ def build_scheme(profile: ThetaProfile, cond: ConditionalTable) -> SchemeDistrib
 
     ids: dict = {}  # query -> index, in order of first use
     blocks = []  # (query, request, context, mass) columns per (ell, x)
+    entries = 0  # the rows in blocks
 
     for ell in range(1, n):
         for x in range(n):
@@ -373,6 +383,7 @@ def build_scheme(profile: ThetaProfile, cond: ConditionalTable) -> SchemeDistrib
             # supplying row's named state in that row's context
             requests = np.hstack((np.full((widths.size, m - ell + 1), x), cols))
             contexts = np.tile(np.concatenate((order[x, ell - 1 :], rows)), widths.size)
+            entries = _count_entries(entries, contexts.size)
             blocks.append(
                 (np.repeat(qids, m), requests.ravel(), contexts, np.repeat(widths, m))
             )
@@ -381,9 +392,21 @@ def build_scheme(profile: ThetaProfile, cond: ConditionalTable) -> SchemeDistrib
     m_final = np.clip(ends - used[:, None], 0.0, m_initial) + folded
     u_left, x_left = np.nonzero(m_final >= MASS_DROP_LIMIT)
     full = np.full(u_left.size, ids.setdefault(tuple(range(n)), len(ids)))
+    _count_entries(entries, full.size)
     blocks.append((full, x_left, u_left, m_final[u_left, x_left]))
     columns = [np.concatenate(c) for c in zip(*blocks)]
     return SchemeDistribution(n, cond.delta, "multiset", list(ids), *columns)
+
+
+def _count_entries(entries: int, added: int) -> int:
+    """entries + added, or TooManyEntries when that passes MAX_ENTRIES."""
+    entries += added
+    if entries > MAX_ENTRIES:
+        raise TooManyEntries(
+            f"the scheme needs at least {entries} rows, above the limit of "
+            f"{MAX_ENTRIES}"
+        )
+    return entries
 
 
 def collapse_to_sets(s: SchemeDistribution) -> SchemeDistribution:

@@ -178,10 +178,11 @@ class SimTrace:
     of step t in it; query_sizes and query_names give each key's member
     count and members.
 
-    x is the view path[:-1] and flag is delta == 0. contexts and decodes
-    derive, over a range of steps, the context u = path[tau] * n +
-    path[t + 1] and whether the query names x; write_trace_csv alone
-    derives tau, the query size and the bytes of every step. gap_counts[d]
+    x is the view path[:-1], and a step's flag was on iff its delta is 0.
+    contexts and decodes derive, over a range of steps, the context u =
+    path[tau] * n + path[t + 1] and whether the query names x;
+    write_trace_csv alone derives tau, the query size and the bytes of
+    every step. gap_counts[d]
     and gap_size_sums[d] are the number of steps with gap d and the sum of
     their query sizes. schemes_built counts the per-gap schemes
     constructed; schemes_reused counts the honest gaps that took an earlier
@@ -219,10 +220,6 @@ class SimTrace:
     @property
     def x(self) -> np.ndarray:
         return self.path[:-1]
-
-    @property
-    def flag(self) -> np.ndarray:
-        return self.delta == 0
 
     def contexts(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """u of the steps lo..hi - 1, as a slice bounds them."""
@@ -733,70 +730,6 @@ def _table_stats(counts: np.ndarray) -> tuple:
     return max_tv_gap, float(cells.sum()), (rows - 1) * (counts.shape[1] - 1)
 
 
-def empirical_composed_history(trace: SimTrace) -> dict:
-    """Secondary diagnostic: whole off-run query tuples versus the request
-    at the preceding on-step.
-
-    Pools complete off-runs of equal length and reports, per run length,
-    the largest conditional-frequency spread of the composed query tuple
-    across the on-step request values. Informational only; callers do not
-    gate on it.
-
-    The complete runs' starts are ordered by length once, so that each
-    length's runs are a slice of them; the work arrays hold at most four
-    int64 a run, and three unless the tuples must be ranked. The query ids
-    are widened to int64 before the tuples are numbered in place.
-    """
-    starts = np.flatnonzero(trace.flag)
-    # the final run may be truncated by the horizon, so it is left out
-    lengths = np.diff(starts)
-    order = np.argsort(lengths)
-    runs_of = np.bincount(lengths)  # the number of runs of every length
-    del lengths
-    starts = starts[order]
-    del order
-    ends = np.cumsum(runs_of)
-    n_queries = len(trace.query_keys)
-    out = {}
-    for length in np.flatnonzero(runs_of >= MIN_BUCKET_SAMPLES).tolist():
-        first = starts[ends[length] - runs_of[length]:ends[length]]
-        # number each run's composed tuple by its query ids read as the
-        # digits of a base-n_queries numeral, in place; the numbers are
-        # ranked anew only where one more digit could overflow int64, and
-        # at the end when they could exceed the run count
-        tuple_ids = trace.query_ids[first].astype(np.int64)
-        bound = n_queries  # every number lies below it
-        for _ in range(1, length):
-            if bound > (2**63 - 1) // n_queries:
-                tuple_ids, bound = _dense_ids(tuple_ids)
-            first += 1
-            tuple_ids *= n_queries
-            tuple_ids += trace.query_ids[first]
-            bound *= n_queries
-        if bound > len(first):
-            tuple_ids, bound = _dense_ids(tuple_ids)
-        first -= length - 1
-        # the runs of every tuple by the request at their on-step, over the
-        # tuples and the requests that occur
-        tuple_ids *= trace.n
-        tuple_ids += trace.x[first]
-        counts = np.bincount(tuple_ids, minlength=bound * trace.n)
-        counts = counts.reshape(bound, trace.n)
-        counts = counts[counts.any(axis=1)][:, counts.any(axis=0)].astype(float)
-        freq = counts / counts.sum(axis=0)[None, :]
-        out[length] = {
-            "n_runs": len(first),
-            "max_gap": float((freq.max(axis=1) - freq.min(axis=1)).max()),
-        }
-    return out
-
-
-def _dense_ids(labels: np.ndarray):
-    """Each label's rank among the distinct labels, and their count."""
-    distinct, ranks = np.unique(labels, return_inverse=True)
-    return ranks, len(distinct)
-
-
 def average_download_rate(trace: SimTrace) -> dict:
     """Empirical download rate overall and per gap bucket.
 
@@ -911,9 +844,6 @@ def simulate(cfg: SimConfig, open_trace_csv=None) -> dict:
             trace.gap_counts, trace.gap_size_sums,
             lambda c, mean: {"count": c, "mean_q_size": mean},
         ),
-        "composed_history": {
-            str(k): v for k, v in empirical_composed_history(trace).items()
-        },
     }
     if open_trace_csv is not None:
         with open_trace_csv() as fh:

@@ -14,7 +14,6 @@ from onoffpriv.markov import (
     u_index,
 )
 from onoffpriv.scheme import COLUMNS, SchemeDistribution, ZeroLikelihoodContext
-from onoffpriv.sim import MIN_BUCKET_SAMPLES
 
 
 class FullProgram(NamedTuple):
@@ -252,28 +251,6 @@ def reference_privacy_stats(trace, delta: int) -> dict:
             float(scipy.stats.chi2.sf(chi2_stat, chi2_dof)) if chi2_dof > 0 else 1.0
         ),
     }
-
-
-def reference_composed_history(trace) -> dict:
-    """empirical_composed_history run by run: each complete off-run's
-    queries as a tuple, counted against the request at its on-step."""
-    ids, x = trace.query_ids.tolist(), trace.x.tolist()
-    starts = np.flatnonzero(trace.flag).tolist()
-    runs: dict = {}
-    for start, end in zip(starts, starts[1:]):
-        runs.setdefault(end - start, []).append((tuple(ids[start:end]), x[start]))
-    out = {}
-    for length, pairs in runs.items():
-        if len(pairs) < MIN_BUCKET_SAMPLES:
-            continue
-        cells = Counter(pairs)
-        col_tot = Counter(request for _, request in pairs)
-        spreads = []
-        for composed in {t for t, _ in pairs}:
-            freq = [cells[composed, r] / col_tot[r] for r in col_tot]
-            spreads.append(max(freq) - min(freq))
-        out[length] = {"n_runs": len(pairs), "max_gap": max(spreads)}
-    return out
 
 
 def reference_sample_path(P: TransitionMatrix, length: int, rng):

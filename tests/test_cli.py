@@ -263,11 +263,16 @@ def test_delta_range(delta, delta_max, gaps):
 )
 def test_csv_is_what_a_csv_writer_writes(capsys, argv):
     # every cell is a column name or a number, so joining the cells with
-    # "," gives the bytes of a csv.writer, which would quote nothing
-    with mock.patch.object(cli, "_write_csv", wraps=cli._write_csv) as spy:
+    # "," gives the bytes of a csv.writer, which would quote nothing. The
+    # rows may come as a generator, so each is kept as it is written
+    rows, write = [], cli._write_csv
+
+    def kept(given, out):
+        write((rows.append(row) or row for row in given), out)
+
+    with mock.patch.object(cli, "_write_csv", kept):
         code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    rows = spy.call_args.args[0]
     assert all(isinstance(cell, str) for row in rows for cell in row)
     reference = io.StringIO()
     csv.writer(reference, lineterminator="\n").writerows(rows)
@@ -426,6 +431,31 @@ class TestBoundsCommand:
         assert out == ""
         assert parse_csv(path.read_text())
 
+    def test_rows_are_written_as_they_are_made(self, capsys, tmp_path):
+        # a list of the 20,001 rows takes a traced 19.3 MB, about 1 KB a
+        # gap; written as they are made, they leave a small constant peak
+        path = tmp_path / "bounds.csv"
+        argv = ["bounds", "--n", "3", "--alpha", "0.6", "--out", str(path)]
+        run_cli(capsys, *argv, "--delta-max", "50")  # any one-time set-up
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(capsys, *argv, "--delta-max", "20000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+        assert len(path.read_text().splitlines()) == 20002
+        assert peak < 2 * 2**20
+        # a run that fails at its first gap opens no file: the flip's
+        # contexts are unreachable at every gap
+        path.unlink()
+        code, out, err = run_cli(
+            capsys, "bounds", "--n", "2", "--alpha", "0", "--delta-max", "3",
+            "--out", str(path),
+        )
+        assert code == 2 and out == "" and err.startswith("error:")
+        assert not path.exists()
+
 
 class TestSweepAlphaCommand:
     def test_grid_reference_points(self, capsys):
@@ -471,6 +501,28 @@ class TestSchemeAndVerifyCommands:
         for form in ("multiset", "set"):
             s = SchemeDistribution.from_json_obj(obj[form])
             assert json.loads(section_text(s)) == obj[form]
+
+    def test_a_scheme_past_the_row_limit_is_a_config_error(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # the symmetric 4-state chain's gap-1 scheme has 116 rows
+        import onoffpriv.scheme
+
+        monkeypatch.setattr(onoffpriv.scheme, "MAX_ENTRIES", 100)
+        path = tmp_path / "scheme.json"
+        chain = ("--n", "4", "--alpha", "0.6")
+        for argv in (
+            ("scheme", *chain, "--delta", "1", "--out", str(path)),
+            ("verify", *chain, "--delta", "1"),
+            ("simulate", *chain, "--schedule", "periodic:2", "--horizon", "10"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2, argv
+            assert out == ""
+            assert err.startswith("error: TooManyEntries: the scheme needs at least ")
+            assert err.endswith(" rows, above the limit of 100\n")
+            assert err.count("\n") == 1
+        assert not path.exists()
 
     def test_verify_fresh_build_passes(self, capsys):
         code, out, _ = run_cli(
@@ -798,6 +850,11 @@ class TestSimulateCommand:
         )
         assert code == 0
         stats = json.loads(out)
+        assert set(stats) == {
+            "n", "horizon", "seed", "schedule", "msg_len", "decode_failures",
+            "total_bytes", "schemes_built", "schemes_reused", "rates",
+            "delta_buckets", "privacy", "pass",
+        }
         assert stats["decode_failures"] == 0
         assert stats["pass"] is True
         assert (stats["schemes_built"], stats["schemes_reused"]) == (2, 0)

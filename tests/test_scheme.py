@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -19,6 +20,7 @@ from onoffpriv.markov import (
 import onoffpriv.scheme as scheme_module
 from onoffpriv.scheme import (
     SchemeDistribution,
+    TooManyEntries,
     ZeroLikelihoodContext,
     build_scheme,
     collapse_to_sets,
@@ -117,6 +119,26 @@ class TestConstruction:
             cond = conditional_table(chain_factory(rng, n), 2)
             s = build_scheme(theta_profile(cond), cond)
             assert s.entry_count <= n * n * n**4
+
+    def test_too_many_rows_are_refused_before_they_are_joined(self, monkeypatch):
+        # the symmetric 4-state chain's gap-1 scheme has 116 rows, none
+        # merged by the constructor
+        cond = conditional_table(symmetric_chain(4, 0.6), 1)
+        profile = theta_profile(cond)
+        assert build_scheme(profile, cond).entry_count == 116
+        joined = mock.Mock(side_effect=AssertionError("the rows were joined"))
+        for limit in (0, 20, 115):
+            monkeypatch.setattr(scheme_module, "MAX_ENTRIES", limit)
+            with mock.patch.object(scheme_module, "SchemeDistribution", joined):
+                with pytest.raises(TooManyEntries) as err:
+                    build_scheme(profile, cond)
+            found = re.fullmatch(
+                rf"the scheme needs at least (\d+) rows, above the limit of {limit}",
+                str(err.value),
+            )
+            assert found and limit < int(found[1]) <= 116
+        monkeypatch.setattr(scheme_module, "MAX_ENTRIES", 116)
+        assert build_scheme(profile, cond).entry_count == 116
 
     def test_residual_rows_carry_the_tail_mass(self, rng, chain_factory):
         # the leftover residual rows ride on the full query, and each

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
 from onoffpriv import sim
-from onoffpriv.markov import TransitionMatrix, symmetric_chain
+from onoffpriv.markov import TransitionMatrix, conditional_table, symmetric_chain
 from onoffpriv.scheme import ZeroLikelihoodContext
 from onoffpriv.sim import (
     DEPENDENCE_P_THRESHOLD,
@@ -26,11 +26,11 @@ from onoffpriv.sim import (
     _sample_path,
     average_download_rate,
     build_scheme_for_gap,
-    empirical_composed_history,
     empirical_privacy_test,
     empirical_privacy_tests,
     run_simulation,
 )
+from onoffpriv.verify import VERIFY_TOL
 
 from conftest import (
     DRIFTING_POWERS,
@@ -38,7 +38,6 @@ from conftest import (
     ROUNDING_TWO_CYCLE,
     entries_of,
     mass_by_context,
-    reference_composed_history,
     reference_privacy_stats,
     reference_sample_path,
     sample_query_indices,
@@ -293,7 +292,7 @@ class TestRunSimulation:
     def test_gap_counter_follows_the_flags(self):
         trace = run(horizon=20, schedule="periodic:4")
         assert np.array_equal(trace.delta, np.arange(20) % 4)
-        assert np.array_equal(trace.flag, np.arange(20) % 4 == 0)
+        assert np.array_equal(trace.delta == 0, np.arange(20) % 4 == 0)
 
     def test_every_query_contains_the_request(self):
         trace = run(horizon=2000, schedule="bernoulli:0.3", seed=3)
@@ -442,7 +441,7 @@ class TestSeedContract:
             trace = run_simulation(cfg, scheme_overrides=swapped)
         arrays, queries, buckets = reference_run(cfg, scheme_overrides=swapped)
         got = {
-            "x": trace.x, "flag": trace.flag, "delta": trace.delta,
+            "x": trace.x, "flag": trace.delta == 0, "delta": trace.delta,
             "contexts": trace.contexts(), "decodes": trace.decodes(),
         }
         for name, want in arrays.items():
@@ -559,11 +558,11 @@ class TestSamplePath:
 
 
 @hst.composite
-def draw_chains(draw):
-    """A symmetric chain or a Dirichlet(0.05, 1 or 5) chain, n = 2..8, with
-    every entry at least 1e-3 / n: Dirichlet(0.05) rows may hold exact
+def draw_chains(draw, max_n=8):
+    """A symmetric chain or a Dirichlet(0.05, 1 or 5) chain, n = 2..max_n,
+    with every entry at least 1e-3 / n: Dirichlet(0.05) rows may hold exact
     zeros, and the simulator takes strictly positive chains only."""
-    n = draw(hst.integers(2, 8), label="n")
+    n = draw(hst.integers(2, max_n), label="n")
     concentration = draw(hst.sampled_from([None, 0.05, 1.0, 5.0]))
     if concentration is None:
         return symmetric_chain(n, draw(hst.floats(0.02, 0.98), label="alpha"))
@@ -906,14 +905,6 @@ class TestEmpiricalStats:
         obj = empirical_privacy_test(trace, 1).to_json_obj()
         assert json.loads(json.dumps(obj)) == obj
 
-    def test_composed_history_reports_run_lengths(self):
-        trace = run(horizon=30000, seed=4)
-        by_len = empirical_composed_history(trace)
-        assert set(by_len) == {2}
-        assert by_len[2]["n_runs"] > 1000
-        assert 0.0 <= by_len[2]["max_gap"] <= 1.0
-        assert by_len == reference_composed_history(trace)
-
     @settings(max_examples=25, deadline=None)
     @given(
         P=draw_chains(),
@@ -959,49 +950,14 @@ class TestEmpiricalStats:
         # by default, every bucket of at least MIN_BUCKET_SAMPLES steps
         assert [s.delta for s in empirical_privacy_tests(trace)] == [0, 1, 2]
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        n=hst.integers(min_value=2, max_value=6),
-        # 2^40 queries renumber the tuples at every position, and 2^21 at
-        # every third; 7 never before the end. 255, 256 and 257 queries
-        # take uint8 and uint16 ids, which one more digit would wrap
-        n_queries=hst.sampled_from([1, 2, 7, 255, 256, 257, 2**21, 2**40]),
-        # the ids in the narrow dtype of a trace's, up to 2^16 queries
-        narrow=hst.booleans(),
-        period=hst.integers(min_value=1, max_value=8),
-        p_on=hst.floats(min_value=0.0, max_value=1.0),
-        seed=hst.integers(min_value=0, max_value=2**32 - 1),
-    )
-    def test_composed_history_matches_the_tuple_reference(
-        self, n, n_queries, narrow, period, p_on, seed
-    ):
-        # flags on at every multiple of the period and, besides, at random
-        horizon = 9000
-        gen = np.random.default_rng(seed)
-        flag = (np.arange(horizon) % period == 0) | (gen.random(horizon) < p_on / 4)
-        # few distinct queries at each position, so that tuples repeat
-        pool = gen.integers(0, n_queries, size=3)
-        if narrow and n_queries <= 2**16:
-            pool = pool.astype(np.min_scalar_type(n_queries - 1))
-        trace = SimpleNamespace(
-            n=n,
-            flag=flag,
-            x=gen.integers(0, n, size=horizon),
-            query_ids=pool[gen.integers(0, 3, size=horizon)],
-            query_keys=range(n_queries),
-        )
-        assert empirical_composed_history(trace) == reference_composed_history(trace)
-
     def test_work_arrays_stay_within_their_budget(self):
         # tracemalloc counts numpy's array buffers. The trace keeps 17 bytes
         # a step (the path, the gaps and uint8 query ids); past them the run
-        # holds block-long work arrays only, the privacy tests one int64 and
-        # one flag per step, and the composed history three int64 per run;
-        # each budget leaves some room above that
+        # holds block-long work arrays only, and the privacy tests one int64
+        # and one flag per step; each budget leaves some room above that
         T = 300_000
         trace = run(horizon=T, seed=2)  # and any one-time set-up with it
         empirical_privacy_tests(trace, [0, 1])
-        runs = T // 2
         tracemalloc.start()
         try:
             trace = run(horizon=T, seed=2)
@@ -1011,9 +967,6 @@ class TestEmpiricalStats:
             tracemalloc.reset_peak()
             empirical_privacy_tests(trace, [0, 1])
             assert tracemalloc.get_traced_memory()[1] - kept <= 10 * T
-            tracemalloc.reset_peak()
-            empirical_composed_history(trace)
-            assert tracemalloc.get_traced_memory()[1] - kept <= 4 * 8 * runs
         finally:
             tracemalloc.stop()
 
@@ -1029,6 +982,67 @@ class TestEmpiricalStats:
             with pytest.raises(ImportError):
                 stats[1].chi2_pvalue
         assert stats[1].chi2_pvalue == reference_privacy_stats(trace, 1)["chi2_pvalue"]
+
+
+def off_run_law(P, schemes, x_tau):
+    """The exact law P(q_0 ... q_{L-1} | x_tau) of the queries of an off-run
+    of L = len(schemes) steps whose on-step tau requests x_tau, where step
+    tau + d draws from schemes[d], as a flat array over the tuples of the
+    schemes' query indices, the first step's the most significant.
+
+    A forward recursion over x_{d+1}: step d multiplies in P[x_d, x_{d+1}]
+    g_d(q | x_d, u) / p_d(x_d | u) with u = (x_tau, x_{d+1}), and x_L is
+    summed out at the end."""
+    n = P.n
+    law = np.zeros((1, n))  # over (the tuple so far, x_d)
+    law[0, x_tau] = 1.0
+    for d, s in enumerate(schemes):
+        mine = s.u // n == x_tau
+        x, u = s.x[mine], s.u[mine]
+        y = u % n
+        step = np.zeros((len(s.queries), n, n))  # over (q, x_d, x_{d+1})
+        step[s.q[mine], x, y] = (
+            P.entries[x, y] * s.mass[mine] / conditional_table(P, d).values[u, x]
+        )
+        law = np.einsum("kx,qxy->kqy", law, step).reshape(-1, n)
+    return law.sum(axis=1)
+
+
+class TestOffRunJointLaw:
+    """Given (x_tau, x_{t+1}), the query of step t is independent of the
+    later queries (the Markov property and fresh draws), and its gap's
+    scheme gives it the same law s_{t - tau} in every context. Summing out
+    x_{t+1} one step at a time, an off-run's queries follow the product of
+    the s_d whatever x_tau is: the per-gap property covers whole off-runs."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(P=draw_chains(max_n=4), length=hst.integers(1, 4))
+    @example(P=symmetric_chain(3, 0.6), length=4)
+    def test_an_off_runs_queries_do_not_depend_on_its_on_step(self, P, length):
+        schemes = [build_scheme_for_gap(P, d) for d in range(length)]
+        laws = np.array([off_run_law(P, schemes, x) for x in range(P.n)])
+        assert (laws.max(axis=0) - laws.min(axis=0)).max() <= VERIFY_TOL
+        # and each is the product of the gaps' query laws, read in context 0
+        product = np.ones(1)
+        for s in schemes:
+            context0 = s.u == 0
+            product = np.kron(product, np.bincount(
+                s.q[context0], s.mass[context0], minlength=len(s.queries)
+            ))
+        assert np.abs(laws - product).max() <= VERIFY_TOL
+
+    def test_a_leaky_gap_shows_in_the_joint_law(self):
+        # at gap 2, every row whose on-step request lies below n / 2 asks for
+        # its request alone
+        P, n = symmetric_chain(3, 0.6), 3
+        schemes = [build_scheme_for_gap(P, d) for d in range(3)]
+        leaky: dict = {}
+        for (members, x, u), mass in entries_of(schemes[2]).items():
+            key = ((x,) if u // n < n / 2 else members, x, u)
+            leaky[key] = leaky.get(key, 0.0) + mass
+        schemes[2] = scheme_from_entries(n, 2, "set", leaky)
+        laws = np.array([off_run_law(P, schemes, x) for x in range(n)])
+        assert (laws.max(axis=0) - laws.min(axis=0)).max() > 0.1
 
 
 class TestAverageRate:
@@ -1055,7 +1069,7 @@ class TestAverageRate:
             query_ids=np.zeros(count, dtype=np.uint8), query_keys=[(0, 1, 2)],
             gap_counts=np.array([count]), gap_size_sums=np.array([size_sum]),
         )
-        assert trace.flag.all() and trace.decodes().all()
+        assert (trace.delta == 0).all() and trace.decodes().all()
         rates = average_download_rate(trace)
         assert rates["per_delta"] == {0: 1.0 / (size_sum / count)}
         assert rates["overall"] == 1.0 / (size_sum / count)
@@ -1076,7 +1090,7 @@ def test_the_trace_stores_17_bytes_a_step():
 def test_trace_exposes_consistent_lengths():
     trace = run(horizon=123)
     assert isinstance(trace, SimTrace)
-    for arr in (trace.x, trace.flag, trace.delta, trace.query_ids,
+    for arr in (trace.x, trace.delta == 0, trace.delta, trace.query_ids,
                 trace.contexts(), trace.decodes()):
         assert arr.shape == (123,)
     assert trace.horizon == 123
