@@ -53,8 +53,6 @@ from onoffpriv.markov import (
 SYMMETRY_DETECT_TOL = 1e-12
 # the values of ONOFFPRIV_LOG, in any case; any other value means WARNING
 LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
-# _write_json joins and writes this many of the encoder's chunks at a time
-JSON_BATCH_CHUNKS = 4096
 
 
 class ConfigError(Exception):
@@ -143,12 +141,10 @@ def _write_csv(rows, out: str | None) -> None:
 
 def _write_json(obj, out: str | None) -> None:
     """Write obj to out, or stdout, as json.dumps(obj, indent=2,
-    sort_keys=True) and a newline, JSON_BATCH_CHUNKS chunks at a time, so
-    that the whole text is never held."""
-    chunks = _json_chunks(obj, "\n")
+    sort_keys=True) and a newline, a chunk at a time as the encoder makes
+    it, so that the whole text is never held."""
     with _output(out) as fh:
-        while batch := list(itertools.islice(chunks, JSON_BATCH_CHUNKS)):
-            fh.write("".join(batch))
+        fh.writelines(_json_chunks(obj, "\n"))
         fh.write("\n")
 
 

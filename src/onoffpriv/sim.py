@@ -511,19 +511,46 @@ def run_simulation(cfg: SimConfig, scheme_overrides: dict | None = None) -> SimT
 
 
 @dataclass(frozen=True, eq=False)
-class EmpiricalStats:
-    """Independence diagnostics for one gap bucket.
+class TableStats:
+    """Independence statistics of one query-by-context contingency table.
 
-    counts is a queries-by-contexts contingency table. max_tv_gap is the
-    largest spread of the empirical conditional frequency of any query
-    across the observed contexts. The chi-square fields test independence
-    of query and context in the bucket. The gate_* fields are the same
-    statistics over the contexts seen at least MIN_CONTEXT_SAMPLES times,
-    which flags_dependence reads; contexts_left_out and samples_left_out
-    count the rest. A p-value is computed on its first read, and the first
-    read of one whose dof is positive is the only step of a simulation that
-    loads scipy (scipy.special, about 25 MB), so that simulate frees the
-    trace before it.
+    max_tv_gap is the largest spread of the empirical conditional frequency
+    of any query across the table's contexts. The chi-square fields test
+    independence of query and context. chi2_pvalue is computed on its first
+    read, and the first read of one whose dof is positive is the only step
+    of a simulation that loads scipy (scipy.special, about 25 MB), so that
+    simulate frees the trace before it.
+    """
+
+    max_tv_gap: float
+    chi2_stat: float
+    chi2_dof: int
+
+    @cached_property
+    def chi2_pvalue(self) -> float:
+        """The chi-square survival function at chi2_stat, as
+        scipy.stats.chi2.sf evaluates it; 1.0 when chi2_dof is 0."""
+        if self.chi2_dof == 0:
+            return 1.0
+        # imported here, so that importing onoffpriv loads no scipy module
+        from scipy.special import chdtrc
+
+        return float(chdtrc(self.chi2_dof, self.chi2_stat))
+
+    def to_json_obj(self) -> dict:
+        keys = ("max_tv_gap", "chi2_stat", "chi2_dof", "chi2_pvalue")
+        return {key: getattr(self, key) for key in keys}
+
+
+@dataclass(frozen=True, eq=False)
+class EmpiricalStats(TableStats):
+    """Independence diagnostics for one gap bucket: the TableStats of its
+    whole table, counts, whose rows are the queries query_keys and whose
+    columns are the contexts context_ids.
+
+    gate is the TableStats of the contexts seen at least
+    MIN_CONTEXT_SAMPLES times, which flags_dependence reads;
+    contexts_left_out and samples_left_out count the rest.
     """
 
     delta: int
@@ -531,25 +558,9 @@ class EmpiricalStats:
     query_keys: list
     context_ids: list
     counts: np.ndarray
-    max_tv_gap: float
-    chi2_stat: float
-    chi2_dof: int
-    gate_max_tv_gap: float
-    gate_chi2_stat: float
-    gate_chi2_dof: int
+    gate: TableStats
     contexts_left_out: int
     samples_left_out: int
-
-    @cached_property
-    def chi2_pvalue(self) -> float:
-        """The chi-square survival function at chi2_stat, as
-        scipy.stats.chi2.sf evaluates it; 1.0 when chi2_dof is 0."""
-        return _chi2_sf(self.chi2_dof, self.chi2_stat)
-
-    @cached_property
-    def gate_chi2_pvalue(self) -> float:
-        """chi2_pvalue of the gate's table."""
-        return _chi2_sf(self.gate_chi2_dof, self.gate_chi2_stat)
 
     def flags_dependence(self) -> bool:
         """True when the bucket looks dependent on the context.
@@ -561,22 +572,16 @@ class EmpiricalStats:
         tiny p-values on negligible effects. A fault confined to contexts
         seen fewer than MIN_CONTEXT_SAMPLES times goes unseen.
         """
-        p, gap = self.gate_chi2_pvalue, self.gate_max_tv_gap
+        p, gap = self.gate.chi2_pvalue, self.gate.max_tv_gap
         return p < DEPENDENCE_P_THRESHOLD and gap > DEPENDENCE_GAP_THRESHOLD
 
     def to_json_obj(self) -> dict:
         return {
             "delta": self.delta,
             "n_samples": self.n_samples,
-            "max_tv_gap": self.max_tv_gap,
-            "chi2_stat": self.chi2_stat,
-            "chi2_dof": self.chi2_dof,
-            "chi2_pvalue": self.chi2_pvalue,
+            **super().to_json_obj(),
             "gate": {
-                "max_tv_gap": self.gate_max_tv_gap,
-                "chi2_stat": self.gate_chi2_stat,
-                "chi2_dof": self.gate_chi2_dof,
-                "chi2_pvalue": self.gate_chi2_pvalue,
+                **self.gate.to_json_obj(),
                 "contexts_left_out": self.contexts_left_out,
                 "samples_left_out": self.samples_left_out,
             },
@@ -584,15 +589,6 @@ class EmpiricalStats:
             "context_ids": self.context_ids,
             "counts": self.counts.tolist(),
         }
-
-
-def _chi2_sf(dof: int, stat: float) -> float:
-    if dof == 0:
-        return 1.0
-    # imported here, so that importing onoffpriv loads no scipy module
-    from scipy.special import chdtrc
-
-    return float(chdtrc(dof, stat))
 
 
 def empirical_privacy_test(trace: SimTrace, delta: int) -> EmpiricalStats:
@@ -702,12 +698,11 @@ def _independence(
     """The statistics of one gap bucket's contingency table; query ids
     follow the sorted query keys, so its rows are in key order."""
     rare = counts.sum(axis=0) < MIN_CONTEXT_SAMPLES
-    gate_gap, gate_stat, gate_dof = _table_stats(counts[:, ~rare])
     return EmpiricalStats(
-        delta, n_samples, [all_keys[i] for i in qids.tolist()],
-        contexts.tolist(), counts, *_table_stats(counts),
-        gate_max_tv_gap=gate_gap, gate_chi2_stat=gate_stat,
-        gate_chi2_dof=gate_dof, contexts_left_out=int(rare.sum()),
+        *_table_stats(counts), delta, n_samples,
+        [all_keys[i] for i in qids.tolist()], contexts.tolist(), counts,
+        TableStats(*_table_stats(counts[:, ~rare])),
+        contexts_left_out=int(rare.sum()),
         samples_left_out=int(counts[:, rare].sum()),
     )
 

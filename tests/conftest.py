@@ -228,22 +228,33 @@ def reference_gap_table(trace, delta: int):
 def reference_privacy_stats(trace, delta: int) -> dict:
     """The fields of one gap bucket's EmpiricalStats from its step-by-step
     table, by the textbook formulas, with scipy.stats for the p-value."""
-    import scipy.stats
-
     qids, contexts, counts = reference_gap_table(trace, delta)
-    col_tot = counts.sum(axis=0)
-    cond_freq = counts / col_tot[None, :]
-    expected = np.outer(counts.sum(axis=1), col_tot) / counts.sum()
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cells = np.where(expected > 0, (counts - expected) ** 2 / expected, 0.0)
-    chi2_stat = float(cells.sum())
-    chi2_dof = (len(qids) - 1) * (len(contexts) - 1)
     return {
         "delta": delta,
         "n_samples": int(counts.sum()),
         "query_keys": [trace.query_keys[i] for i in qids],
         "context_ids": contexts,
         "counts": counts,
+        **reference_table_stats(counts),
+    }
+
+
+def reference_table_stats(counts) -> dict:
+    """The TableStats fields of a queries-by-contexts table by the textbook
+    formulas, with scipy.stats for the p-value; the dof count the rows with
+    a sample, and a table of no column tests nothing."""
+    import scipy.stats
+
+    if counts.shape[1] == 0:
+        return {"max_tv_gap": 0.0, "chi2_stat": 0.0, "chi2_dof": 0, "chi2_pvalue": 1.0}
+    row_tot, col_tot = counts.sum(axis=1), counts.sum(axis=0)
+    cond_freq = counts / col_tot[None, :]
+    expected = np.outer(row_tot, col_tot) / counts.sum()
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cells = np.where(expected > 0, (counts - expected) ** 2 / expected, 0.0)
+    chi2_stat = float(cells.sum())
+    chi2_dof = (np.count_nonzero(row_tot) - 1) * (counts.shape[1] - 1)
+    return {
         "max_tv_gap": float((cond_freq.max(axis=1) - cond_freq.min(axis=1)).max()),
         "chi2_stat": chi2_stat,
         "chi2_dof": chi2_dof,

@@ -876,11 +876,9 @@ class TestSimulateCommand:
 
     def test_statistics_are_written_as_one_dump_would(self, tmp_path):
         # an off-after-0 run of 3,000 gaps gives one bucket and one rate a
-        # gap; batches of 7 chunks split every line of the text
+        # gap
         out = tmp_path / "stats.json"
-        with mock.patch.object(cli, "JSON_BATCH_CHUNKS", 7), mock.patch.object(
-            cli, "_write_json", wraps=cli._write_json
-        ) as spy:
+        with mock.patch.object(cli, "_write_json", wraps=cli._write_json) as spy:
             code = main([
                 "simulate", "--n", "3", "--alpha", "0.6", "--schedule",
                 "off-after-0", "--horizon", "3000", "--out", str(out),
@@ -1034,12 +1032,11 @@ json_values = hst.recursive(
 
 class TestJsonWriter:
     @settings(max_examples=300, deadline=None)
-    @given(obj=json_values, batch=hst.integers(min_value=1, max_value=9))
-    def test_the_text_is_one_dump(self, tmp_path_factory, obj, batch):
+    @given(obj=json_values)
+    def test_the_text_is_one_dump(self, tmp_path_factory, obj):
         # nan and the infinities too, and int keys, sorted as ints
         path = tmp_path_factory.mktemp("json") / "out.json"
-        with mock.patch.object(cli, "JSON_BATCH_CHUNKS", batch):
-            cli._write_json(obj, str(path))
+        cli._write_json(obj, str(path))
         assert path.read_text() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("size", [0, 1, 9, 10, 11, 99, 100, 101, 1234, 20001])

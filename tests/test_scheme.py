@@ -578,7 +578,12 @@ class TestSchemeFile:
             (lambda obj: obj["p"].__setitem__(3, 2**64), "entry 3: p must be a 64-bit"),
             (lambda obj: obj["u1"].__setitem__(3, 3), "entry 3: context"),
             (lambda obj: obj["x"].__setitem__(3, 3), "row 3: request"),
-            (lambda obj: obj["p"].__setitem__(3, 8), "entry 3: mass"),
+            # one past the last mass, however many the BLAS kernel's
+            # rounding of P^delta leaves distinct
+            (
+                lambda obj: obj["p"].__setitem__(3, len(obj["masses"])),
+                "entry 3: mass",
+            ),
             (lambda obj: obj["masses"].__setitem__(1, math.nan), "entry 1: .*nan"),
             (lambda obj: obj["masses"].__setitem__(1, -math.inf), "entry 1: .*-inf"),
             (lambda obj: obj["masses"].__setitem__(1, "0.1"), "entry 1: masses must"),
@@ -589,7 +594,7 @@ class TestSchemeFile:
     def test_malformed_documents_raise_value_errors(self, spoil, message):
         _, _, ms = built(3, 0.6, 1)
         obj = parsed(ms)
-        assert (len(obj["q"]), len(obj["masses"])) == (48, 8)
+        assert len(obj["q"]) == 48 and len(obj["masses"]) >= 2
         spoil(obj)
         with pytest.raises(ValueError, match=message):
             SchemeDistribution.from_json_obj(obj)

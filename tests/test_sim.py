@@ -14,9 +14,11 @@ from onoffpriv import sim
 from onoffpriv.markov import TransitionMatrix, conditional_table, symmetric_chain
 from onoffpriv.scheme import ZeroLikelihoodContext
 from onoffpriv.sim import (
+    DEPENDENCE_GAP_THRESHOLD,
     DEPENDENCE_P_THRESHOLD,
     DRAW_BLOCK_STEPS,
     MIN_BUCKET_SAMPLES,
+    MIN_CONTEXT_SAMPLES,
     InsufficientSamples,
     PrivacySchedule,
     SimConfig,
@@ -40,6 +42,7 @@ from conftest import (
     mass_by_context,
     reference_privacy_stats,
     reference_sample_path,
+    reference_table_stats,
     sample_query_indices,
     scheme_from_entries,
 )
@@ -842,9 +845,9 @@ class TestEmpiricalStats:
         assert (stats.max_tv_gap, stats.chi2_dof) == (1.0, 4)
         assert stats.chi2_pvalue < 1e-100
         assert (stats.contexts_left_out, stats.samples_left_out) == (1, 10)
-        assert stats.gate_max_tv_gap == pytest.approx(0.15)
-        assert stats.gate_chi2_dof == 1
-        assert stats.gate_chi2_pvalue == scipy.stats.chi2.sf(stats.gate_chi2_stat, 1)
+        assert stats.gate.max_tv_gap == pytest.approx(0.15)
+        assert stats.gate.chi2_dof == 1
+        assert stats.gate.chi2_pvalue == scipy.stats.chi2.sf(stats.gate.chi2_stat, 1)
         assert stats.flags_dependence()
         assert stats.to_json_obj()["gate"]["contexts_left_out"] == 1
 
@@ -897,6 +900,57 @@ class TestEmpiricalStats:
         assert stats.chi2_dof == (counts.shape[0] - 1) * (counts.shape[1] - 1)
         expected = float(scipy.stats.chi2.sf(stats.chi2_stat, stats.chi2_dof))
         assert stats.chi2_pvalue == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        counts=hst.integers(2, 5).flatmap(
+            lambda r: hst.lists(
+                # a context's cells are all small or all large, so that
+                # some contexts are rare and some are not
+                hst.sampled_from([4, 3000]).flatmap(
+                    lambda top: hst.lists(
+                        hst.integers(0, top), min_size=r, max_size=r
+                    )
+                ),
+                min_size=1,
+                max_size=6,
+            )
+        )
+    )
+    # one context seen MIN_CONTEXT_SAMPLES times, which is kept, and one
+    # seen once fewer, which is not
+    @example(counts=[[600, 500], [15, 15], [14, 15]])
+    def test_the_gate_is_the_table_of_the_kept_contexts(self, counts):
+        counts = np.array(counts, dtype=float).T
+        # a trace's table has no empty row or column
+        counts = counts[counts.sum(axis=1) > 0][:, counts.sum(axis=0) > 0]
+        assume(counts.sum() >= MIN_BUCKET_SAMPLES)
+        qids, us = np.nonzero(counts)
+        reps = counts[qids, us].astype(np.int64)
+        trace = label_trace(
+            np.zeros(reps.sum(), dtype=np.int64), np.repeat(qids, reps),
+            np.repeat(us, reps), [(i,) for i in range(counts.shape[0])],
+        )
+        stats = empirical_privacy_test(trace, 0)
+        kept = counts.sum(axis=0) >= MIN_CONTEXT_SAMPLES
+        gate = reference_table_stats(counts[:, kept])
+        # the p-value too, exactly as scipy.stats.chi2.sf gives it
+        for name, value in gate.items():
+            assert getattr(stats.gate, name) == value, name
+        assert stats.contexts_left_out == int((~kept).sum())
+        assert stats.samples_left_out == int(counts[:, ~kept].sum())
+        if kept.all():
+            for name in gate:
+                assert getattr(stats.gate, name) == getattr(stats, name), name
+        assert stats.flags_dependence() == (
+            gate["chi2_pvalue"] < DEPENDENCE_P_THRESHOLD
+            and gate["max_tv_gap"] > DEPENDENCE_GAP_THRESHOLD
+        )
+        assert stats.to_json_obj()["gate"] == {
+            **gate,
+            "contexts_left_out": stats.contexts_left_out,
+            "samples_left_out": stats.samples_left_out,
+        }
 
     def test_stats_json_is_plain_data(self):
         import json
