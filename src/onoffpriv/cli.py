@@ -11,7 +11,8 @@ Commands:
 The chain comes either from --chain (inline JSON or a file path, schema
 {"n": ..., "rows": [[...]]} or {"symmetric": {"n": ..., "alpha": ...}})
 or from --n plus --alpha for a symmetric chain. Exit codes: 0 success,
-1 verification or privacy-gate failure, 2 configuration error. Set
+1 verification or privacy-gate failure, 2 configuration error, 130
+interrupted (Ctrl-C), 141 stdout closed by its reader. Set
 ONOFFPRIV_LOG=debug for progress logging. CSV numeric columns show six
 significant digits next to full-precision raw_* twins.
 """
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import itertools
 import json
 import math
@@ -348,8 +348,8 @@ def cmd_simulate(args) -> int:
         P, schedule, horizon=args.horizon, msg_len=args.msg_len, seed=args.seed
     )
     # simulate opens the trace file only once the run has succeeded
-    csv_out = args.out and args.out.endswith(".csv")
-    stats = simulate(cfg, functools.partial(open, args.out, "wb") if csv_out else None)
+    csv_out = args.out if args.out and args.out.endswith(".csv") else None
+    stats = simulate(cfg, csv_out)
     _write_json(stats, None if csv_out else args.out)
     return 0 if stats["pass"] else 1
 
@@ -437,6 +437,8 @@ def main(argv=None) -> int:
         # point stdout at devnull, so that the final flush writes nothing
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE, as a shell reports a killed writer
+    except KeyboardInterrupt:  # Ctrl-C: stop with no traceback
+        return 130  # 128 + SIGINT, as a shell reports an interrupted command
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

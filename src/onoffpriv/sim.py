@@ -16,7 +16,7 @@ chi-square contingency statistic.
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt
@@ -736,7 +736,7 @@ def average_download_rate(trace: SimTrace) -> dict:
     sums = trace.gap_size_sums
     return {
         "overall": 1.0 / (int(sums.sum()) / trace.horizon),
-        "per_delta": _PerGap(trace.gap_counts, sums, lambda c, mean: 1.0 / mean, int),
+        "per_delta": _PerGap(trace.gap_counts, sums, lambda c, mean: 1.0 / mean),
     }
 
 
@@ -758,68 +758,42 @@ def write_trace_csv(trace: SimTrace, fh) -> None:
 
 
 class _PerGap(Mapping):
-    """A read-only map of one item per gap d of a run, keyed key(d), str or
-    int, and valued value(count, mean query size) from the gap's sample
-    count and query size sum. It holds no item: each is made as it is read.
-    Its keys come in the order json.dumps(sort_keys=True) writes them, and
-    items() makes each item once, in that order, without looking it up."""
+    """A read-only map of one item per gap d = 0 .. G - 1 of a run, keyed by
+    the gap as an int, in gap order, and valued value(count, mean query
+    size) from the gap's sample count and query size sum. It holds no item:
+    each is made as it is read."""
 
-    def __init__(self, counts, sums, value, key=str):
-        self.counts, self.sums, self.value, self.key = counts, sums, value, key
-        self.order = _text_order if key is str else range
+    def __init__(self, counts, sums, value):
+        self.counts, self.sums, self.value = counts, sums, value
 
     def __len__(self):
         return len(self.counts)
 
     def __iter__(self):
-        return map(self.key, self.order(len(self)))
+        return iter(range(len(self)))
 
     def __getitem__(self, key):
         try:
             d = int(key)
         except (TypeError, ValueError, OverflowError):
             raise KeyError(key) from None
-        # int() also reads "01", " 1" and 1.5, which are no key
-        if not (0 <= d < len(self) and self.key(d) == key):
+        # int() also reads "1", "01" and 1.5, which, as in a dict, are no key
+        if not (0 <= d < len(self) and d == key):
             raise KeyError(key)
         count = int(self.counts[d])
         return self.value(count, int(self.sums[d]) / count)
 
-    def items(self):
-        return _PerGapItems(self)
 
-
-class _PerGapItems(ItemsView):
-    def __iter__(self):
-        gaps = self._mapping
-        key, value, counts, sums = gaps.key, gaps.value, gaps.counts, gaps.sums
-        for d in gaps.order(len(gaps)):
-            count = int(counts[d])
-            yield key(d), value(count, int(sums[d]) / count)
-
-
-def _text_order(size: int):
-    """0 .. size - 1 in the order of their decimal texts: a preorder walk
-    of the tree in which the children of d > 0 are 10 d .. 10 d + 9, since
-    a text sorts before the texts that extend it."""
-    if size > 0:
-        yield 0
-    stack = list(range(min(size, 10) - 1, 0, -1))
-    while stack:
-        d = stack.pop()
-        yield d
-        stack.extend(range(min(size, 10 * d + 10) - 1, 10 * d - 1, -1))
-
-
-def simulate(cfg: SimConfig, open_trace_csv=None) -> dict:
+def simulate(cfg: SimConfig, trace_csv=None) -> dict:
     """Run cfg and return the statistics that `onoffpriv simulate` writes
     as JSON. "pass" holds when no step failed to decode and no bucket of
     MIN_BUCKET_SAMPLES steps or more looks dependent on the context.
+    delta_buckets and rates["per_delta"] are keyed by the gap, an int.
 
-    open_trace_csv() is called, if given, once every statistic but the
-    p-values is known, so that a failed run opens no file, and the binary
-    file it returns gets the trace CSV. The p-values are read last, after
-    the trace is freed, since their first read loads scipy.special.
+    trace_csv, if given, is the path the trace CSV is written to. It is
+    opened once every statistic but the p-values is known, so that a failed
+    run opens no file. The p-values are read last, after the trace is freed,
+    since their first read loads scipy.special.
     """
     trace = run_simulation(cfg)
     decode_failures = trace.decode_failures()
@@ -840,8 +814,8 @@ def simulate(cfg: SimConfig, open_trace_csv=None) -> dict:
             lambda c, mean: {"count": c, "mean_q_size": mean},
         ),
     }
-    if open_trace_csv is not None:
-        with open_trace_csv() as fh:
+    if trace_csv is not None:
+        with open(trace_csv, "wb") as fh:
             write_trace_csv(trace, fh)
     del trace
     stats["privacy"] = [s.to_json_obj() for s in privacy]

@@ -866,6 +866,35 @@ class TestEmpiricalStats:
         assert any(s.chi2_pvalue < DEPENDENCE_P_THRESHOLD for s in stats)
         assert not any(s.flags_dependence() for s in stats)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "the gate's chi-square is not calibrated for queries drawn a few "
+        "times in a bucket: an honest 30-state run is flagged at gap 1"
+    ))
+    def test_honest_tables_of_rare_queries_pass_the_gate(self):
+        # the shape of the gap-1 bucket of a 30-state chain,
+        # default_rng(15).dirichlet(ones(30), size=30), on bernoulli:0.3 over
+        # 150k steps with seed 1, which the gate flags at p = 7.1e-19 though
+        # its scheme is exact: one query drawn 99.3 % of the time and 50
+        # drawn 1-18 times each, over 900 contexts seen 11-103 times each.
+        # Query and context are drawn independently here, so no table
+        # depends on its context. A query drawn once adds N / c - 1 to the
+        # statistic, N the table's samples and c those of the context it
+        # lands in: its mean is near the row's dof, but on the flagged
+        # table its sd is 118, against 34 for a chi-square of 585 dof
+        n_queries, n_contexts, n_samples, rare = 51, 900, 31_000, 0.0067
+        weights = 1.0 / np.arange(1, n_queries)
+        query_law = np.concatenate(([1.0 - rare], rare * weights / weights.sum()))
+        flagged = []
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            context_law = rng.dirichlet(np.full(n_contexts, 8.0))
+            rows = rng.choice(n_queries, size=n_samples, p=query_law)
+            cols = rng.choice(n_contexts, size=n_samples, p=context_law)
+            trace = label_trace(np.ones(n_samples, dtype=np.int64), rows, cols)
+            if empirical_privacy_test(trace, 1).flags_dependence():
+                flagged.append(seed)
+        assert flagged == []
+
     def test_zero_gap_bucket_is_trivially_independent(self):
         trace = run(horizon=4000, schedule="always-on")
         stats = empirical_privacy_test(trace, 0)
@@ -1128,6 +1157,45 @@ class TestAverageRate:
         assert rates["per_delta"] == {0: 1.0 / (size_sum / count)}
         assert rates["overall"] == 1.0 / (size_sum / count)
         assert trace.total_bytes() == size_sum
+
+
+# keys of every kind a lookup may get: gaps in and out of range, as ints,
+# bools, numpy ints, floats and texts, and None
+per_gap_keys = (
+    hst.integers(-3, 15) | hst.integers() | hst.booleans() | hst.none()
+    | hst.integers(-3, 15).map(np.int64) | hst.integers(0, 15).map(np.uint8)
+    | hst.floats() | hst.integers(-3, 15).map(float)
+    | hst.sampled_from([0.5, 1.5, -0.0])
+    | hst.integers(-3, 15).map(str) | hst.sampled_from(["01", " 1", "1.0"])
+    | hst.text(max_size=3)
+)
+
+
+class TestPerGap:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        counts=hst.lists(hst.integers(1, 50), max_size=12),
+        data=hst.data(),
+        keys=hst.lists(per_gap_keys, max_size=20),
+    )
+    def test_lookups_answer_as_the_dict_of_its_items(self, counts, data, keys):
+        sums = [data.draw(hst.integers(c, 7 * c), label="sum") for c in counts]
+        lazy = sim._PerGap(
+            np.array(counts, dtype=np.int64), np.array(sums, dtype=np.int64), divmod
+        )
+        plain = {d: divmod(c, s / c) for d, (c, s) in enumerate(zip(counts, sums))}
+        for key in keys:
+            assert (key in lazy) == (key in plain), key
+            assert lazy.get(key, "none") == plain.get(key, "none"), key
+            if key in plain:
+                assert lazy[key] == plain[key]
+            else:
+                with pytest.raises(KeyError):
+                    lazy[key]
+        assert list(lazy) == list(plain) and list(lazy.items()) == list(plain.items())
+        assert lazy == plain and plain == lazy
+        other = {**plain, len(plain): divmod(1, 1.0)}
+        assert lazy != other and other != lazy
 
 
 def test_the_trace_stores_17_bytes_a_step():
