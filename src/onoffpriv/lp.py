@@ -34,6 +34,8 @@ The answer is not taken on trust. The simplex's dual certificate is checked
 against the program's own rows. Each context's a(q, x, u) is then recovered
 by the same simplex, as a maximum flow that must carry all of the mass, and
 the assembled (a, s) point is checked against every row of the full program.
+The point is a set-form SchemeDistribution of the a(q, x, u), the format
+`onoffpriv scheme` writes; s(q) is one context's sum of the masses of q.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from onoffpriv.markov import ConditionalTable
+from onoffpriv.scheme import SchemeDistribution
 
 MAX_STATES = 5
 NONNEG_TOL = 1e-10
@@ -87,36 +90,16 @@ class LpProblem:
 class LpSolution:
     """Optimal point of an LpProblem.
 
-    value is the optimal expected query size (an inverse rate). primal maps
-    each ("a", q, x, u) and ("s", q) key of the full program above
-    PRIMAL_ZERO_TOL to its value. status is "optimal" whenever the solver
-    returns instead of raising; the pivot cap surfaces as IterationLimit,
-    and the field exists so serialized records can carry the status.
-    iterations counts the pivots of the program over shared masses.
+    value is the optimal expected query size (an inverse rate). scheme is
+    the full program's point as a set-form SchemeDistribution over the
+    queries all_subsets(n): every a(q, x, u) above PRIMAL_ZERO_TOL.
+    iterations counts the pivots of the program over shared masses. The
+    pivot cap surfaces as IterationLimit, so a returned solution is optimal.
     """
 
     value: float
-    primal: dict
-    status: str
+    scheme: SchemeDistribution
     iterations: int
-
-    def to_json_obj(self) -> dict:
-        return {
-            "value": self.value,
-            "status": self.status,
-            "iterations": self.iterations,
-            "primal": [
-                {"key": _key_to_json(k), "value": v}
-                for k, v in sorted(self.primal.items(), key=lambda kv: str(kv[0]))
-            ],
-        }
-
-
-def _key_to_json(key: tuple):
-    if key[0] == "a":
-        _, q, x, u = key
-        return {"kind": "a", "q": list(q), "x": x, "u": u}
-    return {"kind": "s", "q": list(key[1])}
 
 
 def all_subsets(n: int) -> list[tuple]:
@@ -212,7 +195,7 @@ def _simplex(c: np.ndarray, A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, i
         raise ArithmeticError("simplex duals are infeasible")
     gap = abs(float(y @ b - c @ v))
     if gap > RESIDUAL_TOL:
-        raise ArithmeticError(f"primal and dual values differ by {gap:g}")
+        raise ArithmeticError(f"simplex point and duals differ in value by {gap:g}")
     return np.maximum(v, 0.0), pivots
 
 
@@ -260,18 +243,8 @@ def solve_simplex(p: LpProblem) -> LpSolution:
     if residual > RESIDUAL_TOL:
         raise ArithmeticError(f"full-program residual {residual:g}")
 
-    subsets = all_subsets(n)
     us, ks = np.nonzero(a > PRIMAL_ZERO_TOL)
-    primal = {
-        ("a", subsets[pair_q[k]], int(pair_x[k]), u): float(a[u, k])
-        for u, k in zip(us.tolist(), ks.tolist())
-    }
-    primal.update(
-        (("s", subsets[q]), float(s_all[q]))
-        for q in np.flatnonzero(s_all > PRIMAL_ZERO_TOL).tolist()
+    scheme = SchemeDistribution(
+        n, cond.delta, "set", all_subsets(n), pair_q[ks], pair_x[ks], us, a[us, ks]
     )
-    value = n - float(p.c @ s)
-    return LpSolution(
-        value=value, primal=primal, status="optimal", iterations=iterations
-    )
-
+    return LpSolution(value=n - float(p.c @ s), scheme=scheme, iterations=iterations)

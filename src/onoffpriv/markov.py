@@ -274,6 +274,8 @@ def chain_from_dict(spec) -> TransitionMatrix:
     of two forms:
         {"n": 3, "rows": [[...], [...], [...]]}
         {"symmetric": {"n": 3, "alpha": 0.6}}
+    An "n" beside "rows" or "symmetric" is optional, and must then be the
+    chain's number of states.
 
     Raises:
         ValueError: naming the field that is missing or malformed.
@@ -289,12 +291,13 @@ def chain_from_dict(spec) -> TransitionMatrix:
         for key in ("n", "alpha"):
             if key not in sym:
                 raise ValueError(f"'symmetric' needs {key!r}")
-        n = as_index(sym["n"], "n")
-        return symmetric_chain(n, as_number(sym["alpha"], "alpha"))
-    rows = spec["rows"]
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        raise ValueError("'rows' must be a list of lists of probabilities")
-    rows = np.array([[as_number(p, "probability") for p in r] for r in rows])
-    if "n" in spec and as_index(spec["n"], "n") != rows.shape[0]:
-        raise ValueError("declared n does not match row count")
-    return TransitionMatrix(rows)
+        P = symmetric_chain(as_index(sym["n"], "n"), as_number(sym["alpha"], "alpha"))
+    else:
+        rows = spec["rows"]
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise ValueError("'rows' must be a list of lists of probabilities")
+        rows = [[as_number(p, "probability") for p in r] for r in rows]
+        P = TransitionMatrix(np.array(rows))
+    if "n" in spec and as_index(spec["n"], "n") != P.n:
+        raise ValueError(f"declared n does not match the chain's {P.n} states")
+    return P

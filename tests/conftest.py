@@ -66,12 +66,15 @@ def full_program(cond: ConditionalTable) -> FullProgram:
     return FullProgram(c=c, A=A, b=b, var_keys=var_keys, row_keys=row_keys)
 
 
-def full_point(program: FullProgram, primal: dict) -> np.ndarray:
-    """An LpSolution's primal placed in the full program's columns."""
+def full_point(program: FullProgram, s: SchemeDistribution) -> np.ndarray:
+    """A set-form distribution placed in the full program's columns: its
+    rows as the a(q, x, u), and each query's mass in context 0 as s(q)."""
     column = {key: i for i, key in enumerate(program.var_keys)}
     v = np.zeros(len(program.var_keys))
-    for key, value in primal.items():
-        v[column[key]] = value
+    for (q, x, u), mass in entries_of(s).items():
+        v[column["a", q, x, u]] = mass
+        if u == 0:
+            v[column["s", q]] += mass
     return v
 
 

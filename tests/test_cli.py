@@ -22,15 +22,22 @@ from hypothesis import strategies as hst
 
 import onoffpriv
 from onoffpriv import cli, sim
+from onoffpriv.bounds import rate_inner, rate_outer, theta_profile
 from onoffpriv.cli import main
-from onoffpriv.markov import symmetric_chain
-from onoffpriv.scheme import COLUMNS, CSV_BLOCK_ROWS, SchemeDistribution, csv_digits
+from onoffpriv.lp import formulate_lp, solve_simplex
+from onoffpriv.markov import chain_from_dict, conditional_table, symmetric_chain
+from onoffpriv.scheme import (
+    COLUMNS, CSV_BLOCK_ROWS, SchemeDistribution, build_scheme, collapse_to_sets,
+    csv_digits,
+)
 from onoffpriv.sim import (
     PrivacySchedule,
     SimConfig,
     run_simulation,
     write_trace_csv,
 )
+
+from onoffpriv.verify import expected_cost
 
 from conftest import json_slots, reference_trace_csv, schema1_json_obj, section_text
 
@@ -166,6 +173,40 @@ class TestChainLoading:
         assert out == ""
         assert err.startswith("error: bad chain spec: ")
         assert message in err
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        form=hst.sampled_from(["rows", "symmetric"]),
+        n=hst.integers(2, 6),
+        declared=hst.sampled_from(["absent", "equal"])
+        | hst.integers(-1, 8) | hst.sampled_from([3.0, "3", True, None, [3]]),
+    )
+    def test_a_declared_n_must_count_the_states(self, form, n, declared):
+        # in either form an "n" beside the chain is optional, and when given
+        # it must be the chain's number of states
+        spec = (
+            {"rows": symmetric_chain(n, 0.6).entries.tolist()}
+            if form == "rows" else {"symmetric": {"n": n, "alpha": 0.6}}
+        )
+        if declared != "absent":
+            spec["n"] = n if declared == "equal" else declared
+        valid = "n" not in spec or (type(spec["n"]) is int and spec["n"] == n)
+        try:
+            assert chain_from_dict(spec).n == n
+            loaded = True
+        except ValueError:
+            loaded = False
+        assert loaded == valid
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            with contextlib.redirect_stderr(err):
+                code = main(["bounds", "--chain", json.dumps(spec), "--delta", "1"])
+        if valid:
+            assert code == 0 and err.getvalue() == ""
+        else:
+            assert (code, out.getvalue()) == (2, "")
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: bad chain spec: ")
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -1056,6 +1097,52 @@ class TestJsonWriter:
             assert json.dumps(obj, indent=2, sort_keys=True, default=dict) + "\n" == text
 
 
+class TestDocumentText:
+    """The whole text of the two documents made of query distributions, each
+    section as SchemeDistribution.write_json writes it."""
+
+    def test_scheme_document(self, tmp_path):
+        n, delta = 3, 1
+        cond = conditional_table(symmetric_chain(n, 0.6), delta)
+        profile = theta_profile(cond)
+        ms = build_scheme(profile, cond)
+        setform = collapse_to_sets(ms)
+        prior = np.full(cond.m, 1.0 / cond.m)
+        summary = {
+            "multiset_entries": ms.entry_count,
+            "set_entries": setform.entry_count,
+            "expected_size_multiset": expected_cost(ms, cond, prior),
+            "expected_size_set": expected_cost(setform, cond, prior),
+            "achievable_cost": rate_inner(profile),
+        }
+        out = tmp_path / "s.json"
+        argv = ["scheme", "--n", "3", "--alpha", "0.6", "--delta", "1"]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_text() == (
+            '{\n  "delta": 1,\n  "multiset": ' + section_text(ms)
+            + ',\n  "n": 3,\n  "set": ' + section_text(setform)
+            + ',\n  "summary": ' + json.dumps(summary, sort_keys=True)
+            + ',\n  "theta": ' + json.dumps(profile.theta.tolist()) + "\n}\n"
+        )
+
+    def test_lp_document(self, tmp_path):
+        cond = conditional_table(symmetric_chain(4, 0.1), 1)
+        profile = theta_profile(cond)
+        sol = solve_simplex(formulate_lp(cond))
+        out = tmp_path / "lp.json"
+        argv = ["lp", "--n", "4", "--alpha", "0.1", "--delta", "1"]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_text() == (
+            '{\n  "delta": 1,\n  "inv_r_inner": %r,\n  "inv_r_outer": %r,'
+            '\n  "iterations": %d,\n  "n": 4,\n  "num_rows": 15,'
+            '\n  "num_vars": 14,\n  "optimal_rate": %r,\n  "set": %s,'
+            '\n  "status": "optimal",\n  "value": %r\n}\n'
+        ) % (
+            rate_inner(profile), rate_outer(profile), sol.iterations,
+            1.0 / sol.value, section_text(sol.scheme), sol.value,
+        )
+
+
 class TestTraceCsv:
     def test_digits_of_hand_picked_columns(self):
         values = [0, 9, 10, 99, 100, 2**63 - 1]
@@ -1139,6 +1226,7 @@ argvs = {
     ],
     "lp": [["lp", *chain, "--out", out]],
     "bounds": [["bounds", *chain, "--out", out]],
+    "sweep-alpha": [["sweep-alpha", "--n", "3", "--out", out]],
 }
 loaded = {"import": loaded_now()}
 codes = []
@@ -1266,6 +1354,16 @@ class TestImportCost:
         assert "onoffpriv.sim" in loaded["simulate"]["onoffpriv"]
         assert "onoffpriv.lp" in loaded["lp"]["onoffpriv"]
         assert "onoffpriv.verify" not in loaded["lp"]["onoffpriv"]
+
+    def test_the_rate_commands_load_no_scheme(self):
+        # lp writes its point through the scheme container, and loads
+        # neither the checker nor the simulator
+        loaded = import_probe("bounds", "sweep-alpha", "lp")["loaded"]
+        assert "onoffpriv.scheme" not in loaded["bounds"]["onoffpriv"]
+        assert "onoffpriv.scheme" not in loaded["sweep-alpha"]["onoffpriv"]
+        assert "onoffpriv.scheme" in loaded["lp"]["onoffpriv"]
+        assert "onoffpriv.verify" not in loaded["lp"]["onoffpriv"]
+        assert "onoffpriv.sim" not in loaded["lp"]["onoffpriv"]
 
     def test_logging_and_csv_load_only_when_used(self):
         loaded = import_probe("simulate", "lp", "bounds")["loaded"]

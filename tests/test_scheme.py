@@ -448,6 +448,11 @@ class TestDistributionObject:
         with pytest.raises(ValueError, match="row 1: context 4 out of range"):
             SchemeDistribution(2, 1, "set", [(0,)], [0, 0], [0, 0], [3, 4], [1, 1])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_mass_that_is_not_finite_is_refused(self, bad):
+        with pytest.raises(ValueError, match="a mass is not finite"):
+            SchemeDistribution(2, 1, "set", [(0,)], [0, 0], [0, 0], [0, 1], [0.5, bad])
+
     def test_row_key_overflow_is_refused(self):
         # (x n^2 + u) Q + q must fit in an int64
         edge = 2**21 - 1  # edge**3 < 2**63 <= (edge + 1)**3
@@ -589,6 +594,7 @@ class TestSchemeFile:
             (lambda obj: obj["masses"].__setitem__(1, "0.1"), "entry 1: masses must"),
             (lambda obj: obj["queries"].reverse(), "does not follow"),
             (lambda obj: obj["queries"][1].reverse(), "is not ascending"),
+            (lambda obj: obj.__setitem__("queries", {}), "queries must be a list"),
         ],
     )
     def test_malformed_documents_raise_value_errors(self, spoil, message):

@@ -127,10 +127,11 @@ class TestPrivacySchedule:
         assert PrivacySchedule.parse("explicit:1,0,1").arg == (True, False, True)
 
     def test_parse_rejects_unknown(self):
-        # off-after-0 has one spelling, and neither it nor always-on takes
-        # an argument
+        # off-after-0 has one spelling, neither it nor always-on takes an
+        # argument, and a period is at least 1
         for spec in (
-            "sometimes", "always-off-after-0", "always-on:banana", "off-after-0:7"
+            "sometimes", "always-off-after-0", "always-on:banana", "off-after-0:7",
+            "periodic:0",
         ):
             with pytest.raises(ValueError):
                 PrivacySchedule.parse(spec)
@@ -209,7 +210,7 @@ class TestPrivacySchedule:
         [("periodic", True), ("periodic", 2.5), ("bernoulli", "0.3"),
          ("bernoulli", False), ("bernoulli", float("nan")), ("always-on", 1),
          ("explicit", "101"), ("explicit", (1, 2)), ("explicit", None),
-         ("sometimes", None)],
+         ("sometimes", None), ("periodic", 0)],
     )
     def test_construction_refuses_a_bad_argument(self, kind, arg):
         with pytest.raises(ValueError):
