@@ -140,28 +140,12 @@ def _write_csv(rows, out: str | None) -> None:
 
 
 def _write_json(obj, out: str | None) -> None:
-    """Write obj to out, or stdout, as json.dumps(obj, indent=2,
-    sort_keys=True) and a newline, a chunk at a time as the encoder makes
-    it, so that the whole text is never held."""
+    """Write obj to out, or stdout, as _json_chunks lays it out, and a
+    newline, a chunk at a time as it is made, so that the whole text is
+    never held."""
     with _output(out) as fh:
         fh.writelines(_json_chunks(obj, "\n"))
         fh.write("\n")
-
-
-def _write_document(fields: dict, out: str | None) -> None:
-    """Write fields to out, or stdout, as a JSON object of a key a line, in
-    sorted order: a query distribution as its write_json section, and any
-    other value as json.dumps(value, sort_keys=True)."""
-    with _output(out) as fh:
-        sep = "{"
-        for key, value in sorted(fields.items()):
-            fh.write(f"{sep}\n  {json.dumps(key)}: ")
-            if hasattr(value, "write_json"):
-                value.write_json(fh)
-            else:
-                fh.write(json.dumps(value, sort_keys=True))
-            sep = ","
-        fh.write("\n}\n")
 
 
 _ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
@@ -173,10 +157,14 @@ def _json_chunks(obj, pad: str):
     whose keys must be str or int, are walked here: a plain dict in the
     sorted order of its keys, and any other Mapping (simulate's per-gap
     sections) in its own order, its items made as they are written. An item
-    that is an int or a finite float is written as its repr; any other value
-    goes to the encoder."""
+    that is an int or a finite float is written as its repr, and a value
+    with json_chunks(), a query distribution, as the chunks that method
+    yields, in their own layout; any other value goes to the encoder."""
     # dict first: the check that a plain dict passes fastest
     if not (isinstance(obj, (dict, Mapping)) and obj):
+        if hasattr(obj, "json_chunks"):
+            yield from obj.json_chunks()
+            return
         for chunk in _ENCODER.iterencode(obj):
             yield chunk.replace("\n", pad)
         return
@@ -288,7 +276,7 @@ def cmd_scheme(args) -> int:
         "expected_size_set": expected_cost(setform, cond, prior),
         "achievable_cost": rate_inner(profile),
     }
-    _write_document({
+    _write_json({
         "delta": cond.delta, "multiset": multiset, "n": cond.n, "set": setform,
         "summary": summary, "theta": profile.theta.tolist(),
     }, args.out)
@@ -329,7 +317,7 @@ def cmd_lp(args) -> int:
         len(problem.var_keys), len(problem.row_keys),
     )
     sol = solve_simplex(problem)
-    _write_document({
+    _write_json({
         "n": cond.n,
         "delta": cond.delta,
         "num_vars": len(problem.var_keys),

@@ -44,7 +44,7 @@ MAX_ENTRIES = 16_000_000
 # rows of a scheme file column or of a trace CSV formatted and written at
 # once; bounds the memory a writer takes
 CSV_BLOCK_ROWS = 8192
-# the scheme file layout that write_json writes and from_json_obj reads
+# the scheme file layout that json_chunks writes and from_json_obj reads
 SCHEMA = 2
 # the int columns of a scheme file section, in the order written
 COLUMNS = ("q", "x", "u0", "u1", "p")
@@ -85,11 +85,13 @@ class SchemeDistribution:
 
     The constructor keeps the named queries, sorts, and merges the rows that
     share (q, x, u), adding their masses in the order given; if no rows
-    share, every mass is kept bit for bit, -0.0 included. It rejects a
-    row whose query, request or context index is out of range, a query with
-    a member outside 0..n-1 or more than n members, a set query that
-    repeats a member, a mass that is not finite, and an n so large that the
-    row key (x n^2 + u) Q + q over Q queries would not fit in an int64.
+    share, every mass is kept bit for bit, -0.0 included. It rejects columns
+    of unequal length, an index column that is not 1-D or, nonempty, not of
+    an integer dtype, a row whose query, request or context index is out of
+    range, a query with a member outside 0..n-1 or more than n members, a
+    set query that repeats a member, a mass that is not finite, and an n so
+    large that the row key (x n^2 + u) Q + q over Q queries would not fit in
+    an int64.
     """
 
     n: int
@@ -104,16 +106,21 @@ class SchemeDistribution:
     def __post_init__(self):
         if self.form not in ("multiset", "set"):
             raise ValueError(f"unknown form {self.form!r}")
-        q, x, u = (np.asarray(c, dtype=np.int64) for c in (self.q, self.x, self.u))
+        q, x, u = (np.asarray(c) for c in (self.q, self.x, self.u))
         mass = np.asarray(self.mass, dtype=float)
         if not np.isfinite(mass).all():
             raise ValueError("a mass is not finite")
         n, nq = self.n, len(self.queries)
         ranges = (("query", q, nq), ("request", x, n), ("context", u, n * n))
         for name, col, top in ranges:
+            if col.ndim != 1 or col.size and col.dtype.kind not in "iu":
+                raise ValueError(f"the {name} column is not a 1-D integer array")
             if col.size and not (0 <= col.min() and col.max() < top):
                 i = np.flatnonzero((col < 0) | (col >= top))[0]
                 raise ValueError(f"row {i}: {name} {col[i]} out of range for n={n}")
+        if len({col.shape for col in (q, x, u, mass)}) > 1:
+            raise ValueError(f"unequal columns: {[c.shape for c in (q, x, u, mass)]}")
+        q, x, u = (col.astype(np.int64, copy=False) for col in (q, x, u))
         named = np.flatnonzero(np.bincount(q)).tolist()
         named.sort(key=self.queries.__getitem__)
         queries = [tuple(self.queries[i]) for i in named]
@@ -149,9 +156,9 @@ class SchemeDistribution:
     def entry_count(self) -> int:
         return self.mass.size
 
-    def write_json(self, fh) -> None:
-        """Write the distribution to the text file fh as one JSON object of
-        columns (schema 2); from_json_obj reads it back.
+    def json_chunks(self):
+        """Yield the distribution as the text of one JSON object of columns
+        (schema 2), a piece at a time; from_json_obj reads it back.
 
         The rows keep their (x, u, q) order in the int columns q, x, u0 and
         u1, with (u0, u1) the (x_tau, x_next) pair of u, and p. The masses
@@ -162,29 +169,29 @@ class SchemeDistribution:
         """
         palette, p = np.unique(self.mass.view(np.int64), return_inverse=True)
         xtau, xnext = np.divmod(self.u, self.n)
-        fh.write('{"delta": %d, "form": %s, "n": %d, "schema": %d,\n' % (
+        yield '{"delta": %d, "form": %s, "n": %d, "schema": %d,\n' % (
             self.delta, json.dumps(self.form), self.n, SCHEMA
-        ))
-        fh.write('    "queries": %s,\n    "masses": %s' % (
+        )
+        yield '    "queries": %s,\n    "masses": %s' % (
             json.dumps(self.queries), json.dumps(palette.view(float).tolist())
-        ))
+        )
         for name, col in zip(COLUMNS, (self.q, self.x, xtau, xnext, p)):
-            fh.write(',\n    "%s": [' % name)
+            yield ',\n    "%s": [' % name
             for lo in range(0, col.size, CSV_BLOCK_ROWS):
                 text = csv_digits([col[lo : lo + CSV_BLOCK_ROWS]], newline=b",")
-                fh.write(("," if lo else "") + text[:-1].decode())
-            fh.write("]")
-        fh.write("}")
+                yield ("," if lo else "") + text[:-1].decode()
+            yield "]"
+        yield "}"
 
     @classmethod
     def from_json_obj(cls, obj) -> "SchemeDistribution":
         """Load a parsed scheme file section, one np.asarray per column;
-        inverse of write_json.
+        inverse of json_chunks.
 
         Raises:
             ValueError: the section is not an object with schema 2 (a file
                 of an older schema must be written again with `onoffpriv
-                scheme`) and the keys write_json writes; n or delta is not
+                scheme`) and the keys json_chunks writes; n or delta is not
                 an integer; queries is not an ascending list of distinct
                 ascending lists of integers; a column is not a list of
                 integers (masses: of numbers) that fit in 64 bits; the

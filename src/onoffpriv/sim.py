@@ -445,7 +445,8 @@ def run_simulation(cfg: SimConfig, scheme_overrides: dict | None = None) -> SimT
         cfg: run configuration.
         scheme_overrides: optional map gap -> set-form SchemeDistribution
             used instead of the honest construction for that gap; intended
-            for fault-injection tests.
+            for fault-injection tests. It may be built for another gap, but
+            not for another n, whose contexts would alias this run's.
 
     The run is deterministic in (cfg.chain, cfg.schedule, cfg.horizon,
     cfg.msg_len, cfg.seed): three independent child generators drive the
@@ -463,6 +464,9 @@ def run_simulation(cfg: SimConfig, scheme_overrides: dict | None = None) -> SimT
     if not P.is_strictly_positive():
         raise ValueError("simulation requires a strictly positive chain")
     n = P.n
+    for gap, s in (scheme_overrides or {}).items():
+        if s.n != n:
+            raise ValueError(f"gap {gap}: the override has n={s.n}, the chain {n}")
     T = cfg.horizon
     path_ss, flag_ss, query_ss = np.random.SeedSequence(cfg.seed).spawn(3)
     path_rng = np.random.default_rng(path_ss)

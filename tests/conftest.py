@@ -1,4 +1,3 @@
-import io
 import math
 import struct
 from collections import Counter
@@ -188,10 +187,8 @@ def json_slots(node):
 
 
 def section_text(s: SchemeDistribution) -> str:
-    """The text SchemeDistribution.write_json writes for s."""
-    buf = io.StringIO()
-    s.write_json(buf)
-    return buf.getvalue()
+    """The text of the chunks SchemeDistribution.json_chunks yields for s."""
+    return "".join(s.json_chunks())
 
 
 def reference_steps(trace):
@@ -298,7 +295,7 @@ def float_bits(mass: float) -> int:
 
 def reference_json_obj(s: SchemeDistribution) -> dict:
     """A scheme file section built row by row in plain Python: the document
-    that the text SchemeDistribution.write_json writes must parse to."""
+    that the text SchemeDistribution.json_chunks yields must parse to."""
     palette = sorted({float_bits(m) for m in s.mass.tolist()})
     slot = {bits: i for i, bits in enumerate(palette)}
     doc = {

@@ -1096,10 +1096,32 @@ class TestJsonWriter:
             assert len(lazy) == 15
             assert json.dumps(obj, indent=2, sort_keys=True, default=dict) + "\n" == text
 
+    @pytest.mark.parametrize("argv", [
+        ["scheme", "--n", "3", "--alpha", "0.6", "--delta", "1"],
+        ["verify", "--n", "3", "--alpha", "0.6", "--delta", "1"],
+        ["lp", "--n", "3", "--alpha", "0.6", "--delta", "1"],
+        [
+            "simulate", "--n", "3", "--alpha", "0.6", "--schedule", "periodic:2",
+            "--horizon", "2000", "--seed", "1",
+        ],
+    ], ids=lambda argv: argv[0])
+    def test_the_out_file_is_the_stdout_text(self, capsys, tmp_path, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert out and err == ""
+        path = tmp_path / "out.json"
+        assert run_cli(capsys, *argv, "--out", str(path)) == (code, "", "")
+        assert path.read_bytes() == out.encode()
+
+
+def indented(value):
+    """value as a member of a top-level object in json.dumps(indent=2)."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+
 
 class TestDocumentText:
     """The whole text of the two documents made of query distributions, each
-    section as SchemeDistribution.write_json writes it."""
+    section as SchemeDistribution.json_chunks yields it and every other
+    value as in the other JSON outputs."""
 
     def test_scheme_document(self, tmp_path):
         n, delta = 3, 1
@@ -1121,8 +1143,8 @@ class TestDocumentText:
         assert out.read_text() == (
             '{\n  "delta": 1,\n  "multiset": ' + section_text(ms)
             + ',\n  "n": 3,\n  "set": ' + section_text(setform)
-            + ',\n  "summary": ' + json.dumps(summary, sort_keys=True)
-            + ',\n  "theta": ' + json.dumps(profile.theta.tolist()) + "\n}\n"
+            + ',\n  "summary": ' + indented(summary)
+            + ',\n  "theta": ' + indented(profile.theta.tolist()) + "\n}\n"
         )
 
     def test_lp_document(self, tmp_path):

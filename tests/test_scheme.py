@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
 from onoffpriv.bounds import rate_inner, theta_profile
@@ -240,6 +240,22 @@ class TestConstruction:
             build_scheme(theta_profile(cond_a), cond_b)
 
 
+QUERIES = [(0,), (0, 1)]
+masses = hst.lists(hst.floats(0, 1), max_size=3)
+
+
+@hst.composite
+def index_column(draw, top):
+    """(kind, values): an index column of up to 3 values in 0..top-1, to be
+    passed as ints, as floats or as a one-column matrix."""
+    kind = draw(hst.sampled_from(["int", "float", "matrix"]))
+    if kind == "float":
+        value = hst.floats(0, top, exclude_max=True)
+    else:
+        value = hst.integers(0, top - 1)
+    return kind, draw(hst.lists(value, max_size=3))
+
+
 class TestDistributionObject:
     def test_set_collapse_conserves_mass_and_helps_cost(self, rng, chain_factory):
         cond = conditional_table(chain_factory(rng, 4), 2)
@@ -430,7 +446,7 @@ class TestDistributionObject:
         rng = np.random.default_rng(1)
         u = rng.integers(0, 4, 200)
         mass = rng.choice([1e16, 1.0, -1e16, 3.0, -3.0], 200)
-        zeros = np.zeros(200)
+        zeros = np.zeros(200, dtype=np.int64)
         s = SchemeDistribution(2, 1, "set", [(0,)], zeros, zeros, u, mass)
         want = {}
         for k, p in zip(u.tolist(), mass.tolist()):
@@ -447,6 +463,51 @@ class TestDistributionObject:
                 SchemeDistribution(2, 1, "set", [(0,)], *cols, [0.5])
         with pytest.raises(ValueError, match="row 1: context 4 out of range"):
             SchemeDistribution(2, 1, "set", [(0,)], [0, 0], [0, 0], [3, 4], [1, 1])
+
+    # the rows load as 3, and the last mass is dropped
+    @example(
+        columns=[("int", [0, 1, 1]), ("int", [0, 1, 1]), ("int", [0, 1, 2])],
+        mass=[0.2, 0.3, 0.5, 0.1],
+    )
+    # the float indices load truncated, as q [0 1] and u [0 3]
+    @example(
+        columns=[("float", [0.9, 1.7]), ("float", [0, 1.2]), ("float", [0, 3.9])],
+        mass=[0.5, 0.5],
+    )
+    # the short query column raises an IndexError
+    @example(
+        columns=[("int", [0]), ("int", [0, 1, 1]), ("int", [0, 1, 2])],
+        mass=[0.2, 0.3, 0.5],
+    )
+    @settings(max_examples=200, deadline=None)
+    @given(
+        columns=hst.tuples(index_column(2), index_column(2), index_column(4)),
+        mass=masses,
+    )
+    def test_columns_must_be_integer_vectors_of_one_length(self, columns, mass):
+        # n = 2: a query indexes QUERIES, a request is 0..1, a context 0..3
+        arrays = [
+            np.array(values, dtype=float if kind == "float" else np.int64)
+            for kind, values in columns
+        ]
+        arrays = [
+            a.reshape(-1, 1) if kind == "matrix" else a
+            for a, (kind, _) in zip(arrays, columns)
+        ]
+        lengths = {len(values) for _, values in columns} | {len(mass)}
+        fits = len(lengths) == 1 and all(
+            kind == "int" or kind == "float" and not values for kind, values in columns
+        )
+        if not fits:
+            with pytest.raises(ValueError, match="column"):
+                SchemeDistribution(2, 1, "set", QUERIES, *arrays, mass)
+            return
+        s = SchemeDistribution(2, 1, "set", QUERIES, *arrays, mass)
+        want = {}
+        for k, x, u, p in zip(*(values for _, values in columns), mass):
+            key = (QUERIES[k], x, u)
+            want[key] = want.get(key, 0.0) + p
+        assert entries_of(s) == want
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_a_mass_that_is_not_finite_is_refused(self, bad):

@@ -352,6 +352,28 @@ class TestRunSimulation:
                 chain=P, schedule=PrivacySchedule("always-on"), horizon=5, seed=-1
             )
 
+    # at n = 4, contexts 9-15 of the override alias other groups' slots of
+    # the query draw: 193 steps fail to decode, and a query names message 3
+    @example(n=3, other=4, gap=1)
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=hst.integers(2, 5), other=hst.integers(2, 5), gap=hst.integers(1, 2)
+    )
+    def test_an_override_must_have_the_chains_n(self, n, other, gap):
+        # a scheme of another gap is allowed, of another n is not
+        cfg = SimConfig(
+            chain=symmetric_chain(n, 0.6), schedule=PrivacySchedule("periodic", 3),
+            horizon=3000, seed=1,
+        )
+        overrides = {gap: build_scheme_for_gap(symmetric_chain(other, 0.6), 1)}
+        if other == n:
+            assert run_simulation(cfg, scheme_overrides=overrides).decodes().all()
+            return
+        with pytest.raises(
+            ValueError, match=rf"^gap {gap}: the override has n={other}, the chain {n}$"
+        ):
+            run_simulation(cfg, scheme_overrides=overrides)
+
     @settings(max_examples=50, deadline=None)
     @given(seed=hst.integers(max_value=-1))
     def test_a_negative_seed_is_refused(self, seed):
