@@ -51,8 +51,10 @@ from onoffpriv.markov import (
 # that a command compiles only the modules it runs
 
 SYMMETRY_DETECT_TOL = 1e-12
-# the values of ONOFFPRIV_LOG, in any case; any other value means WARNING
+# ONOFFPRIV_LOG's values in any case, read once; any other value means WARNING
 LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+_SHOWN = os.environ.get("ONOFFPRIV_LOG", "").upper()
+_LEAST = LOG_LEVELS.index(_SHOWN if _SHOWN in LOG_LEVELS else "WARNING")
 
 
 class ConfigError(Exception):
@@ -61,12 +63,10 @@ class ConfigError(Exception):
 
 def _log(level: str, msg: str, *args) -> None:
     """Write the record "LEVEL message" to stderr when level, one of
-    LOG_LEVELS, is at or above ONOFFPRIV_LOG's. A record that cannot be
-    written is dropped, as logging's handlers drop it, so that no record
-    ends a command."""
-    shown = os.environ.get("ONOFFPRIV_LOG", "").upper()
-    least = LOG_LEVELS.index(shown if shown in LOG_LEVELS else "WARNING")
-    if LOG_LEVELS.index(level) >= least:
+    LOG_LEVELS, is at or above the level that ONOFFPRIV_LOG gave when the
+    module loaded. A record that cannot be written is dropped, as logging's
+    handlers drop it, so that no record ends a command."""
+    if LOG_LEVELS.index(level) >= _LEAST:
         record = f"{level} {msg % args}\n"
         # sys.stderr is None when the process started with fd 2 closed
         with contextlib.suppress(AttributeError, OSError, ValueError):
@@ -216,13 +216,13 @@ def cmd_bounds(args) -> int:
 
 def _bounds_rows(P: TransitionMatrix, alpha: float | None, deltas: range):
     """The CSV row of every gap in deltas, made as it is read; alpha, when
-    not None, adds the symmetric chain's closed forms."""
-    n = P.n
-    for delta, (_, power) in zip(deltas, matrix_powers(P, deltas.start, deltas.stop)):
-        cond = conditional_table(P, delta, power=power)
-        profile = theta_profile(cond)
-        inv_i = rate_inner(profile)
-        inv_o = rate_outer(profile)
+    not None, adds the symmetric chain's closed forms. A gap to which
+    matrix_powers gives the previous gap's power takes that gap's rates."""
+    n, held, walk = P.n, None, matrix_powers(P, deltas.start, deltas.stop)
+    for delta, (first, power) in zip(deltas, walk):
+        if first != held:
+            profile = theta_profile(conditional_table(P, delta, power=power))
+            held, inv_i, inv_o = first, rate_inner(profile), rate_outer(profile)
         vals = [inv_i, inv_o, 1.0 / inv_i, 1.0 / inv_o]
         if alpha is not None:
             if alpha >= 1.0 / n:

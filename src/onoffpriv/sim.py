@@ -93,23 +93,17 @@ class PrivacySchedule:
 
     @classmethod
     def parse(cls, text: str) -> "PrivacySchedule":
-        """Parse a schedule spec such as 'periodic:2' or 'explicit:1,0,1'."""
+        """The schedule of a spec such as 'periodic:2', checked as constructed."""
         head, colon, arg = text.partition(":")
         kind = head.strip().lower()
-        if kind in ("always-on", "off-after-0"):
-            if colon:
-                raise ValueError(f"{kind} takes no argument, got {text!r}")
-            return cls(kind)
         if kind == "bernoulli":
             return cls(kind, float(arg))
         if kind == "periodic":
             return cls(kind, int(arg))
         if kind == "explicit":
-            tokens = [tok.strip() for tok in arg.split(",")]
-            if set(tokens) - {"0", "1"}:
-                raise ValueError(f"explicit flags must each be 0 or 1, got {arg!r}")
-            return cls(kind, tuple(tok == "1" for tok in tokens))
-        raise ValueError(f"unknown schedule {text!r}")
+            flags = {"0": 0, "1": 1}
+            return cls(kind, tuple(flags.get(t.strip(), t) for t in arg.split(",")))
+        return cls(kind, arg if colon else None)
 
     def spec_string(self) -> str:
         if self.kind == "explicit":
@@ -150,6 +144,11 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("horizon", "msg_len", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
         if self.msg_len < 1:

@@ -394,6 +394,32 @@ class TestBoundsCommand:
         assert 0 < len(products) <= last
         assert single == []
 
+    def test_a_held_power_takes_its_rates_once(self, capsys, monkeypatch):
+        # P^delta has mixed after 37 products and is held from there on, so
+        # the 401 gaps have 38 distinct powers, each profiled once
+        P = symmetric_chain(3, 0.6)
+        firsts = {first for first, _ in cli.matrix_powers(P, 0, 401)}
+        assert len(firsts) == 38
+        profiled = []
+
+        def counted_profile(cond):
+            profiled.append(cond.delta)
+            return theta_profile(cond)
+
+        monkeypatch.setattr(cli, "theta_profile", counted_profile)
+        code, out, err = run_cli(
+            capsys, "bounds", "--n", "3", "--alpha", "0.6",
+            "--delta", "0", "--delta-max", "400",
+        )
+        assert code == 0, err
+        assert len(profiled) == len(firsts)
+        raw = ["raw_inv_r_inner", "raw_inv_r_outer", "raw_r_inner", "raw_r_outer"]
+        for delta, row in enumerate(parse_csv(out)):
+            prof = theta_profile(conditional_table(P, delta))
+            inv_i, inv_o = rate_inner(prof), rate_outer(prof)
+            want = [repr(v) for v in (inv_i, inv_o, 1 / inv_i, 1 / inv_o)]
+            assert [row["delta"], *(row[c] for c in raw)] == [str(delta), *want]
+
     def test_large_gaps_do_not_overflow_the_closed_forms(self, capsys):
         for n, delta in (("10", "400"), ("3", "1024")):
             code, out, err = run_cli(

@@ -1,3 +1,7 @@
+import contextlib
+import io
+import json
+import re
 import sys
 import tracemalloc
 from math import isqrt
@@ -10,7 +14,7 @@ import scipy.stats
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
-from onoffpriv import sim
+from onoffpriv import cli, sim
 from onoffpriv.markov import TransitionMatrix, conditional_table, symmetric_chain
 from onoffpriv.scheme import ZeroLikelihoodContext
 from onoffpriv.sim import (
@@ -216,6 +220,20 @@ class TestPrivacySchedule:
         with pytest.raises(ValueError):
             PrivacySchedule(kind, arg)
 
+    @pytest.mark.parametrize(
+        "spec, kind, arg",
+        [("always-on:x", "always-on", "x"), ("off-after-0:7", "off-after-0", "7"),
+         ("sometimes", "sometimes", None), ("never:1", "never", "1"),
+         ("periodic:0", "periodic", 0), ("bernoulli:1.5", "bernoulli", 1.5),
+         ("explicit:0,1", "explicit", (0, 1))],
+    )
+    def test_parse_refuses_as_the_constructor_does(self, spec, kind, arg):
+        # parse converts the argument; the constructor alone checks it
+        with pytest.raises(ValueError) as built:
+            PrivacySchedule(kind, arg)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(built.value))}$"):
+            PrivacySchedule.parse(spec)
+
     def test_first_step_is_always_on(self):
         rng = np.random.default_rng(0)
         for sch in (
@@ -373,6 +391,37 @@ class TestRunSimulation:
             ValueError, match=rf"^gap {gap}: the override has n={other}, the chain {n}$"
         ):
             run_simulation(cfg, scheme_overrides=overrides)
+
+    # once accepted: msg_len 2.5 counted 655.0 bytes, a seed of True was
+    # written as true, numpy ints left the statistics unwritable as JSON,
+    # and a horizon of 2.5 failed deep inside the run
+    @example(field="msg_len", value=2.5)
+    @example(field="seed", value=True)
+    @example(field="seed", value=np.int64(3))
+    @example(field="msg_len", value=np.int64(4))
+    @example(field="horizon", value=2.5)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        field=hst.sampled_from(["horizon", "msg_len", "seed"]),
+        value=hst.one_of(
+            hst.booleans(), hst.floats(), hst.text(max_size=3),
+            hst.integers(1, 200), hst.integers(1, 200).map(np.int64),
+            hst.integers(1, 200).map(np.uint16),
+        ),
+    )
+    def test_the_integer_fields_take_integers_only(self, field, value):
+        kw = {"horizon": 100, "msg_len": 16, "seed": 0, field: value}
+        chain, schedule = symmetric_chain(3, 0.6), PrivacySchedule("periodic", 2)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+                SimConfig(chain=chain, schedule=schedule, **kw)
+            return
+        cfg = SimConfig(chain=chain, schedule=schedule, **kw)
+        assert type(getattr(cfg, field)) is int and getattr(cfg, field) == value
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            cli._write_json(sim.simulate(cfg), None)
+        stats = json.loads(out.getvalue())
+        assert stats[field] == value and type(stats["total_bytes"]) is int
 
     @settings(max_examples=50, deadline=None)
     @given(seed=hst.integers(max_value=-1))
@@ -1005,8 +1054,6 @@ class TestEmpiricalStats:
         }
 
     def test_stats_json_is_plain_data(self):
-        import json
-
         trace = run(horizon=4000)
         obj = empirical_privacy_test(trace, 1).to_json_obj()
         assert json.loads(json.dumps(obj)) == obj
