@@ -9,6 +9,7 @@ u = xtau * n + xnext, giving m = n^2 rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -30,18 +31,18 @@ class ZeroContextProbability(ValueError):
 
 
 def as_index(value, name: str) -> int:
-    """A state, count or gap read from JSON, which must be an integer.
+    """An outside state, count or gap: any Integral but a bool, as an int.
 
     int() would read 1.7 as 1, and True or "2" as states too.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if isinstance(value, bool) or not isinstance(value, Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
 def as_number(value, name: str) -> float:
-    """A probability read from JSON: a JSON number, not "0.6" or true."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """An outside probability: any Real (a Fraction too) but a bool, as a float."""
+    if isinstance(value, bool) or not isinstance(value, Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
 
@@ -296,8 +297,9 @@ def chain_from_dict(spec) -> TransitionMatrix:
         rows = spec["rows"]
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise ValueError("'rows' must be a list of lists of probabilities")
-        rows = [[as_number(p, "probability") for p in r] for r in rows]
-        P = TransitionMatrix(np.array(rows))
+        if len(set(map(len, rows))) > 1:
+            raise ValueError("'rows' must be lists of one length")
+        P = TransitionMatrix([[as_number(p, "probability") for p in r] for r in rows])
     if "n" in spec and as_index(spec["n"], "n") != P.n:
         raise ValueError(f"declared n does not match the chain's {P.n} states")
     return P

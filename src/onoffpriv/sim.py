@@ -17,15 +17,17 @@ chi-square contingency statistic.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt
-from numbers import Integral, Real
 
 import numpy as np
 
 from onoffpriv.bounds import theta_profile
-from onoffpriv.markov import TransitionMatrix, conditional_table, matrix_powers
+from onoffpriv.markov import (
+    TransitionMatrix, as_index, as_number, conditional_table, matrix_powers,
+)
 from onoffpriv.scheme import (
     CSV_BLOCK_ROWS,
     SchemeDistribution,
@@ -71,17 +73,13 @@ class PrivacySchedule:
             if arg is not None:
                 raise ValueError(f"{kind} takes no argument, got {arg!r}")
         elif kind == "bernoulli":
-            if isinstance(arg, bool) or not isinstance(arg, Real):
-                raise ValueError(f"p must be a real number, got {arg!r}")
-            if not 0.0 <= arg <= 1.0:
+            object.__setattr__(self, "arg", as_number(arg, "p"))
+            if not 0.0 <= self.arg <= 1.0:
                 raise ValueError("p must lie in [0, 1]")
-            object.__setattr__(self, "arg", float(arg))
         elif kind == "periodic":
-            if isinstance(arg, bool) or not isinstance(arg, Integral):
-                raise ValueError(f"period must be an integer, got {arg!r}")
-            if arg < 1:
+            object.__setattr__(self, "arg", as_index(arg, "period"))
+            if self.arg < 1:
                 raise ValueError("period must be at least 1")
-            object.__setattr__(self, "arg", int(arg))
         elif kind == "explicit":
             if not isinstance(arg, (tuple, list)) or not all(f in (0, 1) for f in arg):
                 raise ValueError(f"explicit flags must be a 0/1 list, got {arg!r}")
@@ -93,17 +91,19 @@ class PrivacySchedule:
 
     @classmethod
     def parse(cls, text: str) -> "PrivacySchedule":
-        """The schedule of a spec such as 'periodic:2', checked as constructed."""
+        """The schedule of a spec such as 'periodic:2', checked as constructed;
+        an argument that float or int cannot read goes on as its text."""
         head, colon, arg = text.partition(":")
         kind = head.strip().lower()
-        if kind == "bernoulli":
-            return cls(kind, float(arg))
-        if kind == "periodic":
-            return cls(kind, int(arg))
         if kind == "explicit":
             flags = {"0": 0, "1": 1}
             return cls(kind, tuple(flags.get(t.strip(), t) for t in arg.split(",")))
-        return cls(kind, arg if colon else None)
+        convert = {"bernoulli": float, "periodic": int}.get(kind)
+        if convert is None:
+            return cls(kind, arg if colon else None)
+        with suppress(ValueError):  # the constructor refuses the text, naming it
+            arg = convert(arg)
+        return cls(kind, arg)
 
     def spec_string(self) -> str:
         if self.kind == "explicit":
@@ -145,10 +145,7 @@ class SimConfig:
 
     def __post_init__(self):
         for name in ("horizon", "msg_len", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, as_index(getattr(self, name), name))
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
         if self.msg_len < 1:

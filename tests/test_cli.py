@@ -174,6 +174,27 @@ class TestChainLoading:
         assert err.startswith("error: bad chain spec: ")
         assert message in err
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lengths=hst.lists(hst.integers(0, 5), min_size=2, max_size=6).filter(
+            lambda ls: len(set(ls)) > 1
+        ),
+        command=hst.sampled_from(["bounds", "scheme", "lp"]),
+    )
+    def test_ragged_rows_get_the_readers_message(self, lengths, command):
+        # rows of unequal length are refused before numpy sees them, so
+        # numpy's "inhomogeneous shape" text never reaches the user
+        rows = [[0.5] * k for k in lengths]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            with contextlib.redirect_stderr(err):
+                code = main([command, "--chain", json.dumps({"rows": rows}),
+                             "--delta", "1"])
+        assert (code, out.getvalue()) == (2, "")
+        assert err.getvalue() == (
+            "error: bad chain spec: 'rows' must be lists of one length\n"
+        )
+
     @settings(max_examples=80, deadline=None)
     @given(
         form=hst.sampled_from(["rows", "symmetric"]),

@@ -1,3 +1,7 @@
+import json
+import re
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +12,8 @@ from onoffpriv.markov import (
     ConditionalTable,
     TransitionMatrix,
     ZeroContextProbability,
+    as_index,
+    as_number,
     chain_from_dict,
     conditional_table,
     matrix_power,
@@ -18,7 +24,11 @@ from onoffpriv.markov import (
     u_pair,
 )
 
-from conftest import ROUNDING_TWO_CYCLE, symmetric_table
+from onoffpriv.bounds import theta_profile
+from onoffpriv.scheme import SchemeDistribution, build_scheme
+from onoffpriv.sim import PrivacySchedule, SimConfig
+
+from conftest import ROUNDING_TWO_CYCLE, section_text, symmetric_table
 
 
 class TestTransitionMatrix:
@@ -290,3 +300,74 @@ class TestSymmetricSigmas:
     def test_rejects_zero_gap(self):
         with pytest.raises(ValueError):
             symmetric_sigmas(3, 0.6, 0)
+
+
+def scheme_section():
+    """The parsed scheme file section of a 3-state symmetric chain's scheme."""
+    cond = conditional_table(symmetric_chain(3, 0.6), 1)
+    return json.loads(section_text(build_scheme(theta_profile(cond), cond)))
+
+
+class TestOutsideValues:
+    """as_index and as_number judge every integer and number that comes
+    from outside, so each reader refuses a value with their message."""
+
+    @staticmethod
+    def integer_readers(v):
+        """(field name, reader of v) for every reader of an outside integer,
+        each returning what it stored."""
+        section = dict(scheme_section(), n=v)
+        return [
+            ("horizon", lambda: SimConfig(
+                symmetric_chain(3, 0.6), PrivacySchedule("always-on"), horizon=v
+            ).horizon),
+            ("period", lambda: PrivacySchedule("periodic", v).arg),
+            ("n", lambda: chain_from_dict({"symmetric": {"n": v, "alpha": 0.5}}).n),
+            ("n", lambda: SchemeDistribution.from_json_obj(section).n),
+        ]
+
+    @pytest.mark.parametrize(
+        "v", [2.5, True, "3", None, np.float64(3.0), np.bool_(True)]
+    )
+    def test_every_integer_reader_refuses_with_as_index_message(self, v):
+        for name, read in self.integer_readers(v):
+            with pytest.raises(ValueError) as expected:
+                as_index(v, name)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+                read()
+
+    @pytest.mark.parametrize("v", [3, np.int64(3), np.uint8(3)])
+    def test_every_integer_reader_stores_a_python_int(self, v):
+        for _, read in self.integer_readers(v):
+            stored = read()
+            assert type(stored) is int and stored == 3
+
+    @pytest.mark.parametrize("v", [np.float32(0.25), Fraction(1, 4)])
+    def test_any_real_number_is_a_probability(self, v):
+        # a bernoulli p, a symmetric chain's alpha and a row entry alike
+        sch = PrivacySchedule("bernoulli", v)
+        assert type(sch.arg) is float and sch.arg == 0.25
+        P = chain_from_dict({"symmetric": {"n": 3, "alpha": v}})
+        text = '{"symmetric": {"n": 3, "alpha": 0.25}}'
+        from_json = chain_from_dict(json.loads(text))
+        assert np.array_equal(P.entries, from_json.entries)
+        assert np.array_equal(P.entries, symmetric_chain(3, 0.25).entries)
+        rows = chain_from_dict({"rows": [[v, 0.75], [0.5, 0.5]]})
+        assert rows.entries.tolist() == [[0.25, 0.75], [0.5, 0.5]]
+
+    @pytest.mark.parametrize("v", [True, "0.25", None, np.bool_(True)])
+    def test_no_reader_takes_a_non_number_as_a_probability(self, v):
+        readers = [
+            ("p", lambda: PrivacySchedule("bernoulli", v)),
+            ("alpha", lambda: chain_from_dict({"symmetric": {"n": 3, "alpha": v}})),
+            ("probability", lambda: chain_from_dict({"rows": [[v, 0.75], [0.5, 0.5]]})),
+        ]
+        for name, read in readers:
+            with pytest.raises(ValueError) as expected:
+                as_number(v, name)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+                read()
+        section = scheme_section()
+        section["masses"][0] = v
+        with pytest.raises(ValueError, match="masses must be a 64-bit number"):
+            SchemeDistribution.from_json_obj(section)

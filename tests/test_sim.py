@@ -225,7 +225,8 @@ class TestPrivacySchedule:
         [("always-on:x", "always-on", "x"), ("off-after-0:7", "off-after-0", "7"),
          ("sometimes", "sometimes", None), ("never:1", "never", "1"),
          ("periodic:0", "periodic", 0), ("bernoulli:1.5", "bernoulli", 1.5),
-         ("explicit:0,1", "explicit", (0, 1))],
+         ("explicit:0,1", "explicit", (0, 1)), ("periodic:1e3", "periodic", "1e3"),
+         ("periodic:", "periodic", ""), ("bernoulli:abc", "bernoulli", "abc")],
     )
     def test_parse_refuses_as_the_constructor_does(self, spec, kind, arg):
         # parse converts the argument; the constructor alone checks it
